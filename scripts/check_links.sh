@@ -2,7 +2,8 @@
 # check_links.sh [file.md ...] — fail if any internal markdown link in
 # the given files (default: README.md ARCHITECTURE.md) points at a file
 # that does not exist or an anchor with no matching heading. External
-# links (http/https/mailto) are ignored; run from the repository root.
+# links (http/https/mailto) and anything inside fenced code blocks or
+# inline code spans are ignored; run from the repository root.
 set -u
 
 files=("$@")
@@ -10,10 +11,21 @@ if [ ${#files[@]} -eq 0 ]; then
   files=(README.md ARCHITECTURE.md)
 fi
 
+# prose <file.md> prints the file with fenced code blocks dropped, so a
+# shell comment or a Go call inside a fence is read as neither a heading
+# nor a link. With strip=1 it also removes inline code spans.
+prose() {
+  awk -v strip="${2:-0}" '
+    /^[[:space:]]*(```|~~~)/ { fence = !fence; next }
+    fence { next }
+    { if (strip) gsub(/`[^`]*`/, ""); print }
+  ' "$1"
+}
+
 # slugs_of <file.md> prints the GitHub-style anchor slug of every
 # heading: lowercase, punctuation stripped, spaces to hyphens.
 slugs_of() {
-  grep -E '^#{1,6} ' "$1" | sed -E 's/^#{1,6} +//' \
+  prose "$1" | grep -E '^#{1,6} ' | sed -E 's/^#{1,6} +//' \
     | tr '[:upper:]' '[:lower:]' \
     | sed -E 's/[^a-z0-9 -]//g; s/ /-/g'
 }
@@ -51,7 +63,7 @@ for f in "${files[@]}"; do
         fi
         ;;
     esac
-  done < <(grep -oE '\]\([^)]+\)' "$f" | sed -E 's/^\]\(//; s/\)$//; s/ .*$//')
+  done < <(prose "$f" 1 | grep -oE '\]\([^)]+\)' | sed -E 's/^\]\(//; s/\)$//; s/ .*$//')
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -117,140 +117,26 @@ func PredecessorHier[T cmp.Ordered](a []T, b int, x T) int {
 	}
 }
 
-// successorHier returns the position of the smallest key >= x in the
-// hierarchical layout, or -1 if every key is below x.
+// successorHier returns the outer slot (page start plus in-page rank)
+// of the smallest key >= x in the hierarchical layout, or -1 if every
+// key is below x.
 func successorHier[T cmp.Ordered](a []T, b int, x T) int {
 	n := len(a)
 	p := layout.HierPageKeys(b)
-	node, cand := 0, -1
+	node, slot := 0, -1
 	for {
 		pageStart := node * p
 		if pageStart >= n {
-			return cand
+			return slot
 		}
 		pk := min(p, n-pageStart)
 		at := hierPageSucc(a, pageStart, pk, b, x)
 		c := pk
 		if at >= 0 {
-			cand = at
 			c = layout.BTreeRank(at-pageStart, pk, b)
+			slot = pageStart + c
 		}
 		node = node*(p+1) + 1 + c
-	}
-}
-
-// scanHier walks the hierarchical layout under outer page node pageNode
-// in order: the page's inner B-tree is walked in order with a running
-// in-page rank t, and the outer child t is visited immediately before
-// the rank-t page key — the interleaving that makes the global visit
-// sequence ascending.
-func (ix *Index[T]) scanHier(pageNode int, st *yieldState[T]) {
-	n, b := len(ix.data), ix.b
-	p := layout.HierPageKeys(b)
-	pageStart := pageNode * p
-	if pageStart >= n || st.done {
-		return
-	}
-	pk := min(p, n-pageStart)
-	t := 0 // in-page rank of the next key the inner walk will visit
-	var walk func(node int)
-	walk = func(node int) {
-		start := node * b
-		if start >= pk || st.done {
-			return
-		}
-		end := min(start+b, pk)
-		for w := start; w < end; w++ {
-			walk(node*(b+1) + 1 + (w - start))
-			if st.done {
-				return
-			}
-			ix.scanHier(pageNode*(p+1)+1+t, st)
-			if st.done {
-				return
-			}
-			if !st.yield(pageStart+w, ix.data[pageStart+w]) {
-				st.done = true
-				return
-			}
-			t++
-		}
-		walk(node*(b+1) + 1 + (end - start))
-	}
-	walk(0)
-	if st.done {
-		return
-	}
-	ix.scanHier(pageNode*(p+1)+1+pk, st) // keys above every page key
-}
-
-// rangeHier is scanHier with [lo, hi] pruning. Pruning breaks the
-// running rank counter, so the in-page rank of a visited key — the
-// outer child index before it — is recovered arithmetically with
-// layout.BTreeRank instead.
-func (ix *Index[T]) rangeHier(pageNode int, lo, hi T, st *yieldState[T]) {
-	n, b := len(ix.data), ix.b
-	p := layout.HierPageKeys(b)
-	pageStart := pageNode * p
-	if pageStart >= n || st.done {
-		return
-	}
-	pk := min(p, n-pageStart)
-	over := false // a page key above hi was reached: nothing later qualifies
-	var walk func(node int)
-	walk = func(node int) {
-		start := node * b
-		if start >= pk || st.done || over {
-			return
-		}
-		end := min(start+b, pk)
-		for w := start; w < end; w++ {
-			key := ix.data[pageStart+w]
-			if key > lo {
-				walk(node*(b+1) + 1 + (w - start))
-				if st.done || over {
-					return
-				}
-				ix.rangeHier(pageNode*(p+1)+1+layout.BTreeRank(w, pk, b), lo, hi, st)
-				if st.done {
-					return
-				}
-			}
-			if key >= lo && key <= hi {
-				if !st.yield(pageStart+w, key) {
-					st.done = true
-					return
-				}
-			}
-			if key > hi {
-				over = true
-				return
-			}
-		}
-		walk(node*(b+1) + 1 + (end - start))
-	}
-	walk(0)
-	if st.done || over {
-		return
-	}
-	// Keys above every page key live in the last outer child.
-	if pk > 0 && ix.data[hierPagePredAll(ix.data, pageStart, pk, b)] < hi {
-		ix.rangeHier(pageNode*(p+1)+1+pk, lo, hi, st)
-	}
-}
-
-// hierPagePredAll returns the position of the largest key of the page
-// block — the rightmost in-order key, found by descending last children.
-func hierPagePredAll[T cmp.Ordered](a []T, pageStart, pk, b int) int {
-	node, at := 0, pageStart
-	for {
-		start := node * b
-		if start >= pk {
-			return at
-		}
-		end := min(start+b, pk)
-		at = pageStart + end - 1
-		node = node*(b+1) + 1 + (end - start)
 	}
 }
 

@@ -59,9 +59,9 @@ func (ix *Index[T]) PosOfRank(rank int) int {
 }
 
 // AtRank returns the rank-th smallest key (0-based). Together with
-// PosOfRank it gives layouts positional access in sorted order — the
-// rank machinery behind ordered iteration — at O(log N) per call; use
-// Scan or Range to stream many keys.
+// PosOfRank it gives layouts random access by sorted rank at O(log N)
+// per call. Ordered iteration does not use it: a Cursor (or Scan and
+// Range, built on one) steps to the next key in amortized O(1).
 func (ix *Index[T]) AtRank(rank int) T { return ix.data[ix.PosOfRank(rank)] }
 
 // bstPrefetchMinLen is the key count from which Find routes BST-layout

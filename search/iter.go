@@ -2,6 +2,7 @@ package search
 
 import (
 	"cmp"
+	"math/bits"
 
 	"implicitlayout/layout"
 )
@@ -9,21 +10,9 @@ import (
 // Successor returns the position of the smallest key >= x under the
 // index's layout, or -1 if every key is below x.
 func (ix *Index[T]) Successor(x T) int {
-	switch ix.kind {
-	case layout.Sorted:
-		return successorBinary(ix.data, x)
-	case layout.BST:
-		return successorTree(ix.data, x, func(pos int) (int, int) {
-			return 2*pos + 1, 2*pos + 2
-		}, len(ix.data))
-	case layout.BTree:
-		return successorBTree(ix.data, ix.b, x)
-	case layout.VEB:
-		return successorVEB(ix.data, x)
-	case layout.Hier:
-		return successorHier(ix.data, ix.b, x)
-	}
-	return -1
+	c := NewCursor(ix)
+	c.Seek(x)
+	return c.Next()
 }
 
 func successorBinary[T cmp.Ordered](a []T, x T) int {
@@ -40,21 +29,6 @@ func successorBinary[T cmp.Ordered](a []T, x T) int {
 		return -1
 	}
 	return lo
-}
-
-// successorTree descends a binary layout tracking the last key >= x.
-func successorTree[T cmp.Ordered](a []T, x T, children func(pos int) (int, int), n int) int {
-	pos, cand := 0, -1
-	for pos < n {
-		l, r := children(pos)
-		if a[pos] >= x {
-			cand = pos
-			pos = l
-		} else {
-			pos = r
-		}
-	}
-	return cand
 }
 
 func successorBTree[T cmp.Ordered](a []T, b int, x T) int {
@@ -77,190 +51,184 @@ func successorBTree[T cmp.Ordered](a []T, b int, x T) int {
 	}
 }
 
+// successorVEB returns the level-order index, in the conceptual
+// complete BST, of the smallest key >= x in the vEB layout, or -1.
 func successorVEB[T cmp.Ordered](a []T, x T) int {
-	n := len(a)
-	if n == 0 {
+	if len(a) == 0 {
 		return -1
 	}
-	cur := layout.NewVEBNav(n).Cursor()
-	cand := -1
-	for {
-		pos := cur.Pos()
+	cur := layout.NewVEBNav(len(a)).Cursor()
+	for i, node := 0, -1; ; {
 		dir := 1
-		if a[pos] >= x {
-			cand = pos
-			dir = 0
+		if a[cur.Pos()] >= x {
+			node, dir = i, 0
 		}
 		if !cur.Descend(dir) {
-			return cand
+			return node
 		}
+		i = 2*i + 1 + dir
 	}
 }
 
 // Range calls yield for every key in [lo, hi], in ascending order,
-// stopping early if yield returns false. It works on every layout by
-// walking the conceptual tree in order: O(k + log N) node visits for k
-// reported keys.
+// stopping early if yield returns false: one Cursor Seek to lo, then
+// Next until a key passes hi — O(k + log N) node visits for k reported
+// keys.
 func (ix *Index[T]) Range(lo, hi T, yield func(pos int, key T) bool) {
-	if hi < lo || len(ix.data) == 0 {
+	if hi < lo {
 		return
 	}
-	switch ix.kind {
-	case layout.Sorted:
-		start := successorBinary(ix.data, lo)
-		if start < 0 {
+	c := NewCursor(ix)
+	c.Seek(lo)
+	for pos := c.Next(); pos >= 0 && ix.data[pos] <= hi; pos = c.Next() {
+		if !yield(pos, ix.data[pos]) {
 			return
 		}
-		for pos := start; pos < len(ix.data) && ix.data[pos] <= hi; pos++ {
-			if !yield(pos, ix.data[pos]) {
-				return
-			}
-		}
-	case layout.BTree:
-		ix.rangeBTree(0, lo, hi, &yieldState[T]{yield: yield})
-	case layout.Hier:
-		ix.rangeHier(0, lo, hi, &yieldState[T]{yield: yield})
-	default:
-		ix.rangeTree(0, 0, lo, hi, &yieldState[T]{yield: yield})
 	}
 }
 
 // Scan calls yield for every key in the index, in ascending sorted
-// order, stopping early if yield returns false. Like Range it walks the
-// conceptual tree in order — O(N) node visits, no unpermuting, no
-// allocation — which is how the store streams whole shards for
-// sorted-order export-style reads while they keep serving point queries.
+// order, stopping early if yield returns false: a full Cursor walk, O(N)
+// node visits, no unpermuting, no allocation.
 func (ix *Index[T]) Scan(yield func(pos int, key T) bool) {
+	c := NewCursor(ix)
+	for pos := c.Next(); pos >= 0; pos = c.Next() {
+		if !yield(pos, ix.data[pos]) {
+			return
+		}
+	}
+}
+
+// Cursor reads an Index in ascending key order without unpermuting it.
+// Seek positions it at the smallest key >= x with one O(log N) descent;
+// each Next returns the array position of the next key in key order.
+//
+// Every layout is walked as a level-order tree of f-key nodes: the
+// conceptual complete BST (f = 1) for BST and vEB, the node tree for
+// B-trees (f = b), and the outer page tree for the hierarchical layout
+// (f = page keys). The walk keeps one slot of that tree. Its root path
+// needs no stored stack, because a level-order index encodes it: node
+// m's parent is (m-1)/(f+1). A step goes down to the next child's
+// leftmost slot, sideways within the node, or up to the first ancestor
+// slot not yet read, so each tree edge is crossed twice per full walk
+// and a Next costs amortized O(1) node visits. Slots map to positions
+// directly for BST and B-trees. vEB maps them through the layout's
+// (depth, rank) navigator. Hier keeps the slot's in-page position
+// beside it and steps that with the same walk over the page's
+// cacheline B-tree.
+//
+// A Cursor is a small value; it allocates nothing and must not be
+// shared between goroutines (the Index it reads may be).
+type Cursor[T cmp.Ordered] struct {
+	ix *Index[T]
+	f  int // keys per node of the walked tree
+	i  int // slot Next returns next; -1 once the walk is exhausted
+	w  int // Hier: in-page position of slot i
+}
+
+// NewCursor returns a cursor over ix positioned at its smallest key.
+func NewCursor[T cmp.Ordered](ix *Index[T]) Cursor[T] {
+	c := Cursor[T]{ix: ix, f: 1, i: -1}
+	n := len(ix.data)
 	switch ix.kind {
 	case layout.Sorted:
-		for pos, key := range ix.data {
-			if !yield(pos, key) {
-				return
-			}
-		}
+		c.f = max(n, 1) // a sorted array is one node holding every key
 	case layout.BTree:
-		ix.scanBTree(0, &yieldState[T]{yield: yield})
+		c.f = ix.b
 	case layout.Hier:
-		ix.scanHier(0, &yieldState[T]{yield: yield})
-	default:
-		ix.scanTree(0, 0, &yieldState[T]{yield: yield})
+		c.f = layout.HierPageKeys(ix.b)
 	}
+	if n > 0 {
+		c.at(btFirst(0, n, c.f))
+	}
+	return c
 }
 
-// scanTree walks the conceptual complete BST under (depth, rank) in
-// order, unconditionally: Range with the comparisons stripped out.
-func (ix *Index[T]) scanTree(depth, rank int, st *yieldState[T]) {
-	bfs := (1 << uint(depth)) - 1 + rank
-	if bfs >= len(ix.data) || st.done {
-		return
-	}
-	ix.scanTree(depth+1, 2*rank, st)
-	if st.done {
-		return
-	}
-	pos := ix.posOf(depth, rank)
-	if !st.yield(pos, ix.data[pos]) {
-		st.done = true
-		return
-	}
-	ix.scanTree(depth+1, 2*rank+1, st)
-}
-
-// scanBTree walks the multi-way node tree in order, unconditionally.
-func (ix *Index[T]) scanBTree(node int, st *yieldState[T]) {
-	n := len(ix.data)
-	start := node * ix.b
-	if start >= n || st.done {
-		return
-	}
-	end := min(start+ix.b, n)
-	for c := start; c < end; c++ {
-		ix.scanBTree(node*(ix.b+1)+1+(c-start), st)
-		if st.done {
-			return
-		}
-		if !st.yield(c, ix.data[c]) {
-			st.done = true
-			return
-		}
-	}
-	ix.scanBTree(node*(ix.b+1)+1+ix.b, st)
-}
-
-type yieldState[T any] struct {
-	yield func(pos int, key T) bool
-	done  bool
-}
-
-// rangeTree walks the conceptual complete BST under (depth, rank) in
-// order, pruning subtrees outside [lo, hi].
-func (ix *Index[T]) rangeTree(depth, rank int, lo, hi T, st *yieldState[T]) {
-	if st.done {
-		return
-	}
-	bfs := (1 << uint(depth)) - 1 + rank
-	if bfs >= len(ix.data) {
-		return
-	}
-	pos := ix.posOf(depth, rank)
-	key := ix.data[pos]
-	if key > lo {
-		ix.rangeTree(depth+1, 2*rank, lo, hi, st)
-	}
-	if st.done {
-		return
-	}
-	if key >= lo && key <= hi {
-		if !st.yield(pos, key) {
-			st.done = true
-			return
-		}
-	}
-	if key < hi {
-		ix.rangeTree(depth+1, 2*rank+1, lo, hi, st)
-	}
-}
-
-// posOf maps a conceptual tree node to its array position in this layout.
-func (ix *Index[T]) posOf(depth, rank int) int {
-	switch ix.kind {
-	case layout.BST:
-		return (1 << uint(depth)) - 1 + rank
+// Seek positions the cursor at the smallest key >= x; Next then returns
+// it (or -1 when every key is below x). Seek may be called at any time.
+func (c *Cursor[T]) Seek(x T) {
+	a := c.ix.data
+	switch c.ix.kind {
+	case layout.Sorted:
+		c.i = successorBinary(a, x)
 	case layout.VEB:
-		return layout.NewVEBNav(len(ix.data)).Pos(depth, rank)
-	case layout.BTree:
-		// The conceptual binary tree of a B-tree layout is not the node
-		// tree; map through in-order ranks instead.
-		panic("unreachable: B-tree ranges use rangeBTree")
+		c.i = successorVEB(a, x)
+	case layout.Hier:
+		c.i = successorHier(a, c.ix.b, x)
+	default: // BST and B-tree: slots are positions
+		c.i = successorBTree(a, c.f, x)
 	}
-	panic("search: posOf on sorted layout")
+	c.at(c.i)
 }
 
-// rangeBTree walks the multi-way node tree in order.
-func (ix *Index[T]) rangeBTree(node int, lo, hi T, st *yieldState[T]) {
-	n := len(ix.data)
-	start := node * ix.b
-	if start >= n || st.done {
-		return
+// Next returns the array position of the key at the cursor and steps
+// past it, or -1 once every key from the last Seek on has been read.
+func (c *Cursor[T]) Next() int {
+	i, n := c.i, len(c.ix.data)
+	if i < 0 {
+		return -1
 	}
-	end := min(start+ix.b, n)
-	for c := start; c < end; c++ {
-		key := ix.data[c]
-		if key > lo {
-			ix.rangeBTree(node*(ix.b+1)+1+(c-start), lo, hi, st)
-			if st.done {
-				return
-			}
+	if c.ix.kind == layout.Sorted {
+		c.i++
+		if c.i == n {
+			c.i = -1
 		}
-		if key >= lo && key <= hi {
-			if !st.yield(c, key) {
-				st.done = true
-				return
-			}
-		}
-		if key > hi {
-			return
-		}
+		return i
 	}
-	ix.rangeBTree(node*(ix.b+1)+1+ix.b, lo, hi, st)
+	c.i = btNext(i, n, c.f)
+	switch c.ix.kind {
+	case layout.VEB:
+		d := bits.Len(uint(i)+1) - 1
+		return layout.NewVEBNav(n).Pos(d, i+1-1<<d)
+	case layout.Hier:
+		page := i - i%c.f
+		pos := page + c.w
+		if c.i >= 0 && c.i/c.f == i/c.f { // same page: step its cacheline tree
+			c.w = btNext(c.w, min(c.f, n-page), c.ix.b)
+		} else {
+			c.at(c.i)
+		}
+		return pos
+	}
+	return i
+}
+
+// at moves the cursor to slot i, deriving a Hier slot's in-page
+// position from its in-page rank.
+func (c *Cursor[T]) at(i int) {
+	c.i = i
+	if c.ix.kind == layout.Hier && i >= 0 {
+		page := i - i%c.f
+		c.w = layout.BTreePos(i-page, min(c.f, len(c.ix.data)-page), c.ix.b)
+	}
+}
+
+// btFirst returns the leftmost slot of node m's subtree in a level-order
+// tree of n keys, f per node.
+func btFirst(m, n, f int) int {
+	for c := m*(f+1) + 1; c*f < n; c = c*(f+1) + 1 {
+		m = c
+	}
+	return m * f
+}
+
+// btNext returns the in-order successor of slot i in a level-order tree
+// of n keys, f per node, or -1 if i is the last slot. A node with
+// children is full, so only the last node can be short.
+func btNext(i, n, f int) int {
+	m, s := i/f, i%f
+	if c := m*(f+1) + 2 + s; c*f < n { // child right of slot s
+		return btFirst(c, n, f)
+	}
+	if s+1 < f && i+1 < n {
+		return i + 1
+	}
+	for m > 0 { // climb to the first ancestor entered by a child left of a key
+		p := (m - 1) / (f + 1)
+		if c := m - 1 - p*(f+1); c < f {
+			return p*f + c
+		}
+		m = p
+	}
+	return -1
 }

@@ -8,14 +8,15 @@
 //
 // Beyond exact membership, an Index answers predecessor and successor
 // queries, gives positional access in sorted order (PosOfRank/AtRank,
-// O(log N) index arithmetic with no rank table), and streams keys in
-// ascending order with Range and Scan by walking the conceptual tree in
-// order — no unpermuting, no allocation. FindBatch fans independent
-// queries across workers, the embarrassingly parallel workload of the
-// paper's GPU evaluation. These primitives are what the store layer
-// builds its record serving on: positions returned by an Index are array
-// positions, so a value slice moved by perm.PermuteWith is indexed by
-// the very same integers.
+// O(log N) index arithmetic with no rank table), and reads keys in
+// ascending order through a Cursor: Seek to a key in O(log N), then Next
+// at amortized O(1) node visits, walking the layout's tree in order with
+// no unpermuting and no allocation. Range and Scan are loops over a
+// Cursor. FindBatch fans independent queries across workers, the
+// embarrassingly parallel workload of the paper's GPU evaluation.
+// These primitives are what the store layer builds its record serving
+// on: positions returned by an Index are array positions, so a value
+// slice moved by perm.PermuteWith is indexed by the very same integers.
 package search
 
 import (

@@ -64,8 +64,7 @@ func (db *DB[K, V]) flushOne() bool {
 		return false
 	}
 	m := st.frozen[len(st.frozen)-1] // oldest: flush order preserves run recency
-	keys, vals := unzipRecs(m.sortedRecs())
-	newRun := &run[K, V]{st: db.buildRun(keys, vals), level: 0}
+	newRun := &run[K, V]{st: db.buildRun(m.sorted()), level: 0}
 
 	if db.dir != "" {
 		// Only maintain() mutates runs and we hold the compact mutex, so
@@ -104,16 +103,16 @@ func (db *DB[K, V]) flushOne() bool {
 
 // mergeOne merges the runs of the shallowest over-full level (>= Fanout
 // runs) into one run of the next level, returning false when every level
-// is within bounds. The merge streams: each victim is iterated in rank
-// order through its permuted array (no Export, no heap copy of the
-// inputs), a loser tree resolves the k sources newest-first with
-// first-hit-wins, and the output segment is written shard by shard as
-// the merged stream fills each buffer — so the merge's peak heap is one
-// output shard, however large the inputs (see stream.go). A merge that
-// consumes the oldest run drops tombstones too — nothing older exists
-// for them to shadow. Types the raw codec cannot stream (string keys,
-// struct values) and memory-only DBs take the in-memory variant of the
-// same merge: identical record resolution, O(output) heap.
+// is within bounds. Each victim is read in key order by a store cursor
+// over its permuted arrays (no Export, no heap copy of the inputs), and
+// the DB's one k-way merge resolves the victims newest-first with
+// first-hit-wins (see stream.go). A merge that consumes the oldest run
+// drops tombstones too — nothing older exists for them to shadow. The
+// survivors go to one of two sinks: a durable DB with fixed-width types
+// writes the output segment shard by shard, so its peak heap is one
+// output shard however large the inputs; memory-only DBs and types the
+// raw codec cannot stream (string keys, struct values) collect them for
+// one run build, O(output) heap.
 //
 // Durable mode follows the same swap protocol as flushOne: merged
 // segment written first, manifest rewritten without the victims (the
@@ -129,25 +128,27 @@ func (db *DB[K, V]) mergeOne() bool {
 	victims := st.runs[lo:hi]
 
 	var newRun *run[K, V]
+	var err error
 	if db.dir != "" && runStreamable[K, V]() {
-		var err error
-		if newRun, err = db.mergeStreamed(victims, level+1, toLast); err != nil {
-			db.setErr(err)
-			return false // victims stay live; merge retries after the error clears
-		}
+		newRun, err = db.mergeStreamed(victims, level+1, toLast)
 	} else {
-		keys, vals := mergeToMemory(victims, toLast)
+		// The in-memory sink: the merged records become one run build.
+		var keys []K
+		var vals []mval[V]
+		mergeVictims(victims, toLast, func(k K, mv mval[V]) bool {
+			keys, vals = append(keys, k), append(vals, mv)
+			return true
+		})
 		if len(keys) > 0 { // all-tombstone merges can compact to nothing
 			newRun = &run[K, V]{st: db.buildRun(keys, vals), level: level + 1}
 			if db.dir != "" {
-				file, err := db.writeSegment(newRun.st)
-				if err != nil {
-					db.setErr(err)
-					return false
-				}
-				newRun.file = file
+				newRun.file, err = db.writeSegment(newRun.st)
 			}
 		}
+	}
+	if err != nil {
+		db.setErr(err)
+		return false // victims stay live; merge retries after the error clears
 	}
 
 	// The post-merge run stack: victims [lo, hi) replaced by the merged
@@ -180,7 +181,7 @@ func (db *DB[K, V]) mergeOne() bool {
 	// its pages alive past the unlink — and the mapping itself is NOT
 	// released here: a reader holding the pre-swap snapshot may still be
 	// mid-Range over a victim run. The merge retains nothing of the
-	// victims (Export copied every record out before the merge), so each
+	// victims (it copied every survivor into the new run), so each
 	// victim's mapping dies with its last reader's epoch, via the GC
 	// cleanup its open registered.
 	for _, victim := range st.runs[lo:hi] {
@@ -215,16 +216,16 @@ func (db *DB[K, V]) mergeStreamed(victims []*run[K, V], level int, dropTombs boo
 	cfg := buildConfig(upper, db.runOpts)
 	path := segmentPath(db.dir, db.nextSeq.Add(1)-1)
 	err := blockio.WriteFileAtomic(path, func(w io.Writer) error {
-		sources := make([]*source[K, V], len(victims))
-		for i, v := range victims {
-			sources[i] = rankSource(v.st) // victims are newest-first already
-		}
 		sw, err := newSegWriter[K, V](w, cfg, upper)
 		if err != nil {
 			return err
 		}
 		ss := newShardStreamer(sw, streamShardPlan(cfg, upper))
-		if err := streamCompact(sources, dropTombs, ss.add); err != nil {
+		mergeVictims(victims, dropTombs, func(k K, mv mval[V]) bool {
+			err = ss.add(k, mv)
+			return err == nil
+		})
+		if err != nil {
 			return err
 		}
 		if err := ss.flush(); err != nil {
@@ -250,27 +251,16 @@ func (db *DB[K, V]) mergeStreamed(victims []*run[K, V], level int, dropTombs boo
 	return &run[K, V]{st: st, level: level, file: file}, nil
 }
 
-// mergeToMemory runs the same streaming merge with an in-memory sink:
-// the fallback for memory-only DBs and for types the raw codec cannot
-// stream. Record resolution is identical to mergeStreamed — one code
-// path decides what survives a compaction (see streamCompact).
-func mergeToMemory[K cmp.Ordered, V any](victims []*run[K, V], dropTombs bool) ([]K, []mval[V]) {
-	upper := 0
-	for _, v := range victims {
-		upper += v.st.Len()
-	}
-	sources := make([]*source[K, V], len(victims))
+// mergeVictims runs the k-way merge over whole victim runs (newest
+// first) into emit — the one record resolution both compaction sinks
+// share.
+func mergeVictims[K cmp.Ordered, V any](victims []*run[K, V], dropTombs bool, emit func(K, mval[V]) bool) {
+	runs := make([]*Store[K, mval[V]], len(victims))
 	for i, v := range victims {
-		sources[i] = rankSource(v.st)
+		runs[i] = v.st
 	}
-	keys := make([]K, 0, upper)
-	vals := make([]mval[V], 0, upper)
-	streamCompact(sources, dropTombs, func(k K, mv mval[V]) error {
-		keys = append(keys, k)
-		vals = append(vals, mv)
-		return nil
-	})
-	return keys, vals
+	var zero K
+	kwayMerge(runs, zero, zero, true, dropTombs, emit)
 }
 
 // overFullLevel returns the bounds [lo, hi) of the runs of the

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -353,8 +354,7 @@ func (db *DB[K, V]) openDir(dir string) error {
 // and commits it to the manifest — the recovery path's synchronous
 // equivalent of flushOne.
 func (db *DB[K, V]) flushRecovered(rec *memtable[K, V]) error {
-	keys, vals := unzipRecs(rec.sortedRecs())
-	newRun := &run[K, V]{st: db.buildRun(keys, vals), level: 0}
+	newRun := &run[K, V]{st: db.buildRun(rec.sorted()), level: 0}
 	nr, err := db.persistRun(newRun, db.state.Load().runs)
 	if err != nil {
 		return err
@@ -709,18 +709,18 @@ func (db *DB[K, V]) rangeMerge(lo, hi K, all bool, yield func(key K, val V) bool
 // View.Range/Scan.
 func (db *DB[K, V]) rangeOn(act *memtable[K, V], st *dbstate[K, V], lo, hi K, all bool, yield func(key K, val V) bool) {
 	db.mu.RLock()
-	actRecs := act.collect(lo, hi, all)
+	keys, vals := act.collect(lo, hi, all)
 	db.mu.RUnlock()
-	sortRecs(actRecs) // outside the lock: writers don't pay for our ordering
-	sources := make([]*source[K, V], 0, 1+len(st.frozen)+len(st.runs))
-	sources = append(sources, recsSource(actRecs))
+	sort.Sort(byKey[K, V]{keys, vals}) // outside the lock: writers don't pay for our ordering
+	runs := make([]*Store[K, mval[V]], 0, 1+len(st.frozen)+len(st.runs))
+	runs = append(runs, memRun(keys, vals))
 	for _, m := range st.frozen {
-		sources = append(sources, recsSource(boundRecs(m.sortedRecs(), lo, hi, all)))
+		runs = append(runs, memRun(m.sorted()))
 	}
 	for _, r := range st.runs {
-		sources = append(sources, storeSource(r.st, lo, hi, all))
+		runs = append(runs, r.st)
 	}
-	mergeSources(sources, yield)
+	kwayMerge(runs, lo, hi, all, true, func(k K, mv mval[V]) bool { return yield(k, mv.val) })
 }
 
 // Flush synchronously freezes the active memtable (if non-empty) and

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"implicitlayout/internal/mmapio"
 	"implicitlayout/layout"
 )
 
@@ -138,71 +139,91 @@ func TestDBCompactionMergesAndDropsTombstones(t *testing.T) {
 
 func TestDBRangeMergesAllLayers(t *testing.T) {
 	for _, kind := range []layout.Kind{layout.Sorted, layout.BST, layout.BTree, layout.VEB, layout.Hier} {
+		opts := []Option{WithLayout(kind), WithShards(3), WithB(4)}
 		t.Run(kind.String(), func(t *testing.T) {
-			db, err := NewDB[uint64, string](DBConfig{MemLimit: 16, Fanout: 3,
-				Store: []Option{WithLayout(kind), WithShards(3), WithB(4)}})
+			db, err := NewDB[uint64, string](DBConfig{MemLimit: 16, Fanout: 3, Store: opts})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db.Close()
-
-			ref := map[uint64]string{}
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 2000; i++ {
-				k := uint64(rng.Intn(500))
-				switch rng.Intn(10) {
-				case 0:
-					db.Delete(k)
-					delete(ref, k)
-				default:
-					v := fmt.Sprint("r", i)
-					db.Put(k, v)
-					ref[k] = v
-				}
-				if i == 1000 {
-					db.Flush()
-				}
+			checkRangeMerge(t, db, func(i int) string { return fmt.Sprint("r", i) })
+		})
+		// Durable and mapped: merged runs are written as segments and
+		// reopened as read-only mappings, so the merged Range and the
+		// streamed compaction read mapped runs holding tombstones.
+		t.Run(kind.String()+"/durable-mmap", func(t *testing.T) {
+			db, err := Open[uint64, uint64](t.TempDir(), DBConfig{MemLimit: 16, Fanout: 3, Mmap: true, Store: opts})
+			if err != nil {
+				t.Fatal(err)
 			}
-
-			check := func(lo, hi uint64) {
-				t.Helper()
-				var gotK []uint64
-				var gotV []string
-				db.Range(lo, hi, func(k uint64, v string) bool {
-					gotK = append(gotK, k)
-					gotV = append(gotV, v)
-					return true
-				})
-				var wantK []uint64
-				for k := range ref {
-					if k >= lo && k <= hi {
-						wantK = append(wantK, k)
-					}
-				}
-				slices.Sort(wantK)
-				wantV := make([]string, len(wantK))
-				for i, k := range wantK {
-					wantV[i] = ref[k]
-				}
-				if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
-					t.Fatalf("Range(%d, %d): got %d records, want %d (first diff around %v)",
-						lo, hi, len(gotK), len(wantK), firstDiff(gotK, wantK))
-				}
-			}
-			check(0, 600)   // everything
-			check(100, 250) // interior
-			check(499, 499) // singleton
-			check(600, 700) // empty, above
-			db.Flush()
-			check(0, 600) // after full compaction too
-
-			// Early exit must stop the merge cleanly.
-			seen := 0
-			db.Scan(func(uint64, string) bool { seen++; return seen < 5 })
-			if seen != 5 {
-				t.Fatalf("early-exit Scan saw %d records, want 5", seen)
+			defer db.Close()
+			checkRangeMerge(t, db, func(i int) uint64 { return uint64(i) })
+			if st := db.Stats(); mmapio.Supported && st.MappedRuns == 0 {
+				t.Fatalf("no mapped runs after the workload: %+v", st)
 			}
 		})
+	}
+}
+
+// checkRangeMerge drives a random Put/Delete workload with a mid-way
+// Flush into db, then holds Range and Scan to a reference map across
+// every layer, before and after a full compaction.
+func checkRangeMerge[V comparable](t *testing.T, db *DB[uint64, V], val func(i int) V) {
+	ref := map[uint64]V{}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		k := uint64(rng.Intn(500))
+		switch rng.Intn(10) {
+		case 0:
+			db.Delete(k)
+			delete(ref, k)
+		default:
+			v := val(i)
+			db.Put(k, v)
+			ref[k] = v
+		}
+		if i == 1000 {
+			db.Flush()
+		}
+	}
+
+	check := func(lo, hi uint64) {
+		t.Helper()
+		var gotK []uint64
+		var gotV []V
+		db.Range(lo, hi, func(k uint64, v V) bool {
+			gotK = append(gotK, k)
+			gotV = append(gotV, v)
+			return true
+		})
+		var wantK []uint64
+		for k := range ref {
+			if k >= lo && k <= hi {
+				wantK = append(wantK, k)
+			}
+		}
+		slices.Sort(wantK)
+		wantV := make([]V, len(wantK))
+		for i, k := range wantK {
+			wantV[i] = ref[k]
+		}
+		if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
+			t.Fatalf("Range(%d, %d): got %d records, want %d (first diff around %v)",
+				lo, hi, len(gotK), len(wantK), firstDiff(gotK, wantK))
+		}
+	}
+	check(0, 600)   // everything
+	check(100, 250) // interior
+	check(499, 499) // singleton
+	check(600, 700) // empty, above
+	db.Flush()
+	check(0, 600) // after full compaction too
+
+	// Early exit must stop the merge cleanly.
+	seen := 0
+	db.Scan(func(uint64, V) bool { seen++; return seen < 5 })
+	if seen != 5 {
+		t.Fatalf("early-exit Scan saw %d records, want 5", seen)
 	}
 }
 

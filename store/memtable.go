@@ -2,8 +2,11 @@ package store
 
 import (
 	"cmp"
-	"slices"
+	"sort"
 	"sync"
+
+	"implicitlayout/layout"
+	"implicitlayout/search"
 )
 
 // mval is the record payload inside the DB's write path: the user value
@@ -13,12 +16,6 @@ import (
 type mval[V any] struct {
 	val  V
 	dead bool
-}
-
-// mrec is one sorted-view record: a key with its payload.
-type mrec[K cmp.Ordered, V any] struct {
-	key K
-	mv  mval[V]
 }
 
 // memtable is the DB's mutable ingest buffer: a hash map with overwrite
@@ -38,7 +35,8 @@ type mrec[K cmp.Ordered, V any] struct {
 type memtable[K cmp.Ordered, V any] struct {
 	m        map[K]mval[V]
 	sortOnce sync.Once
-	sorted   []mrec[K, V]
+	keys     []K       // sorted view: every key, ascending
+	vals     []mval[V] // sorted view: vals[i] is the payload of keys[i]
 	// wal is the sealed write-ahead log that carries this table's
 	// records (durable mode, set at freeze). It outlives the table just
 	// long enough for the flush that persists the records as a segment,
@@ -64,52 +62,59 @@ func (m *memtable[K, V]) get(key K) (mv mval[V], ok bool) {
 // occupies a slot and counts toward the flush threshold like any write).
 func (m *memtable[K, V]) len() int { return len(m.m) }
 
-// collect returns an unsorted copy of the records with keys in [lo, hi]
-// (all of them when all is set). Range readers collect the active
-// memtable under the DB's read lock — one O(len) scan, no ordering work
-// — and sort the copy outside it, so a long scan never holds up writers.
-func (m *memtable[K, V]) collect(lo, hi K, all bool) []mrec[K, V] {
-	recs := make([]mrec[K, V], 0, len(m.m))
+// collect returns unsorted copies of the keys in [lo, hi] (all of them
+// when all is set) and their payloads, index for index. Range readers
+// collect the active memtable under the DB's read lock — one O(len)
+// scan, no ordering work — and sort the copy outside it, so a long scan
+// never holds up writers.
+func (m *memtable[K, V]) collect(lo, hi K, all bool) ([]K, []mval[V]) {
+	keys := make([]K, 0, len(m.m))
+	vals := make([]mval[V], 0, len(m.m))
 	for k, mv := range m.m {
 		if all || (k >= lo && k <= hi) {
-			recs = append(recs, mrec[K, V]{key: k, mv: mv})
+			keys = append(keys, k)
+			vals = append(vals, mv)
 		}
 	}
-	return recs
+	return keys, vals
 }
 
-// sortedRecs returns the table's records in ascending key order,
-// materializing the view on first use. Only safe on frozen memtables:
-// the map must no longer be written. Concurrent callers (the compactor
-// flushing, readers merging) share one materialization.
-func (m *memtable[K, V]) sortedRecs() []mrec[K, V] {
+// sorted returns the table's keys in ascending order with their
+// payloads, materializing the view on first use. Only safe on frozen
+// memtables: the map must no longer be written. Concurrent callers (the
+// compactor flushing, readers merging) share one materialization.
+func (m *memtable[K, V]) sorted() ([]K, []mval[V]) {
 	m.sortOnce.Do(func() {
 		var zk K
-		m.sorted = m.collect(zk, zk, true)
-		sortRecs(m.sorted)
+		m.keys, m.vals = m.collect(zk, zk, true)
+		sort.Sort(byKey[K, V]{m.keys, m.vals})
 	})
-	return m.sorted
+	return m.keys, m.vals
 }
 
-// sortRecs sorts a record slice ascending by key.
-func sortRecs[K cmp.Ordered, V any](recs []mrec[K, V]) {
-	slices.SortFunc(recs, func(a, b mrec[K, V]) int { return cmp.Compare(a.key, b.key) })
+// byKey sorts a memtable copy's parallel slices by key.
+type byKey[K cmp.Ordered, V any] struct {
+	keys []K
+	vals []mval[V]
 }
 
-// boundRecs narrows a sorted record slice to the keys in [lo, hi]
-// (returned as a subslice, no copy).
-func boundRecs[K cmp.Ordered, V any](recs []mrec[K, V], lo, hi K, all bool) []mrec[K, V] {
-	if all {
-		return recs
+func (r byKey[K, V]) Len() int           { return len(r.keys) }
+func (r byKey[K, V]) Less(i, j int) bool { return cmp.Less(r.keys[i], r.keys[j]) }
+func (r byKey[K, V]) Swap(i, j int) {
+	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
+	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
+}
+
+// memRun wraps sorted unique records as a one-shard Sorted-layout run,
+// so a memtable's records enter the merge through the same storeCursor
+// as the runs beneath it.
+func memRun[K cmp.Ordered, V any](keys []K, vals []mval[V]) *Store[K, mval[V]] {
+	s := &Store[K, mval[V]]{n: len(keys), hasVals: true}
+	if len(keys) > 0 {
+		s.shards = []shard[K]{{idx: search.NewIndex(keys, layout.Sorted, 0)}}
+		s.svals = [][]mval[V]{vals}
+		s.fences = keys[:1]
+		s.maxKey = keys[len(keys)-1]
 	}
-	i, _ := slices.BinarySearchFunc(recs, lo, func(r mrec[K, V], k K) int {
-		return cmp.Compare(r.key, k)
-	})
-	j, ok := slices.BinarySearchFunc(recs, hi, func(r mrec[K, V], k K) int {
-		return cmp.Compare(r.key, k)
-	})
-	if ok {
-		j++
-	}
-	return recs[i:j]
+	return s
 }

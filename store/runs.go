@@ -1,9 +1,6 @@
 package store
 
-import (
-	"cmp"
-	"iter"
-)
+import "cmp"
 
 // run is one immutable sorted run of the DB: a sharded implicit-layout
 // Store whose payloads carry the tombstone bit, tagged with its
@@ -30,164 +27,4 @@ type run[K cmp.Ordered, V any] struct {
 type dbstate[K cmp.Ordered, V any] struct {
 	frozen []*memtable[K, V]
 	runs   []*run[K, V]
-}
-
-// source is one cursor of the DB's k-way merge: a pull iterator over a
-// sorted stream of records with a one-record lookahead. Sources are
-// merged newest first, so on equal keys the lowest-index source wins.
-type source[K cmp.Ordered, V any] struct {
-	next func() (K, mval[V], bool)
-	stop func()
-	key  K
-	mv   mval[V]
-	ok   bool
-}
-
-func (s *source[K, V]) advance() { s.key, s.mv, s.ok = s.next() }
-
-// recsSource streams a sorted mrec slice (a cloned active memtable or a
-// frozen memtable's range view).
-func recsSource[K cmp.Ordered, V any](recs []mrec[K, V]) *source[K, V] {
-	i := 0
-	s := &source[K, V]{
-		next: func() (K, mval[V], bool) {
-			if i >= len(recs) {
-				var zk K
-				return zk, mval[V]{}, false
-			}
-			r := recs[i]
-			i++
-			return r.key, r.mv, true
-		},
-		stop: func() {},
-	}
-	s.advance()
-	return s
-}
-
-// storeSource streams one run through its fence-pruned Range (or whole
-// Scan), converted from push to pull with iter.Pull2 so it can take part
-// in the k-way merge.
-func storeSource[K cmp.Ordered, V any](st *Store[K, mval[V]], lo, hi K, all bool) *source[K, V] {
-	seq := iter.Seq2[K, mval[V]](func(yield func(K, mval[V]) bool) {
-		if all {
-			st.Scan(yield)
-		} else {
-			st.Range(lo, hi, yield)
-		}
-	})
-	next, stop := iter.Pull2(seq)
-	s := &source[K, V]{next: next, stop: stop}
-	s.advance()
-	return s
-}
-
-// rankSource streams one run's whole record set in ascending key order
-// by rank arithmetic — PosOfRank per record, no goroutines, no Export,
-// no allocation beyond the cursor itself. It is the input half of the
-// streaming compaction: each step touches O(1) positions of the run's
-// permuted arrays, so a merge over mapped victims faults pages at the
-// pace of the merge instead of materializing every input on the heap.
-func rankSource[K cmp.Ordered, V any](st *Store[K, mval[V]]) *source[K, V] {
-	si, rank := 0, 0
-	s := &source[K, V]{
-		next: func() (K, mval[V], bool) {
-			for si < len(st.shards) && rank >= st.shards[si].idx.Len() {
-				si++
-				rank = 0
-			}
-			if si >= len(st.shards) {
-				var zk K
-				return zk, mval[V]{}, false
-			}
-			pos := st.shards[si].idx.PosOfRank(rank)
-			rank++
-			return st.shards[si].idx.At(pos), st.svals[si][pos], true
-		},
-		stop: func() {},
-	}
-	s.advance()
-	return s
-}
-
-// mergeSources runs the k-way merge that backs DB.Range and DB.Scan:
-// sources are sorted streams ordered newest first, and for each distinct
-// key the newest source's record wins while the same key is consumed
-// (and discarded) from every older source. Records whose winning payload
-// is a tombstone are suppressed. yield returning false stops the merge.
-//
-// The source count is the memtable count plus the run count — single
-// digits under the DB's compaction invariants — so the per-step minimum
-// scan is cheaper than maintaining a heap.
-func mergeSources[K cmp.Ordered, V any](sources []*source[K, V], yield func(key K, val V) bool) {
-	defer func() {
-		for _, s := range sources {
-			s.stop()
-		}
-	}()
-	for {
-		best := -1
-		for i, s := range sources {
-			if s.ok && (best < 0 || s.key < sources[best].key) {
-				best = i // strict <: ties keep the earlier (newer) source
-			}
-		}
-		if best < 0 {
-			return
-		}
-		key, mv := sources[best].key, sources[best].mv
-		for _, s := range sources {
-			if s.ok && s.key == key {
-				s.advance() // consume the winner and every shadowed copy
-			}
-		}
-		if mv.dead {
-			continue
-		}
-		if !yield(key, mv.val) {
-			return
-		}
-	}
-}
-
-// zipRecs pairs the parallel key and payload slices a run Export returns
-// back into merge records.
-func zipRecs[K cmp.Ordered, V any](keys []K, vals []mval[V]) []mrec[K, V] {
-	recs := make([]mrec[K, V], len(keys))
-	for i := range recs {
-		recs[i] = mrec[K, V]{key: keys[i], mv: vals[i]}
-	}
-	return recs
-}
-
-// unzipRecs splits merge records back into the parallel key and payload
-// slices a run build ingests — zipRecs' inverse.
-func unzipRecs[K cmp.Ordered, V any](recs []mrec[K, V]) ([]K, []mval[V]) {
-	keys := make([]K, len(recs))
-	vals := make([]mval[V], len(recs))
-	for i, r := range recs {
-		keys[i], vals[i] = r.key, r.mv
-	}
-	return keys, vals
-}
-
-// compactRecs resolves a merged record slice in place: the slice holds
-// equal keys adjacent with the newest occurrence first (parallelMerge
-// keeps the left, newer, run on ties), so keeping the first of each
-// equal-key group applies first-hit-wins. When dropTombs is set —
-// the merge output becomes the oldest run, so there is nothing left to
-// shadow — tombstones are dropped too, reclaiming deleted keys for good.
-func compactRecs[K cmp.Ordered, V any](recs []mrec[K, V], dropTombs bool) []mrec[K, V] {
-	w := 0
-	for i := range recs {
-		if i > 0 && recs[i].key == recs[i-1].key {
-			continue // shadowed by a newer occurrence
-		}
-		if dropTombs && recs[i].mv.dead {
-			continue
-		}
-		recs[w] = recs[i]
-		w++
-	}
-	return recs[:w]
 }

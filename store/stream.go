@@ -4,13 +4,15 @@ import (
 	"cmp"
 )
 
-// This file is the streaming half of compaction: a loser-tree k-way
-// merge over rank-order run cursors, feeding a shard-at-a-time sink.
-// Where the old merge Exported every victim onto the heap (O(sum of
-// inputs) peak memory), the streaming merge holds k cursors and one
-// output shard buffer — O(one shard) — and everything else stays on
-// disk (or in the page cache, for mapped victims) until the moment it
-// is read or written.
+// This file is the DB's one k-way merge: a loser tree over storeCursors,
+// newest input first, resolving each key to its newest version. DB.Range
+// and DB.Scan run it over the memtables and runs with tombstones
+// suppressed; compaction runs it over the victim runs and feeds either
+// the shard-at-a-time segment sink below or an in-memory run build.
+// Either way the merge holds k cursors and nothing else: streamed
+// compaction keeps one output shard on the heap, and everything else
+// stays on disk (or in the page cache, for mapped victims) until the
+// moment it is read or written.
 
 // maxStreamShardRecs caps the streaming merge's output shard size, and
 // with it the merge's peak heap: a merge whose output would exceed
@@ -21,19 +23,17 @@ import (
 const maxStreamShardRecs = 1 << 19
 
 // loserTree is the merge's selection structure: a tournament tree over
-// k sources where node[0] holds the current winner and node[1:] hold
+// k cursors where node[0] holds the current winner and node[1:] hold
 // the losers of the internal matches, so replacing the winner replays
-// exactly one leaf-to-root path — ceil(log2 k) comparisons per record,
-// against the linear scan's k. Ties order by source index, lower
-// (newer) first, which is what makes the first record the merge yields
-// for a key the newest version — the same rule mergeSources and
-// parallelMerge apply.
+// exactly one leaf-to-root path — ceil(log2 k) comparisons per record.
+// Ties order by cursor index, lower (newer) first, which is what makes
+// the first record the merge yields for a key the newest version.
 type loserTree[K cmp.Ordered, V any] struct {
-	src  []*source[K, V]
+	src  []storeCursor[K, mval[V]]
 	node []int
 }
 
-func newLoserTree[K cmp.Ordered, V any](src []*source[K, V]) *loserTree[K, V] {
+func newLoserTree[K cmp.Ordered, V any](src []storeCursor[K, mval[V]]) *loserTree[K, V] {
 	t := &loserTree[K, V]{src: src, node: make([]int, max(len(src), 1))}
 	for i := range t.node {
 		t.node[i] = -1
@@ -60,11 +60,11 @@ func newLoserTree[K cmp.Ordered, V any](src []*source[K, V]) *loserTree[K, V] {
 	return t
 }
 
-// beats reports whether source a wins the match against source b: the
+// beats reports whether cursor a wins the match against cursor b: the
 // smaller next key wins, the lower index breaks ties, and an exhausted
-// source loses to any live one.
+// cursor loses to any live one.
 func (t *loserTree[K, V]) beats(a, b int) bool {
-	sa, sb := t.src[a], t.src[b]
+	sa, sb := &t.src[a], &t.src[b]
 	if !sa.ok || !sb.ok {
 		return sa.ok
 	}
@@ -74,14 +74,13 @@ func (t *loserTree[K, V]) beats(a, b int) bool {
 	return a < b
 }
 
-// winner returns the index of the source holding the smallest next
-// record (newest on ties), or -1 when every source is exhausted.
+// winner returns the index of the cursor holding the smallest next
+// record (newest on ties), or -1 when every cursor is exhausted.
 func (t *loserTree[K, V]) winner() int {
-	w := t.node[0]
-	if !t.src[w].ok {
-		return -1
+	if w := t.node[0]; w >= 0 && t.src[w].ok {
+		return w
 	}
-	return w
+	return -1
 }
 
 // advance consumes the winner's current record and replays its path:
@@ -99,41 +98,34 @@ func (t *loserTree[K, V]) advance() {
 	t.node[0] = w
 }
 
-// streamCompact runs the k-way first-hit-wins merge over sources
-// (ordered newest first) and emits each surviving record in ascending
-// key order: for every distinct key the newest version wins, shadowed
-// versions are consumed and dropped, and — when dropTombs is set,
-// i.e. the output becomes the oldest run — tombstones are dropped too.
-// It is the streaming equivalent of parallelMerge + compactRecs, and
-// the property test in stream_test.go holds the two to the same
-// answers. emit returning an error aborts the merge.
-func streamCompact[K cmp.Ordered, V any](sources []*source[K, V], dropTombs bool, emit func(K, mval[V]) error) error {
-	defer func() {
-		for _, s := range sources {
-			s.stop()
-		}
-	}()
-	t := newLoserTree(sources)
-	for {
-		w := t.winner()
-		if w < 0 {
-			return nil
-		}
-		key, mv := t.src[w].key, t.src[w].mv
+// kwayMerge is the first-hit-wins k-way merge over runs ordered newest
+// first, each read from lo to hi (whole, when all is set). It emits each
+// surviving record in ascending key order: for every distinct key the
+// newest version wins and shadowed versions are consumed and dropped;
+// with dropTombs set, a winning tombstone is dropped too — every read
+// sets it, and so does a compaction whose output becomes the oldest
+// run. emit returning false stops the merge.
+func kwayMerge[K cmp.Ordered, V any](runs []*Store[K, mval[V]], lo, hi K, all, dropTombs bool, emit func(K, mval[V]) bool) {
+	cs := make([]storeCursor[K, mval[V]], len(runs))
+	for i, r := range runs {
+		cs[i].seek(r, lo, hi, all)
+	}
+	t := newLoserTree(cs)
+	for w := t.winner(); w >= 0; {
+		key, mv := cs[w].key, cs[w].val
 		// Consume the winner and every shadowed equal-key record: ties
-		// rank by source index, so the first winner was the newest.
+		// rank by cursor index, so the first winner was the newest.
 		for {
 			t.advance()
-			w = t.winner()
-			if w < 0 || t.src[w].key != key {
+			if w = t.winner(); w < 0 || cs[w].key != key {
 				break
 			}
 		}
 		if dropTombs && mv.dead {
 			continue
 		}
-		if err := emit(key, mv); err != nil {
-			return err
+		if !emit(key, mv) {
+			return
 		}
 	}
 }

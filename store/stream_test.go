@@ -12,11 +12,47 @@ import (
 	"implicitlayout/layout"
 )
 
-// oracleMerge is the pre-streaming compaction algorithm, kept verbatim
-// as the property-test oracle: Export every input run onto the heap,
-// reduce newest-to-oldest with the parallel pair merge (left wins
-// ties), then resolve first-hit-wins with compactRecs. The streaming
-// merge must produce byte-for-byte the same record sequence.
+// mrec is one oracle record: a key with its payload.
+type mrec[K cmp.Ordered, V any] struct {
+	key K
+	mv  mval[V]
+}
+
+// zipRecs pairs the parallel key and payload slices a run Export returns
+// into oracle records.
+func zipRecs[K cmp.Ordered, V any](keys []K, vals []mval[V]) []mrec[K, V] {
+	recs := make([]mrec[K, V], len(keys))
+	for i := range recs {
+		recs[i] = mrec[K, V]{key: keys[i], mv: vals[i]}
+	}
+	return recs
+}
+
+// compactRecs resolves a merged record slice in place: the slice holds
+// equal keys adjacent with the newest occurrence first (parallelMerge
+// keeps the left, newer, run on ties), so keeping the first of each
+// equal-key group applies first-hit-wins. When dropTombs is set,
+// tombstones are dropped too.
+func compactRecs[K cmp.Ordered, V any](recs []mrec[K, V], dropTombs bool) []mrec[K, V] {
+	w := 0
+	for i := range recs {
+		if i > 0 && recs[i].key == recs[i-1].key {
+			continue // shadowed by a newer occurrence
+		}
+		if dropTombs && recs[i].mv.dead {
+			continue
+		}
+		recs[w] = recs[i]
+		w++
+	}
+	return recs[:w]
+}
+
+// oracleMerge is the pre-streaming compaction algorithm, kept as the
+// property-test oracle: Export every input run onto the heap, reduce
+// newest-to-oldest with the parallel pair merge (left wins ties), then
+// resolve first-hit-wins with compactRecs. The k-way merge must produce
+// byte-for-byte the same record sequence.
 func oracleMerge[K cmp.Ordered, V any](runs []*Store[K, mval[V]], dropTombs bool) []mrec[K, V] {
 	r := par.New(2)
 	exported := make([][]mrec[K, V], len(runs))
@@ -35,16 +71,14 @@ func oracleMerge[K cmp.Ordered, V any](runs []*Store[K, mval[V]], dropTombs bool
 	return compactRecs(merged, dropTombs)
 }
 
-// streamMerge collects streamCompact's output for comparison.
+// streamMerge collects the k-way merge's output over whole runs, as
+// compaction runs it, for comparison.
 func streamMerge[K cmp.Ordered, V any](runs []*Store[K, mval[V]], dropTombs bool) []mrec[K, V] {
-	sources := make([]*source[K, V], len(runs))
-	for i, st := range runs {
-		sources[i] = rankSource(st)
-	}
 	var out []mrec[K, V]
-	streamCompact(sources, dropTombs, func(k K, mv mval[V]) error {
+	var zero K
+	kwayMerge(runs, zero, zero, true, dropTombs, func(k K, mv mval[V]) bool {
 		out = append(out, mrec[K, V]{key: k, mv: mv})
-		return nil
+		return true
 	})
 	return out
 }
@@ -52,7 +86,7 @@ func streamMerge[K cmp.Ordered, V any](runs []*Store[K, mval[V]], dropTombs bool
 // TestStreamCompactMatchesOracle is the streaming merge's ground truth:
 // across every layout, both duplicate policies a run store can be built
 // with, tombstone-dropping and -keeping merges, and many random record
-// sets, streamCompact over rank-order cursors must emit exactly the
+// sets, kwayMerge over whole-run store cursors must emit exactly the
 // records the old Export + parallelMerge + compactRecs pipeline
 // produced.
 func TestStreamCompactMatchesOracle(t *testing.T) {
@@ -136,17 +170,19 @@ func TestStreamCompactNewestWins(t *testing.T) {
 	}
 }
 
-// TestRankSourceOrder checks the streaming input half in isolation:
-// rankSource must yield every record of a multi-shard permuted store in
-// ascending key order, payloads attached to the right keys.
-func TestRankSourceOrder(t *testing.T) {
+// TestStoreCursorOrder checks the merge's input half in isolation: a
+// storeCursor must yield every record of a multi-shard permuted store
+// in ascending key order, payloads attached to the right keys — from
+// the start, from a Seek into the middle of a shard, and from a Seek
+// into the gap between two shards' key ranges.
+func TestStoreCursorOrder(t *testing.T) {
 	for _, kind := range []layout.Kind{layout.Sorted, layout.BST, layout.BTree, layout.VEB, layout.Hier} {
 		rng := rand.New(rand.NewPCG(5, uint64(kind)))
 		n := 1000
 		keys := make([]uint32, n)
 		vals := make([]mval[uint16], n)
 		for i := range keys {
-			keys[i] = rng.Uint32()
+			keys[i] = 2 * (rng.Uint32() >> 1) // even keys: every odd key is a gap
 			vals[i] = mval[uint16]{val: uint16(keys[i] >> 7)}
 		}
 		st, err := Build(keys, vals, WithLayout(kind), WithB(4), WithShards(7))
@@ -154,13 +190,31 @@ func TestRankSourceOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantK, wantV := st.Export()
-		src := rankSource(st)
-		for i := 0; src.ok; i++ {
-			if src.key != wantK[i] || src.mv != wantV[i] {
-				t.Fatalf("%v: rankSource record %d = (%d, %+v), want (%d, %+v)",
-					kind, i, src.key, src.mv, wantK[i], wantV[i])
+		// The last key of shard 3 + 1 falls between shards 3 and 4.
+		gap := st.GlobalOffset(4) - 1
+		from := []struct {
+			name string
+			lo   uint32
+			rank int // rank of the first record read
+		}{
+			{"start", 0, 0},
+			{"mid-shard", wantK[st.GlobalOffset(2)+st.ShardLen(2)/2], st.GlobalOffset(2) + st.ShardLen(2)/2},
+			{"fence gap", wantK[gap] + 1, gap + 1},
+		}
+		for _, f := range from {
+			var c storeCursor[uint32, mval[uint16]]
+			c.seek(st, f.lo, wantK[len(wantK)-1], f.name == "start")
+			i := f.rank
+			for ; c.ok; i++ {
+				if c.key != wantK[i] || c.val != wantV[i] {
+					t.Fatalf("%v from %s: record %d = (%d, %+v), want (%d, %+v)",
+						kind, f.name, i, c.key, c.val, wantK[i], wantV[i])
+				}
+				c.advance()
 			}
-			src.advance()
+			if i != len(wantK) {
+				t.Fatalf("%v from %s: cursor stopped at record %d of %d", kind, f.name, i, len(wantK))
+			}
 		}
 	}
 }
