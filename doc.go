@@ -24,8 +24,10 @@
 //   - search: queries on every layout — exact, predecessor, successor,
 //     rank access, and ordered Range/Scan iteration without unpermuting;
 //   - store:  the serving layer. Store is the static sharded key–value
-//     snapshot — parallel build pipeline (stable sort, duplicate-key
-//     resolution, range partition, concurrent payload-carrying permute)
+//     snapshot — parallel build pipeline (stable sort: LSD radix for
+//     integer and float keys, merge sort for strings, none for sorted
+//     input; duplicate-key resolution, range partition, concurrent
+//     payload-carrying permute)
 //     plus a concurrent, batched query engine with value-returning
 //     Get/GetBatch and cross-shard ordered Range/Scan streaming (Set is
 //     the keys-only alias). DB is the writable store on top: memtable

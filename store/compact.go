@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"implicitlayout/internal/blockio"
+	"implicitlayout/internal/par"
 )
 
 // maintain drains all pending background work: flush every frozen
@@ -64,7 +65,7 @@ func (db *DB[K, V]) flushOne() bool {
 		return false
 	}
 	m := st.frozen[len(st.frozen)-1] // oldest: flush order preserves run recency
-	newRun := &run[K, V]{st: db.buildRun(m.sorted()), level: 0}
+	newRun := &run[K, V]{st: db.buildRun(m.sorted(par.New(db.workers))), level: 0}
 
 	if db.dir != "" {
 		// Only maintain() mutates runs and we hold the compact mutex, so

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -354,7 +353,7 @@ func (db *DB[K, V]) openDir(dir string) error {
 // and commits it to the manifest — the recovery path's synchronous
 // equivalent of flushOne.
 func (db *DB[K, V]) flushRecovered(rec *memtable[K, V]) error {
-	newRun := &run[K, V]{st: db.buildRun(rec.sorted()), level: 0}
+	newRun := &run[K, V]{st: db.buildRun(rec.sorted(par.New(db.workers))), level: 0}
 	nr, err := db.persistRun(newRun, db.state.Load().runs)
 	if err != nil {
 		return err
@@ -711,11 +710,12 @@ func (db *DB[K, V]) rangeOn(act *memtable[K, V], st *dbstate[K, V], lo, hi K, al
 	db.mu.RLock()
 	keys, vals := act.collect(lo, hi, all)
 	db.mu.RUnlock()
-	sort.Sort(byKey[K, V]{keys, vals}) // outside the lock: writers don't pay for our ordering
+	sk, sv := make([]K, len(keys)), make([]mval[V], len(vals))
+	sortByKey(par.New(db.workers), keys, vals, sk, sv) // outside the lock: writers don't pay for our ordering
 	runs := make([]*Store[K, mval[V]], 0, 1+len(st.frozen)+len(st.runs))
-	runs = append(runs, memRun(keys, vals))
+	runs = append(runs, memRun(sk, sv))
 	for _, m := range st.frozen {
-		runs = append(runs, memRun(m.sorted()))
+		runs = append(runs, memRun(m.sorted(par.New(db.workers))))
 	}
 	for _, r := range st.runs {
 		runs = append(runs, r.st)

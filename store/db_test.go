@@ -1,8 +1,10 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -224,6 +226,60 @@ func checkRangeMerge[V comparable](t *testing.T, db *DB[uint64, V], val func(i i
 	db.Scan(func(uint64, V) bool { seen++; return seen < 5 })
 	if seen != 5 {
 		t.Fatalf("early-exit Scan saw %d records, want 5", seen)
+	}
+}
+
+// TestDBRangeActiveSignedKeys: DB.Range and View.Range over records that
+// live only in the active memtable — the per-call sort of the collected
+// interval — yield every key strictly ascending, for negative int64 keys
+// and for float64 keys with both zeros and both infinities.
+func TestDBRangeActiveSignedKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	ints := []int64{math.MinInt64, math.MaxInt64, -1, 0, 1}
+	for i := 0; i < 3000; i++ {
+		ints = append(ints, rng.Int63n(1<<20)-1<<19)
+	}
+	checkActiveRange(t, "int64", ints, math.MinInt64, math.MaxInt64)
+	floats := []float64{math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for i := 0; i < 3000; i++ {
+		floats = append(floats, rng.NormFloat64()*1e6)
+	}
+	checkActiveRange(t, "float64", floats, math.Inf(-1), math.Inf(1))
+}
+
+func checkActiveRange[K cmp.Ordered](t *testing.T, name string, keys []K, lo, hi K) {
+	t.Helper()
+	db, err := NewDB[K, int](DBConfig{MemLimit: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	want := map[K]int{}
+	for i, k := range keys {
+		if err := db.Put(k, i); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = i
+	}
+	v := db.View()
+	for _, rf := range []struct {
+		name string
+		rng  func(lo, hi K, yield func(K, int) bool)
+	}{{"DB.Range", db.Range}, {"View.Range", v.Range}} {
+		var got []K
+		rf.rng(lo, hi, func(k K, val int) bool {
+			if len(got) > 0 && !(got[len(got)-1] < k) {
+				t.Fatalf("%s %s: %v after %v", name, rf.name, k, got[len(got)-1])
+			}
+			if want[k] != val {
+				t.Fatalf("%s %s: key %v has value %d, want %d", name, rf.name, k, val, want[k])
+			}
+			got = append(got, k)
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("%s %s: %d records, want %d", name, rf.name, len(got), len(want))
+		}
 	}
 }
 

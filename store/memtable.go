@@ -2,9 +2,9 @@ package store
 
 import (
 	"cmp"
-	"sort"
 	"sync"
 
+	"implicitlayout/internal/par"
 	"implicitlayout/layout"
 	"implicitlayout/search"
 )
@@ -25,13 +25,12 @@ type mval[V any] struct {
 // The representation is deliberately a map, not a skip list or sorted
 // array: Put, Delete, and Get are O(1) under the DB's lock, so the write
 // path's critical section stays a few dozen nanoseconds no matter how
-// full the table is. Order is recovered exactly once per memtable
-// lifetime — at flush (where the run build's parallel sort ingests the
-// records anyway) or at the first ordered read of a frozen table — which
-// is the same sort-then-permute shape as the paper's static pipeline.
-// Ordered reads of the *active* table sort their interval per call; that
-// cost is bounded by the flush threshold and carried by the reader, not
-// by writers.
+// full the table is. Order is recovered once per memtable lifetime by
+// sortByKey (LSD radix for integer and float keys, merge for strings) —
+// at flush, whose run build then skips its sort of the sorted input, or
+// at the first ordered read of a frozen table. Ordered reads of the
+// *active* table sort their interval per call; that cost is bounded by
+// the flush threshold and carried by the reader, not by writers.
 type memtable[K cmp.Ordered, V any] struct {
 	m        map[K]mval[V]
 	sortOnce sync.Once
@@ -80,29 +79,17 @@ func (m *memtable[K, V]) collect(lo, hi K, all bool) ([]K, []mval[V]) {
 }
 
 // sorted returns the table's keys in ascending order with their
-// payloads, materializing the view on first use. Only safe on frozen
+// payloads, sorting them on r's workers on first use. Only safe on frozen
 // memtables: the map must no longer be written. Concurrent callers (the
 // compactor flushing, readers merging) share one materialization.
-func (m *memtable[K, V]) sorted() ([]K, []mval[V]) {
+func (m *memtable[K, V]) sorted(r par.Runner) ([]K, []mval[V]) {
 	m.sortOnce.Do(func() {
 		var zk K
-		m.keys, m.vals = m.collect(zk, zk, true)
-		sort.Sort(byKey[K, V]{m.keys, m.vals})
+		keys, vals := m.collect(zk, zk, true)
+		m.keys, m.vals = make([]K, len(keys)), make([]mval[V], len(vals))
+		sortByKey(r, keys, vals, m.keys, m.vals)
 	})
 	return m.keys, m.vals
-}
-
-// byKey sorts a memtable copy's parallel slices by key.
-type byKey[K cmp.Ordered, V any] struct {
-	keys []K
-	vals []mval[V]
-}
-
-func (r byKey[K, V]) Len() int           { return len(r.keys) }
-func (r byKey[K, V]) Less(i, j int) bool { return cmp.Less(r.keys[i], r.keys[j]) }
-func (r byKey[K, V]) Swap(i, j int) {
-	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
-	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
 }
 
 // memRun wraps sorted unique records as a one-shard Sorted-layout run,

@@ -7,17 +7,19 @@
 // # Store: the static record store
 //
 // A Store owns its records end to end. Build ingests unsorted key–value
-// pairs and runs the parallel build pipeline — stable parallel merge sort
-// by key, duplicate-key resolution, range partition into shards, then a
-// payload-carrying perm.PermuteWith of every shard concurrently into the
-// configured layout (vEB by default), so each value sits at the same
-// array position as its key. Queries route through a fence-key router
-// (the first key of each shard, captured while the data is still sorted)
-// and run the layout's search kernel inside the owning shard; Get returns
-// the stored value, GetBatch fans a query batch out over a bounded worker
-// pool and returns every value plus per-shard hit statistics, and Range
-// and Scan stream records in globally ascending key order by walking the
-// shards through their fence keys — without ever unpermuting.
+// pairs and runs the parallel build pipeline — one stable parallel sort
+// by key (LSD radix for integer and float keys, merge for strings, none
+// for sorted input), duplicate-key resolution, range partition into
+// shards, then a payload-carrying perm.PermuteWith of every shard
+// concurrently into the configured layout (vEB by default), so each
+// value sits at the same array position as its key.
+// Queries route through a fence-key router (the first key of each
+// shard, captured while the data is still sorted) and run the layout's
+// search kernel inside the owning shard; Get returns the stored value,
+// GetBatch fans a query batch out over a bounded worker pool and returns
+// every value plus per-shard hit statistics, and Range and Scan stream
+// records in globally ascending key order by walking the shards through
+// their fence keys — without ever unpermuting.
 //
 // Keys-only use is the Set alias (a Store with struct{} values) built by
 // BuildSet. A built Store is immutable — snapshot semantics. Any number
@@ -231,12 +233,6 @@ type Store[K cmp.Ordered, V any] struct {
 // array is allocated. It is the PR 1 key-set API under the record store.
 type Set[K cmp.Ordered] = Store[K, struct{}]
 
-// rec pairs a key with its value for the build-time stable sort.
-type rec[K, V any] struct {
-	key K
-	val V
-}
-
 // Build ingests parallel slices of keys and values (in any order;
 // vals[i] is the payload of keys[i]), runs the parallel build pipeline,
 // and returns the immutable Store. Both input slices are copied, never
@@ -247,9 +243,9 @@ type rec[K, V any] struct {
 // DuplicatePolicy, KeepLast by default: for each key the value of its
 // last occurrence in the input wins, like loading a map.
 //
-// Keys must be totally ordered by <. Floating-point key sets containing
-// NaN sort deterministically (NaNs first, as slices.Sort orders them)
-// and Export stays correct, but the layout query kernels compare with <
+// Keys must be totally ordered by <. Floating-point keys sort in
+// cmp.Compare order: every NaN first, in input order, and -0 equal to
+// +0 (so the two resolve as one key). Export stays correct with NaNs, but the layout query kernels compare with <
 // like every searcher in this repository, so queries touching a shard
 // that holds a NaN are undefined — filter NaNs out upstream. Duplicate
 // resolution compares with ==, which never merges NaNs.
@@ -271,34 +267,15 @@ func Build[K cmp.Ordered, V any](keys []K, vals []V, opts ...Option) (*Store[K, 
 	default:
 		return nil, fmt.Errorf("store: unknown duplicate policy %v", c.Duplicates)
 	}
+	// Stage 1: one stable parallel sort (sortByKey) straight from the
+	// caller's slices into the arrays the store will own.
 	ownedK := make([]K, len(keys))
-	copy(ownedK, keys)
 	var ownedV []V
 	if vals != nil {
 		ownedV = make([]V, len(vals))
-		copy(ownedV, vals)
 	}
-
 	runner := par.New(c.Workers)
-
-	// Stage 1: parallel sort of the full record set. Keys-only stores
-	// take the specialized key sort; records zip through a transient pair
-	// array so the stable sort moves each value with its key. (The pair
-	// array, like the sort's scratch buffer, exists only during Build.)
-	if ownedV == nil {
-		parallelSort(runner, ownedK)
-	} else {
-		recs := make([]rec[K, V], len(ownedK))
-		for i := range recs {
-			recs[i] = rec[K, V]{key: ownedK[i], val: ownedV[i]}
-		}
-		parallelSortStable(runner, recs, func(a, b rec[K, V]) int {
-			return cmp.Compare(a.key, b.key)
-		})
-		for i := range recs {
-			ownedK[i], ownedV[i] = recs[i].key, recs[i].val
-		}
-	}
+	sortByKey(runner, keys, vals, ownedK, ownedV)
 
 	// Stage 2: duplicate resolution on the sorted records. The stable
 	// sort left equal keys in input order, so first/last occurrence is
