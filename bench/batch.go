@@ -37,7 +37,7 @@ type BatchConfig struct {
 	// Seed drives the query generator.
 	Seed int64
 	// Mmap adds cold-serve rows: each layout's records are written to a
-	// codec-v2 segment, and every trial reopens it with the arrays
+	// raw (v2.1) segment, and every trial reopens it with the arrays
 	// mapped — so the queried pages fault in during the measurement,
 	// the regime PR 5's zero-copy serving creates after a cold start.
 	Mmap bool

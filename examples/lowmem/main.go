@@ -10,7 +10,7 @@
 // The program runs the lifecycle in one process:
 //
 //  1. build a Store of 2^logn key–value records (16 bytes per record)
-//     and persist it as a codec-v2 segment file;
+//     and persist it as a raw (v2.1) segment file;
 //  2. drop the build from the heap and clamp the runtime with a
 //     GOMEMLIMIT-style memory limit far below the dataset size;
 //  3. reopen the file twice — decoded onto the heap vs mapped — timing

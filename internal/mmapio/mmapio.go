@@ -1,7 +1,7 @@
 // Package mmapio maps files into memory for zero-copy serving. The
-// store's segment codec v2 writes fixed-width shard arrays as raw,
-// 64-byte-aligned blocks precisely so this package can hand them back as
-// typed slices without decoding: a mapped segment is served straight
+// store's raw segment formats (v2 and v2.1) hold fixed-width shard
+// arrays as raw, 64-byte-aligned blocks precisely so this package can
+// hand them back as typed slices without decoding: a mapped segment is served straight
 // from the OS page cache, the servable dataset is bounded by the address
 // space rather than the heap, and a cold open costs page-table setup
 // instead of an O(data) read.

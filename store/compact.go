@@ -130,7 +130,9 @@ func (db *DB[K, V]) mergeOne() bool {
 
 	var newRun *run[K, V]
 	var err error
-	if db.dir != "" && runStreamable[K, V]() {
+	// The streamed sink writes raw v2.1, so both the key and the mval
+	// payload must be fixed-width.
+	if db.dir != "" && rawSegEligible[K](runCodec[V]{}, true) {
 		newRun, err = db.mergeStreamed(victims, level+1, toLast)
 	} else {
 		// The in-memory sink: the merged records become one run build.

@@ -47,7 +47,7 @@ type DBConfig struct {
 	// Ignored in memory-only mode.
 	SyncWrites bool
 	// Mmap selects cold-serve mode for durable DBs: Open serves every
-	// codec-v2 segment from a read-only memory mapping instead of
+	// raw (v2 or v2.1) segment from a read-only memory mapping instead of
 	// decoding it onto the heap, so reopening a directory is O(#segments)
 	// metadata work — the shard arrays are never read, only mapped — and
 	// the OS page cache, not the Go heap, holds the working set, letting
@@ -271,7 +271,7 @@ func (db *DB[K, V]) openDir(dir string) error {
 				// and guessing that a newer build's file is garbage risks
 				// destroying data whose role we cannot judge: refuse the
 				// directory instead of GC'ing it.
-				if v, err := probeSegmentVersion(filepath.Join(dir, name)); err == nil && v != segV1 && v != segV2 && v != segV21 {
+				if v, err := probeSegmentVersion(filepath.Join(dir, name)); err == nil && !knownSegVersion(v) {
 					return fail(fmt.Errorf("store: stray segment %s has codec version %d, which this build does not know (written by a newer build?); refusing to garbage-collect it", name, v))
 				}
 				os.Remove(filepath.Join(dir, name)) // stray: GC, best-effort

@@ -2,23 +2,18 @@ package store
 
 import (
 	"cmp"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"slices"
-
-	"bytes"
 
 	"implicitlayout/internal/blockio"
-	"implicitlayout/internal/filter"
 	"implicitlayout/internal/mmapio"
-	"implicitlayout/search"
 )
 
-// This file is the zero-copy half of the segment codec: opening a
-// codec-v2 segment file by mapping it read-only and serving the shard
+// This file is the zero-copy half of the segment codec: opening a raw
+// (v2 or v2.1) segment file by mapping it read-only and serving the shard
 // arrays in place from the page cache. The search kernels are untouched
 // by any of it — a mapped shard is still just a []K — which is the
 // paper's implicit-layout property doing external-memory work: a query
@@ -55,13 +50,14 @@ func (s *Store[K, V]) Release() error {
 }
 
 // OpenStore opens a segment file written by Store.WriteTo. With
-// WithMmap(true) and a codec-v2 segment (fixed-width K and V) on a
+// WithMmap(true) and a raw v2/v2.1 segment (fixed-width K and V) on a
 // platform with mmap, the file is mapped read-only and served zero-copy:
 // the open costs O(shards) page touches instead of an O(data) decode,
 // the shard arrays stay in the OS page cache rather than the Go heap,
 // and datasets larger than RAM are served at page granularity. In every
 // other case — v1 gob segments, platforms without mmap, or no WithMmap —
-// the file is decoded onto the heap exactly like ReadStore.
+// the file is decoded onto the heap exactly like ReadStore. Either way
+// the file must end at the segment's trailer.
 //
 // The zero-copy trade, stated plainly: a mapped open verifies the magic,
 // header, padding, and trailer checksums and every structural invariant,
@@ -98,7 +94,17 @@ func openSegFile[K cmp.Ordered, V any](path string, codec segCodec[V], opts []Op
 		return nil, err
 	}
 	defer f.Close()
-	return readSegStream[K](f, codec, opts)
+	st, err := readSegStream[K](f, codec, opts)
+	if err != nil {
+		return nil, err
+	}
+	// The stream reader stops at the trailer; the file must end there.
+	if rest, err := io.Copy(io.Discard, f); err != nil {
+		return nil, fmt.Errorf("store: reading past the segment trailer: %w", err)
+	} else if rest > 0 {
+		return nil, errTrailingBytes(rest)
+	}
+	return st, nil
 }
 
 // openSegMapped maps the file and builds a Store over the mapping. On
@@ -128,24 +134,29 @@ func openSegMapped[K cmp.Ordered, V any](path string, codec segCodec[V], opts []
 }
 
 // readSegMapped builds a Store whose shard arrays are views into b, the
-// mapped bytes of a codec-v2 segment file. Structural frames (header,
-// pads, trailer) are checksum-verified; the raw array frames are bounds-
-// and length-checked but not checksummed — see the OpenStore contract.
+// mapped bytes of a raw segment file: the shared raw parser fed by a
+// frame walk over b. Structural frames (header, pads, filter, trailer)
+// are checksum-verified; the raw array frames are bounds- and
+// length-checked but not checksummed — see the OpenStore contract.
 func readSegMapped[K cmp.Ordered, V any](b []byte, codec segCodec[V], opts []Option) (*Store[K, V], error) {
 	if len(b) < len(segMagic) || string(b[:len(segMagic)]) != segMagic {
 		return nil, fmt.Errorf("store: not a segment file (magic %q)", b[:min(len(b), len(segMagic))])
 	}
 	off := len(segMagic)
-	tag, payload, off, err := blockio.Frame(b, off, true)
-	if err != nil {
-		return nil, fmt.Errorf("store: reading segment header: %w", err)
-	}
-	if tag != tagSegHeader {
-		return nil, fmt.Errorf("store: frame %q where %q expected", tag, tagSegHeader)
+	next := func() (byte, []byte, error) {
+		// A frame's tag is its first byte, so whether to verify it is
+		// known before parsing it.
+		verify := off < len(b) && !rawArrayTag(b[off])
+		tag, payload, end, err := blockio.Frame(b, off, verify)
+		if err != nil {
+			return 0, nil, err
+		}
+		off = end
+		return tag, payload, nil
 	}
 	var hdr segHeader
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("store: decoding segment header: %w", err)
+	if err := nextGobFrame(next, tagSegHeader, &hdr); err != nil {
+		return nil, err
 	}
 	if err := validateSegHeader[K](&hdr, codec); err != nil {
 		return nil, err
@@ -153,160 +164,24 @@ func readSegMapped[K cmp.Ordered, V any](b []byte, codec segCodec[V], opts []Opt
 	if hdr.Version == segV1 {
 		return nil, fmt.Errorf("%w: v%d segments hold gob frames, which map to nothing", errSegNotMappable, hdr.Version)
 	}
-	var rawKeys, rawVals [][]byte
-	var sf segFilter
-	if hdr.Version == segV21 {
-		// The streamable format states its shard lengths only in the
-		// trailing 'f' frame, so a mapped open walks the frames first:
-		// each shard's record count falls out of its key frame's size,
-		// and the 'f' frame must then agree with what was observed. The
-		// walk touches only frame headers and the small structural
-		// payloads — the bulk arrays stay cold.
-		rawKeys, rawVals, sf, off, err = mappedV21Frames(b, off, &hdr, codec.rawTag())
-		if err != nil {
-			return nil, err
-		}
-		lens := make([]int, len(rawKeys))
-		records := 0
-		for i, rk := range rawKeys {
-			lens[i] = len(rk) / hdr.KeyWidth
-			records += lens[i]
-		}
-		if err := validateShardLens(sf.ShardLens, sf.Records); err != nil {
-			return nil, err
-		}
-		if sf.Records != records || !slices.Equal(sf.ShardLens, lens) {
-			return nil, fmt.Errorf("store: segment filter frame says %d records in shards %v, stream holds %d in %v",
-				sf.Records, sf.ShardLens, records, lens)
-		}
-		hdr.Records = records
-		hdr.ShardLens = lens
-	}
-	s := newSegStore[K, V](&hdr, opts)
-	recOff := 0
-	for i, l := range hdr.ShardLens {
-		var raw []byte
-		if hdr.Version == segV21 {
-			raw = rawKeys[i]
-		} else if raw, off, err = mappedRawFrame(b, off, tagSegKeys, l, hdr.KeyWidth); err != nil {
-			return nil, err
-		}
-		keys, err := mmapio.View[K](raw)
-		if err != nil {
-			return nil, fmt.Errorf("store: segment shard %d keys: %w", i, err)
-		}
-		s.shards[i] = shard[K]{off: recOff, idx: search.NewIndex(keys, s.cfg.Layout, hdr.B)}
-		recOff += l
-		if hdr.HasVals {
-			if hdr.Version == segV21 {
-				raw = rawVals[i]
-			} else if raw, off, err = mappedRawFrame(b, off, codec.rawTag(), l, hdr.ValWidth); err != nil {
-				return nil, err
-			}
-			vals, err := mmapio.View[V](raw)
-			if err != nil {
-				return nil, fmt.Errorf("store: segment shard %d values: %w", i, err)
-			}
-			s.svals[i] = vals
-		}
-		s.fences[i] = s.shards[i].idx.AtRank(0)
-	}
-	last := s.shards[len(s.shards)-1].idx
-	s.maxKey = last.AtRank(last.Len() - 1)
-	if len(sf.Bloom) > 0 {
-		bl, err := filter.Unmarshal(sf.Bloom)
-		if err != nil {
-			return nil, fmt.Errorf("store: segment run filter: %w", err)
-		}
-		s.bloom = bl
-	}
-	tag, payload, off, err = blockio.Frame(b, off, true)
+	s, err := parseRawSeg[K](next, &hdr, codec, opts)
 	if err != nil {
-		return nil, fmt.Errorf("store: segment trailer missing (file truncated?): %w", err)
-	}
-	var tr segTrailer
-	if tag != tagSegTrailer {
-		return nil, fmt.Errorf("store: frame %q where trailer expected", tag)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&tr); err != nil {
-		return nil, fmt.Errorf("store: decoding segment trailer: %w", err)
-	}
-	if tr.Records != hdr.Records {
-		return nil, fmt.Errorf("store: segment trailer says %d records, header %d", tr.Records, hdr.Records)
+		return nil, err
 	}
 	if off != len(b) {
-		return nil, fmt.Errorf("store: %d bytes of trailing junk after the segment trailer", len(b)-off)
+		return nil, errTrailingBytes(int64(len(b) - off))
 	}
-	return s, checkFences(s)
+	return s, nil
 }
 
-// mappedV21Frames walks a v2.1 segment's shard frames up to and
-// including the 'f' frame, returning views of each shard's raw key and
-// value payloads (unverified bulk, like every mapped array), the decoded
-// filter frame, and the offset after it. Structural frames — pads and
-// the 'f' frame itself — are checksum-verified.
-func mappedV21Frames(b []byte, off int, hdr *segHeader, rawTag byte) (rawKeys, rawVals [][]byte, sf segFilter, end int, err error) {
-	for {
-		tag, payload, noff, err := blockio.Frame(b, off, true)
-		if err != nil {
-			return nil, nil, sf, 0, fmt.Errorf("store: reading segment shard frames (file truncated?): %w", err)
-		}
-		if tag == tagSegFilter {
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&sf); err != nil {
-				return nil, nil, sf, 0, fmt.Errorf("store: decoding frame %q: %w", tagSegFilter, err)
-			}
-			return rawKeys, rawVals, sf, noff, nil
-		}
-		if tag != tagSegPad {
-			return nil, nil, sf, 0, fmt.Errorf("store: frame %q where pad or filter expected", tag)
-		}
-		off = noff
-		tag, payload, off, err = blockio.Frame(b, off, false)
-		if err != nil {
-			return nil, nil, sf, 0, fmt.Errorf("store: reading frame %q: %w", tagSegKeys, err)
-		}
-		if tag != tagSegKeys {
-			return nil, nil, sf, 0, fmt.Errorf("store: frame %q where %q expected", tag, tagSegKeys)
-		}
-		if len(payload) == 0 || len(payload)%hdr.KeyWidth != 0 {
-			return nil, nil, sf, 0, fmt.Errorf("store: segment frame %q holds %d bytes, not a positive multiple of the %d-byte key width",
-				tagSegKeys, len(payload), hdr.KeyWidth)
-		}
-		l := len(payload) / hdr.KeyWidth
-		rawKeys = append(rawKeys, payload)
-		if hdr.HasVals {
-			var raw []byte
-			raw, off, err = mappedRawFrame(b, off, rawTag, l, hdr.ValWidth)
-			if err != nil {
-				return nil, nil, sf, 0, err
-			}
-			rawVals = append(rawVals, raw)
-		}
-	}
+// rawArrayTag reports whether a frame tag names a raw shard array — the
+// bulk frames a mapped open leaves unverified.
+func rawArrayTag(tag byte) bool {
+	return tag == tagSegKeys || tag == tagSegVals || tag == tagSegRawVals
 }
 
-// mappedRawFrame consumes a pad frame (verified — it is tiny) and the
-// array frame that follows (unverified — it is the bulk data), returning
-// the array payload as a view into b and the offset after it. The
-// payload must hold exactly n elements of the given width.
-func mappedRawFrame(b []byte, off int, want byte, n, width int) ([]byte, int, error) {
-	tag, _, off, err := blockio.Frame(b, off, true)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: reading pad before frame %q: %w", want, err)
-	}
-	if tag != tagSegPad {
-		return nil, 0, fmt.Errorf("store: frame %q where pad expected", tag)
-	}
-	tag, payload, off, err := blockio.Frame(b, off, false)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: reading frame %q: %w", want, err)
-	}
-	if tag != want {
-		return nil, 0, fmt.Errorf("store: frame %q where %q expected", tag, want)
-	}
-	if len(payload) != n*width {
-		return nil, 0, fmt.Errorf("store: segment frame %q holds %d bytes, want %d records × %d bytes",
-			want, len(payload), n, width)
-	}
-	return payload, off, nil
+// errTrailingBytes refuses a segment file with n bytes after its
+// trailer: a file holds exactly one segment, whichever way it is opened.
+func errTrailingBytes(n int64) error {
+	return fmt.Errorf("store: %d bytes of trailing junk after the segment trailer", n)
 }

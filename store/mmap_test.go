@@ -282,7 +282,7 @@ func TestMmapV1Fallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeSegStreamVersion(f, orig, plainCodec[uint64]{}, segV1); err != nil {
+	if _, err := writeSegV1(f, orig, plainCodec[uint64]{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -25,13 +25,17 @@ import (
 // The segment codec serializes a built Store so it can be reopened
 // without re-sorting or re-permuting: the per-shard key and value arrays
 // are written exactly as they sit in memory — already permuted into
-// their layout — so reading a segment back is a copy into fresh slices
-// plus index reconstruction, never a rebuild. The permuted array IS the
-// on-disk format, which is the external-memory payoff of an implicit
+// their layout — so reading a segment back is index reconstruction over
+// the stored arrays, never a rebuild. The permuted array IS the on-disk
+// format, which is the external-memory payoff of an implicit
 // (pointer-free) layout: there is nothing to deserialize.
 //
-// A segment is a magic prefix followed by blockio frames, in one of two
-// codec versions selected at write time:
+// A segment is a magic prefix followed by blockio frames. The writer
+// picks the format from the types alone: every store whose key type is
+// a fixed-width primitive (ints, uints, floats), and whose value type is
+// one too when it has values, is written as v2.1 by segWriter; any other
+// store (string keys, struct values) is written as v1 (gob). v2 is no
+// longer written but stays readable, as do v1 and v2.1 — forever.
 //
 // Version 1 (gob; any gob-encodable K and V):
 //
@@ -45,11 +49,11 @@ import (
 //	  frame 't': bitmap            tombstone bit per shard position
 //	frame 'e': gob(segTrailer)     record count; doubles as an end marker
 //
-// Version 2 (raw; fixed-width keys and values, detected via reflection
-// at write time — ints, uints, floats):
+// Version 2.1 (raw, streamable; every fixed-width store):
 //
 //	"ILSEG\x01"
-//	frame 'h': gob(segHeader)      as v1, plus the platform contract:
+//	frame 'h': gob(segHeader)      as v1 but Records is 0 and ShardLens
+//	                               nil, plus the platform contract:
 //	                               endianness tag, key/value reflect
 //	                               kinds, key/value element widths
 //	per shard, in fence order:
@@ -59,9 +63,15 @@ import (
 //	  frame 'p': zero padding      (value frames only when HasVals)
 //	  frame 'v': raw value array   plain payloads — or, for DB runs,
 //	  frame 'w': raw mval array    value + tombstone flag per element
+//	frame 'f': gob(segFilter)      the authoritative shard lengths and
+//	                               record count, plus the serialized
+//	                               bloom filter (empty for plain stores)
 //	frame 'e': gob(segTrailer)     record count; doubles as an end marker
 //
-// A v2 shard array on disk is bit-identical to the array in memory, and
+// Version 2 (raw; read-only) is v2.1 with the shard lengths and record
+// count in the header and no 'f' frame.
+//
+// A raw shard array on disk is bit-identical to the array in memory, and
 // every array payload starts 64-byte aligned (cache-line aligned, and —
 // since the magic sits at file offset 0 and mappings are page-aligned —
 // correctly aligned for any primitive element). Hierarchical-layout
@@ -69,37 +79,22 @@ import (
 // coincide with OS pages of the mapping, so one cold outer descent step
 // costs one page fault (see segAlignFor). Pad frames are self-sizing,
 // so readers need not know which alignment the writer chose. That is
-// what makes v2 mappable: OpenStore with WithMmap serves the arrays in
-// place from the page cache without decoding them (see mmap.go). v1
-// remains the fallback for arbitrary gob-encodable types and stays
-// readable forever.
+// what makes the raw formats mappable: OpenStore with WithMmap serves
+// the arrays in place from the page cache without decoding them (see
+// mmap.go).
 //
-// Version 2.1 (raw, streamable; the DB's run segments):
-//
-//	"ILSEG\x01"
-//	frame 'h': gob(segHeader)      as v2, but Records is 0 and
-//	                               ShardLens is nil — a streaming writer
-//	                               does not know them yet
-//	per shard, in fence order:
-//	  frame 'p' / 'k' / 'p' / 'w'  exactly as v2
-//	frame 'f': gob(segFilter)      the authoritative shard lengths and
-//	                               record count, plus the run's
-//	                               serialized bloom filter
-//	frame 'e': gob(segTrailer)     record count; doubles as an end marker
-//
-// v2.1 exists so a segment can be written front to back by a streaming
-// compaction that learns the shard count, lengths, and filter only as
-// the merged stream runs dry: everything a v2 header states up front
-// rides in the trailing 'f' frame instead, readers derive each shard's
-// length from its 'k' frame's size and cross-check the 'f' frame, and
-// the writer never seeks. The shard frames themselves are bit-identical
-// to v2 — same alignment, same mapped-serving property. The fence keys
-// and the min/max key interval are not serialized at all: a reader
-// recovers them from the permuted arrays by rank arithmetic (rank 0 of
-// each shard, last rank of the last shard), O(1) per shard. v2 and v1
-// segments stay readable forever; only DB run segments are written as
-// v2.1 (plain Store.WriteTo keeps v2 — it knows its lengths up front
-// and has no filter to carry).
+// v2.1 can be written front to back by a streaming compaction that
+// learns the shard count, lengths, and filter only as the merged stream
+// runs dry — the writer never seeks — and a writer holding a built store
+// follows the same path one shard at a time. One parser (parseRawSeg)
+// reads both raw versions from either frame source, a checksumming
+// stream or a mapping: it takes each shard's length from the size of its
+// 'k' frame and cross-checks the lengths against the v2 header or the
+// v2.1 'f' frame, and serves each array as a view of the frame payload
+// in place. The fence keys and the min/max key interval are not
+// serialized at all: a reader recovers them from the permuted arrays by
+// rank arithmetic (rank 0 of each shard, last rank of the last shard),
+// O(1) per shard.
 //
 // Raw frames are native-endian; the header records the byte order and
 // the element widths, and a reader on a mismatched platform refuses the
@@ -110,17 +105,18 @@ import (
 // Every frame carries a CRC-32C (see internal/blockio), so truncation
 // surfaces as a torn or missing trailer and bit rot as a checksum
 // mismatch. The trailer is what distinguishes "complete" from "cut
-// short": a reader that has not seen frame 'e' refuses the file. (The
-// zero-copy mapped open is the one deliberate exception: it verifies
-// the structural frames but not the bulk arrays it never reads — see
-// the contract note on OpenStore.)
+// short": a reader that has not seen frame 'e' refuses the file, and a
+// file open refuses bytes after it. (The zero-copy mapped open is the
+// one deliberate exception to full checksumming: it verifies the
+// structural frames but not the bulk arrays it never reads — see the
+// contract note on OpenStore.)
 
 const (
 	segMagic = "ILSEG\x01"
 
 	segV1  = 1 // gob frames: any gob-encodable K and V
-	segV2  = 2 // raw fixed-width frames: mappable
-	segV21 = 3 // v2 shard frames + trailing lengths/filter: streamable
+	segV2  = 2 // raw fixed-width frames, lengths in the header: read-only
+	segV21 = 3 // raw fixed-width frames, lengths in the 'f' frame: written
 
 	tagSegHeader  = 'h'
 	tagSegKeys    = 'k'
@@ -131,12 +127,12 @@ const (
 	tagSegFilter  = 'f'
 	tagSegTrailer = 'e'
 
-	// segAlign is the alignment of every v2 array payload within the
+	// segAlign is the alignment of every raw array payload within the
 	// file: one cache line, and a multiple of every primitive's natural
 	// alignment.
 	segAlign = 64
 
-	// segPageAlign is the v2 array alignment for hierarchical-layout
+	// segPageAlign is the raw array alignment for hierarchical-layout
 	// segments: one OS page, so that a mapped shard's page-sized layout
 	// blocks coincide with page-cache units and a cold outer descent
 	// step faults exactly one page. Readers are pad-length-agnostic, so
@@ -144,7 +140,7 @@ const (
 	segPageAlign = 4096
 )
 
-// segAlignFor returns the v2 array alignment for a layout: page blocks
+// segAlignFor returns the raw array alignment for a layout: page blocks
 // for the hierarchical layout, cache lines otherwise.
 func segAlignFor(k layout.Kind) int {
 	if k == layout.Hier {
@@ -158,13 +154,20 @@ func segAlignFor(k layout.Kind) int {
 // a stray — it may be real data this build simply cannot read.
 var errSegVersionUnknown = errors.New("store: segment version unknown to this build")
 
+// knownSegVersion reports whether this build reads segments of codec
+// version v — the one list both the header check and the stray-segment
+// GC consult.
+func knownSegVersion(v int) bool {
+	return v == segV1 || v == segV2 || v == segV21
+}
+
 // errSegNotMappable marks a well-formed segment that cannot be served by
 // mapping (a v1 gob segment); the caller falls back to heap decoding.
 var errSegNotMappable = errors.New("store: segment is not mappable")
 
 // Payload kinds: a plain segment stores user values directly; a run
 // segment stores the DB's mval payloads — as a raw value array plus a
-// tombstone bitmap in v1, or as the mval array verbatim in v2 — so the
+// tombstone bitmap in v1, or as the mval array verbatim in raw — so the
 // value type itself never needs to understand deletion markers.
 const (
 	segPayloadPlain = iota
@@ -173,8 +176,8 @@ const (
 
 // segHeader is frame 'h': everything needed to rebuild the Store's
 // structure around the raw arrays. The platform-contract fields are set
-// for v2 (raw) segments only; v1 readers ignore them and pre-v2 builds
-// decode them away harmlessly (gob skips unknown fields).
+// for raw (v2, v2.1) segments only; v1 readers ignore them and pre-v2
+// builds decode them away harmlessly (gob skips unknown fields).
 type segHeader struct {
 	Version    int
 	Payload    int   // segPayloadPlain or segPayloadRun
@@ -186,7 +189,7 @@ type segHeader struct {
 	Duplicates int   // DuplicatePolicy the store was built with
 	ShardLens  []int // per-shard record counts, in fence order
 
-	// v2 platform contract: raw arrays are memory dumps, so a reader
+	// Raw platform contract: raw arrays are memory dumps, so a reader
 	// must be byte-order- and width-compatible with the writer or
 	// refuse. KeyKind/ValKind are reflect.Kind values; ValWidth is the
 	// on-disk element width — sizeof(V) for plain segments, sizeof(mval)
@@ -214,8 +217,8 @@ type segFilter struct {
 	Bloom     []byte
 }
 
-// hostEndian returns this machine's byte order tag as recorded in v2
-// headers.
+// hostEndian returns this machine's byte order tag as recorded in raw
+// segment headers.
 func hostEndian() string {
 	var buf [2]byte
 	binary.NativeEndian.PutUint16(buf[:], 1)
@@ -227,8 +230,8 @@ func hostEndian() string {
 
 // fixedKind reports whether t is a fixed-width primitive the raw codec
 // can serialize as a memory dump — the reflection-time eligibility test
-// for codec v2. Strings, structs, slices, and interfaces are not; they
-// take the gob path.
+// for the raw formats. Strings, structs, slices, and interfaces are not;
+// they take the gob path.
 func fixedKind(t reflect.Type) (reflect.Kind, bool) {
 	switch k := t.Kind(); k {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
@@ -241,24 +244,24 @@ func fixedKind(t reflect.Type) (reflect.Kind, bool) {
 
 // segCodec abstracts how a shard's value slice crosses the codec: one
 // gob frame for plain stores, raw values + tombstone bitmap for DB runs
-// (v1), or — when rawElem allows — a verbatim array dump (v2).
+// (v1), or — when rawElem allows — a verbatim array dump (raw formats).
 // readShard fills dst (length 0, capacity n — a window into the store's
 // preallocated value array) with exactly n decoded payloads.
 type segCodec[V any] interface {
 	kind() int
 	writeShard(bw *blockio.Writer, vals []V) error
 	readShard(br *blockio.Reader, n int, dst []V) error
-	// rawElem reports v2 eligibility: the on-disk element width and the
+	// rawElem reports raw eligibility: the on-disk element width and the
 	// reflect kind recorded in the header (the user value's kind — for
 	// run segments the element is the mval wrapper but the kind names
 	// the wrapped primitive). ok is false when only gob can carry V.
 	rawElem() (width int, kind reflect.Kind, ok bool)
-	// rawTag is the v2 array frame tag ('v' plain, 'w' run).
+	// rawTag is the raw array frame tag ('v' plain, 'w' run).
 	rawTag() byte
 }
 
 // plainCodec serializes values as one gob frame per shard (v1) or a raw
-// array dump (v2, fixed-width V). V must be gob-encodable for v1.
+// array dump (fixed-width V). V must be gob-encodable for v1.
 type plainCodec[V any] struct{}
 
 func (plainCodec[V]) kind() int    { return segPayloadPlain }
@@ -284,12 +287,12 @@ func (plainCodec[V]) readShard(br *blockio.Reader, n int, dst []V) error {
 // runCodec serializes the DB's mval payloads. In v1 the raw user values
 // travel in one gob frame (tombstone slots hold the zero value) and the
 // tombstone bits in a second, so the wire format needs no knowledge of
-// mval's layout. In v2 the mval array itself is the payload: for a
-// fixed-width V, mval[V] — value plus tombstone flag — is itself a
-// fixed-width struct, so the dump stays mappable and the tombstone bit
-// rides at its in-memory offset. (The recorded ValWidth pins the struct
-// size; mval's field order is part of the v2 format and must not change
-// without a version bump.)
+// mval's layout. In the raw formats the mval array itself is the
+// payload: for a fixed-width V, mval[V] — value plus tombstone flag — is
+// itself a fixed-width struct, so the dump stays mappable and the
+// tombstone bit rides at its in-memory offset. (The recorded ValWidth
+// pins the struct size; mval's field order is part of the raw formats
+// and must not change without a version bump.)
 type runCodec[V any] struct{}
 
 func (runCodec[V]) kind() int    { return segPayloadRun }
@@ -357,15 +360,30 @@ func writeGobFrame(bw *blockio.Writer, tag byte, v any) error {
 }
 
 func readGobFrame(br *blockio.Reader, want byte, v any) error {
-	tag, payload, err := br.Next()
+	return nextGobFrame(br.Next, want, v)
+}
+
+// frameSource yields a segment's frames in order: blockio.Reader.Next
+// over a stream, or a walk of blockio.Frame over mapped bytes (see
+// readSegMapped).
+type frameSource func() (tag byte, payload []byte, err error)
+
+// nextGobFrame reads the next frame from next, which must carry the
+// tag want, and gob-decodes its payload into v.
+func nextGobFrame(next frameSource, want byte, v any) error {
+	tag, payload, err := next()
 	if err != nil {
 		return fmt.Errorf("store: reading frame %q: %w", want, err)
 	}
 	if tag != want {
 		return fmt.Errorf("store: frame %q where %q expected", tag, want)
 	}
+	return decodeGob(payload, want, v)
+}
+
+func decodeGob(payload []byte, tag byte, v any) error {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("store: decoding frame %q: %w", want, err)
+		return fmt.Errorf("store: decoding frame %q: %w", tag, err)
 	}
 	return nil
 }
@@ -392,62 +410,20 @@ func readGobSlice[T any](br *blockio.Reader, tag byte, n int, dst []T) error {
 	return nil
 }
 
-// segZeros backs pad-frame payloads (at most segPageAlign-1 bytes of
-// them).
-var segZeros [segPageAlign]byte
-
-// writeRawFrame writes the v2 form of one shard array: a pad frame sized
-// so the array payload that follows starts at an align-aligned stream
-// offset (base is the writer's offset within the stream — the magic
-// length), then the raw array bytes themselves.
-func writeRawFrame(bw *blockio.Writer, base int64, tag byte, payload []byte, align int64) error {
-	pad := int((align - (base+bw.Offset()+2*blockio.HeaderSize)%align) % align)
-	if err := bw.WriteBlock(tagSegPad, segZeros[:pad]); err != nil {
-		return err
-	}
-	return bw.WriteBlock(tag, payload)
-}
-
-// readRawFrame reads the v2 form of one shard array from a frame stream:
-// the pad frame, then the array frame, whose payload must hold exactly n
-// elements of the given width — a misaligned length (truncated or padded
-// raw data that somehow kept its checksum) is refused here.
-func readRawFrame(br *blockio.Reader, want byte, n, width int) ([]byte, error) {
-	tag, _, err := br.Next()
-	if err != nil {
-		return nil, fmt.Errorf("store: reading pad before frame %q: %w", want, err)
-	}
-	if tag != tagSegPad {
-		return nil, fmt.Errorf("store: frame %q where pad expected", tag)
-	}
-	tag, payload, err := br.Next()
-	if err != nil {
-		return nil, fmt.Errorf("store: reading frame %q: %w", want, err)
-	}
-	if tag != want {
-		return nil, fmt.Errorf("store: frame %q where %q expected", tag, want)
-	}
-	if len(payload) != n*width {
-		return nil, fmt.Errorf("store: segment frame %q holds %d bytes, want %d records × %d bytes",
-			want, len(payload), n, width)
-	}
-	return payload, nil
-}
-
 // WriteTo serializes the store to w in the segment format, returning the
 // byte count written. The shards' permuted arrays go out verbatim, so a
-// later ReadStore serves queries with zero rebuild work. When both K and
-// V are fixed-width primitives the codec-v2 raw format is chosen — the
-// shard arrays become 64-byte-aligned memory dumps a later OpenStore
-// can map and serve zero-copy — and the gob v1 format otherwise; both
-// sides of the choice read back identically. For v1, K and V must be
-// gob-encodable. WriteTo implements io.WriterTo and never mutates the
+// later ReadStore serves queries with zero rebuild work. When K — and V,
+// if the store has values — are fixed-width primitives, the raw v2.1
+// format is written: the shard arrays become 64-byte-aligned memory
+// dumps a later OpenStore can map and serve zero-copy. Otherwise the gob
+// v1 format is written, and K and V must be gob-encodable. Both read
+// back identically. WriteTo implements io.WriterTo and never mutates the
 // store.
 //
 // The stream is laid out assuming it starts at offset 0 of its file
-// (segment files always do): writing it at a nonzero offset breaks v2's
-// alignment guarantee for a future mapped open, though heap decoding
-// still works.
+// (segment files always do): writing it at a nonzero offset breaks the
+// raw format's alignment guarantee for a future mapped open, though heap
+// decoding still works.
 func (s *Store[K, V]) WriteTo(w io.Writer) (int64, error) {
 	return writeSegStream(w, s, plainCodec[V]{})
 }
@@ -457,14 +433,15 @@ func (s *Store[K, V]) WriteTo(w io.Writer) (int64, error) {
 // from the stream itself; of the options only WithWorkers is honored —
 // it bounds the parallelism of future Export/Rebuild calls on the
 // reopened store. The stream is checksummed frame by frame: a truncated
-// or bit-flipped segment is rejected, never served. (To serve a segment
-// file zero-copy instead of decoding it, see OpenStore.)
+// or bit-flipped segment is rejected, never served. ReadStore stops at
+// the segment's trailer and leaves the rest of r unread. (To serve a
+// segment file zero-copy instead of decoding it, see OpenStore.)
 func ReadStore[K cmp.Ordered, V any](r io.Reader, opts ...Option) (*Store[K, V], error) {
 	return readSegStream[K](r, plainCodec[V]{}, opts)
 }
 
-// writeRunStream serializes a DB run's Store (mval payloads) — same
-// format, run payload kind.
+// writeRunStream serializes a DB run's Store (mval payloads) — the
+// flush and in-memory merge sink: same writers, run payload kind.
 func writeRunStream[K cmp.Ordered, V any](w io.Writer, st *Store[K, mval[V]]) (int64, error) {
 	return writeSegStream(w, st, runCodec[V]{})
 }
@@ -476,97 +453,71 @@ func readRunStream[K cmp.Ordered, V any](r io.Reader, workers int) (*Store[K, mv
 	return readSegStream[K](r, runCodec[V]{}, []Option{WithWorkers(workers)})
 }
 
-// segWriteVersion picks the codec version for a store: v1 (gob) unless
-// every array is a fixed-width memory dump; then v2.1 for DB run
-// segments — the streamable format that carries the run's filter — and
-// v2 for plain stores, whose format has no filter to carry.
-func segWriteVersion[K cmp.Ordered, V any](s *Store[K, V], codec segCodec[V]) int {
+// rawSegEligible reports whether a store with key type K, and with
+// values carried by codec when hasVals, can be written in the raw
+// format: every array it holds must be a fixed-width memory dump.
+func rawSegEligible[K cmp.Ordered, V any](codec segCodec[V], hasVals bool) bool {
 	if _, ok := fixedKind(reflect.TypeFor[K]()); !ok {
-		return segV1
+		return false
 	}
-	if s.hasVals {
-		if _, _, ok := codec.rawElem(); !ok {
-			return segV1
-		}
-	}
-	if codec.kind() == segPayloadRun {
-		return segV21
-	}
-	return segV2
+	_, _, ok := codec.rawElem()
+	return ok || !hasVals
 }
 
+// newSegHeader states the structural fields every writer records.
+func newSegHeader(version, payload int, hasVals bool, cfg Config) segHeader {
+	return segHeader{
+		Version:    version,
+		Payload:    payload,
+		HasVals:    hasVals,
+		Layout:     int(cfg.Layout),
+		B:          cfg.B,
+		Algorithm:  int(cfg.Algorithm),
+		Duplicates: int(cfg.Duplicates),
+	}
+}
+
+// writeSegStream writes a built store: as v2.1 through segWriter, one
+// already-permuted shard at a time, when every array is a fixed-width
+// memory dump, and as v1 (gob) otherwise.
 func writeSegStream[K cmp.Ordered, V any](w io.Writer, s *Store[K, V], codec segCodec[V]) (int64, error) {
-	return writeSegStreamVersion(w, s, codec, segWriteVersion(s, codec))
+	if !rawSegEligible[K](codec, s.hasVals) {
+		return writeSegV1(w, s, codec)
+	}
+	// Eligible, so startSegWriter returns a writer even when its first
+	// writes fail, and the byte count stays exact.
+	sw, err := startSegWriter[K](w, s.cfg, codec, s.hasVals, s.bloom)
+	for i := 0; err == nil && i < len(s.shards); i++ {
+		var vals []V
+		if s.hasVals {
+			vals = s.svals[i]
+		}
+		err = sw.appendPermuted(s.shards[i].idx.Data(), vals)
+	}
+	if err == nil {
+		err = sw.Finish()
+	}
+	return sw.base + sw.bw.Offset(), err
 }
 
-func writeSegStreamVersion[K cmp.Ordered, V any](w io.Writer, s *Store[K, V], codec segCodec[V], version int) (int64, error) {
+// writeSegV1 writes the v1 (gob) format, the fallback for stores whose
+// keys or values are not fixed-width. K and V must be gob-encodable.
+func writeSegV1[K cmp.Ordered, V any](w io.Writer, s *Store[K, V], codec segCodec[V]) (int64, error) {
 	n, err := io.WriteString(w, segMagic)
 	if err != nil {
 		return int64(n), err
 	}
 	base := int64(n)
 	bw := blockio.NewWriter(w)
-	lens := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		lens[i] = sh.idx.Len()
-	}
-	hdr := segHeader{
-		Version:    version,
-		Payload:    codec.kind(),
-		Records:    s.n,
-		HasVals:    s.hasVals,
-		Layout:     int(s.cfg.Layout),
-		B:          s.cfg.B,
-		Algorithm:  int(s.cfg.Algorithm),
-		Duplicates: int(s.cfg.Duplicates),
-		ShardLens:  lens,
-	}
-	if version == segV21 {
-		// The streamable format states lengths only in the trailing 'f'
-		// frame; a buffered writer follows the same shape so readers see
-		// one v2.1, not two.
-		hdr.Records = 0
-		hdr.ShardLens = nil
-	}
-	if version != segV1 {
-		kk, _ := fixedKind(reflect.TypeFor[K]())
-		var zk K
-		hdr.Endian = hostEndian()
-		hdr.KeyKind = int(kk)
-		hdr.KeyWidth = int(unsafe.Sizeof(zk))
-		if s.hasVals {
-			vw, vk, _ := codec.rawElem()
-			hdr.ValKind = int(vk)
-			hdr.ValWidth = vw
-		}
-		// A shard's raw array is one frame, and must be: a mapped shard
-		// is served as one contiguous region, so it cannot be chunked.
-		// blockio caps a frame at MaxBlock (1 GiB) — reject here with an
-		// actionable error instead of failing mid-stream.
-		width := max(hdr.KeyWidth, hdr.ValWidth)
-		for i, l := range lens {
-			if l > blockio.MaxBlock/width {
-				return int64(n), fmt.Errorf("store: shard %d holds %d records × %d bytes, over the %d-byte per-shard frame cap of the raw segment codec; build with more shards (WithShards) to persist a dataset this large",
-					i, l, width, blockio.MaxBlock)
-			}
-		}
+	hdr := newSegHeader(segV1, codec.kind(), s.hasVals, s.cfg)
+	hdr.Records = s.n
+	for _, sh := range s.shards {
+		hdr.ShardLens = append(hdr.ShardLens, sh.idx.Len())
 	}
 	if err := writeGobFrame(bw, tagSegHeader, hdr); err != nil {
 		return base + bw.Offset(), err
 	}
-	align := int64(segAlignFor(s.cfg.Layout))
 	for i, sh := range s.shards {
-		if version != segV1 {
-			if err := writeRawFrame(bw, base, tagSegKeys, mmapio.Bytes(sh.idx.Data()), align); err != nil {
-				return base + bw.Offset(), err
-			}
-			if s.hasVals {
-				if err := writeRawFrame(bw, base, codec.rawTag(), mmapio.Bytes(s.svals[i]), align); err != nil {
-					return base + bw.Offset(), err
-				}
-			}
-			continue
-		}
 		if err := writeGobFrame(bw, tagSegKeys, sh.idx.Data()); err != nil {
 			return base + bw.Offset(), err
 		}
@@ -576,30 +527,17 @@ func writeSegStreamVersion[K cmp.Ordered, V any](w io.Writer, s *Store[K, V], co
 			}
 		}
 	}
-	if version == segV21 {
-		sf := segFilter{ShardLens: lens, Records: s.n}
-		if s.bloom != nil {
-			sf.Bloom = s.bloom.Marshal()
-		}
-		if err := writeGobFrame(bw, tagSegFilter, sf); err != nil {
-			return base + bw.Offset(), err
-		}
-	}
-	if err := writeGobFrame(bw, tagSegTrailer, segTrailer{Records: s.n}); err != nil {
-		return base + bw.Offset(), err
-	}
-	return base + bw.Offset(), nil
+	err = writeGobFrame(bw, tagSegTrailer, segTrailer{Records: s.n})
+	return base + bw.Offset(), err
 }
 
 // validateSegHeader runs the structural checks shared by every reader:
 // known version and layout, consistent record and shard counts, and —
-// for v2 — the platform contract (byte order, key/value kinds and
-// widths must match this build on this machine, or the raw arrays would
-// be served as garbage).
+// for raw segments — the platform contract (byte order, key/value kinds
+// and widths must match this build on this machine, or the raw arrays
+// would be served as garbage).
 func validateSegHeader[K cmp.Ordered, V any](hdr *segHeader, codec segCodec[V]) error {
-	switch hdr.Version {
-	case segV1, segV2, segV21:
-	default:
+	if !knownSegVersion(hdr.Version) {
 		return fmt.Errorf("%w: version %d, this build reads v%d (gob), v%d (raw), and v%d (raw streamable) — written by a newer build?",
 			errSegVersionUnknown, hdr.Version, segV1, segV2, segV21)
 	}
@@ -653,10 +591,9 @@ func validateSegHeader[K cmp.Ordered, V any](hdr *segHeader, codec segCodec[V]) 
 	return nil
 }
 
-// validateShardLens checks a segment's per-shard record counts: at
-// least one shard, every shard non-empty, and the lengths summing to
-// the stated record count. v1/v2 readers apply it to the header's
-// lengths, v2.1 readers to the trailing filter frame's.
+// validateShardLens checks the per-shard record counts a v1 or v2
+// header states: at least one shard, every shard non-empty, and the
+// lengths summing to the stated record count.
 func validateShardLens(lens []int, records int) error {
 	if records < 1 || len(lens) < 1 || len(lens) > records {
 		return fmt.Errorf("store: segment structure malformed (records=%d shards=%d)",
@@ -677,20 +614,24 @@ func validateShardLens(lens []int, records int) error {
 	return nil
 }
 
-// newSegStore allocates the Store shell every reader fills in: config
-// recovered from the header, worker bound from the options.
-func newSegStore[K cmp.Ordered, V any](hdr *segHeader, opts []Option) *Store[K, V] {
-	workers := runtime.GOMAXPROCS(0)
+// newSegStore assembles a reopened Store around the shard arrays a
+// reader recovered: config from the header, worker bound from the
+// options, and the routing metadata by rank arithmetic over the permuted
+// arrays — each shard's fence is its in-order rank 0, maxKey the last
+// shard's last rank — so no sorted copy of a shard ever exists on the
+// read path.
+func newSegStore[K cmp.Ordered, V any](hdr *segHeader, opts []Option, keys [][]K, vals [][]V) (*Store[K, V], error) {
 	var optc Config
 	for _, o := range opts {
 		o(&optc)
 	}
-	if optc.Workers >= 1 {
-		workers = optc.Workers
+	workers := optc.Workers
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Store[K, V]{
 		cfg: Config{
-			Shards:     len(hdr.ShardLens),
+			Shards:     len(keys),
 			Layout:     layout.Kind(hdr.Layout),
 			B:          hdr.B,
 			Workers:    workers,
@@ -699,25 +640,26 @@ func newSegStore[K cmp.Ordered, V any](hdr *segHeader, opts []Option) *Store[K, 
 		},
 		n:       hdr.Records,
 		hasVals: hdr.HasVals,
-		shards:  make([]shard[K], len(hdr.ShardLens)),
-		fences:  make([]K, len(hdr.ShardLens)),
+		shards:  make([]shard[K], len(keys)),
+		fences:  make([]K, len(keys)),
 	}
 	if hdr.HasVals {
-		s.svals = make([][]V, len(hdr.ShardLens))
+		s.svals = vals
 	}
-	return s
-}
-
-// checkFences verifies the recovered fences ascend. (Equal fences are
-// possible under KeepAll, where an equal-key run may straddle a shard
-// boundary.)
-func checkFences[K cmp.Ordered, V any](s *Store[K, V]) error {
-	for i := 1; i < len(s.fences); i++ {
-		if s.fences[i] < s.fences[i-1] {
-			return fmt.Errorf("store: segment fence keys not ascending at shard %d", i)
+	off := 0
+	for i, k := range keys {
+		s.shards[i] = shard[K]{off: off, idx: search.NewIndex(k, s.cfg.Layout, hdr.B)}
+		s.fences[i] = s.shards[i].idx.AtRank(0)
+		off += len(k)
+		// Equal fences are possible under KeepAll, where an equal-key
+		// run may straddle a shard boundary; descending ones never are.
+		if i > 0 && s.fences[i] < s.fences[i-1] {
+			return nil, fmt.Errorf("store: segment fence keys not ascending at shard %d", i)
 		}
 	}
-	return nil
+	last := s.shards[len(s.shards)-1].idx
+	s.maxKey = last.AtRank(last.Len() - 1)
+	return s, nil
 }
 
 func readSegStream[K cmp.Ordered, V any](r io.Reader, codec segCodec[V], opts []Option) (*Store[K, V], error) {
@@ -736,60 +678,36 @@ func readSegStream[K cmp.Ordered, V any](r io.Reader, codec segCodec[V], opts []
 	if err := validateSegHeader[K](&hdr, codec); err != nil {
 		return nil, err
 	}
-	if hdr.Version == segV21 {
-		return readSegStreamV21[K](br, &hdr, codec, opts)
+	if hdr.Version != segV1 {
+		// blockio.Reader hands every payload a fresh allocation, so the
+		// parser may keep each array frame as the shard array itself.
+		return parseRawSeg[K](br.Next, &hdr, codec, opts)
 	}
-	s := newSegStore[K, V](&hdr, opts)
-	kind := s.cfg.Layout
 
-	// The heap backing: one contiguous array per record column, shards
-	// windowed back to back, exactly as Build leaves them.
+	// v1: one contiguous heap array per record column, shards windowed
+	// back to back exactly as Build leaves them, and gob decoding each
+	// shard straight into its window.
 	keys := make([]K, hdr.Records)
 	var vals []V
 	if hdr.HasVals {
 		vals = make([]V, hdr.Records)
 	}
+	shardKeys := make([][]K, len(hdr.ShardLens))
+	shardVals := make([][]V, len(hdr.ShardLens))
 	off := 0
 	for i, l := range hdr.ShardLens {
-		// Decode the shard's permuted arrays directly into the store's
-		// backing slices — the read path's whole job is this copy-free
-		// landing.
-		if hdr.Version == segV2 {
-			raw, err := readRawFrame(br, tagSegKeys, l, hdr.KeyWidth)
-			if err != nil {
-				return nil, err
-			}
-			copy(mmapio.Bytes(keys[off:off+l]), raw)
-			if hdr.HasVals {
-				raw, err := readRawFrame(br, codec.rawTag(), l, hdr.ValWidth)
-				if err != nil {
-					return nil, err
-				}
-				copy(mmapio.Bytes(vals[off:off+l]), raw)
-			}
-		} else {
-			if err := readGobSlice(br, tagSegKeys, l, keys[off:off:off+l]); err != nil {
-				return nil, err
-			}
-			if hdr.HasVals {
-				if err := codec.readShard(br, l, vals[off:off:off+l]); err != nil {
-					return nil, err
-				}
-			}
+		if err := readGobSlice(br, tagSegKeys, l, keys[off:off:off+l]); err != nil {
+			return nil, err
 		}
-		data := keys[off : off+l : off+l]
-		s.shards[i] = shard[K]{off: off, idx: search.NewIndex(data, kind, hdr.B)}
+		shardKeys[i] = keys[off : off+l : off+l]
 		if hdr.HasVals {
-			s.svals[i] = vals[off : off+l : off+l]
+			if err := codec.readShard(br, l, vals[off:off:off+l]); err != nil {
+				return nil, err
+			}
+			shardVals[i] = vals[off : off+l : off+l]
 		}
-		// The fence is the shard's smallest key: in-order rank 0, located
-		// by index arithmetic in the permuted array — no sorted copy of
-		// the shard ever exists on the read path.
-		s.fences[i] = s.shards[i].idx.AtRank(0)
 		off += l
 	}
-	last := s.shards[len(s.shards)-1].idx
-	s.maxKey = last.AtRank(last.Len() - 1)
 	var tr segTrailer
 	if err := readGobFrame(br, tagSegTrailer, &tr); err != nil {
 		return nil, fmt.Errorf("store: segment trailer missing (file truncated?): %w", err)
@@ -797,115 +715,126 @@ func readSegStream[K cmp.Ordered, V any](r io.Reader, codec segCodec[V], opts []
 	if tr.Records != hdr.Records {
 		return nil, fmt.Errorf("store: segment trailer says %d records, header %d", tr.Records, hdr.Records)
 	}
-	if err := checkFences(s); err != nil {
+	return newSegStore(&hdr, opts, shardKeys, shardVals)
+}
+
+// parseRawSeg is the one parser of the raw formats, v2 and v2.1, run on
+// the frames that follow a validated header. next is the frame source: a
+// checksumming stream whose every payload is a fresh allocation, or a
+// walk over mapped bytes that checksums the structural frames but not
+// the bulk arrays. Each shard's length comes from the size of its 'k'
+// frame, and the lengths observed are then cross-checked against the
+// ones the writer stated — in the v2 header, or in the v2.1 'f' frame.
+// Every array is served as a view of its frame payload, in place, so a
+// reopen copies nothing; mmapio.View refuses a payload misaligned for
+// its element type.
+func parseRawSeg[K cmp.Ordered, V any](next frameSource, hdr *segHeader, codec segCodec[V], opts []Option) (*Store[K, V], error) {
+	endTag := byte(tagSegTrailer)
+	if hdr.Version == segV21 {
+		endTag = tagSegFilter
+	}
+	var (
+		keys    [][]K
+		vals    [][]V
+		lens    []int
+		records int
+		end     []byte // payload of the frame after the last shard
+	)
+	for {
+		tag, payload, err := next()
+		if err != nil {
+			return nil, fmt.Errorf("store: reading segment shard frames (file truncated?): %w", err)
+		}
+		if tag != tagSegPad {
+			if tag != endTag {
+				return nil, fmt.Errorf("store: frame %q where pad or %q expected", tag, endTag)
+			}
+			end = payload
+			break
+		}
+		k, err := rawArray[K](next, tagSegKeys, 0)
+		if err != nil {
+			return nil, err
+		}
+		keys, lens, records = append(keys, k), append(lens, len(k)), records+len(k)
+		if hdr.HasVals {
+			if err := nextPad(next, codec.rawTag()); err != nil {
+				return nil, err
+			}
+			v, err := rawArray[V](next, codec.rawTag(), len(k))
+			if err != nil {
+				return nil, err
+			}
+			vals = append(vals, v)
+		}
+	}
+	var sf segFilter
+	var tr segTrailer
+	if hdr.Version == segV21 {
+		if err := decodeGob(end, tagSegFilter, &sf); err != nil {
+			return nil, err
+		}
+		hdr.ShardLens, hdr.Records = sf.ShardLens, sf.Records
+		if err := nextGobFrame(next, tagSegTrailer, &tr); err != nil {
+			return nil, fmt.Errorf("store: segment trailer missing (file truncated?): %w", err)
+		}
+	} else if err := decodeGob(end, tagSegTrailer, &tr); err != nil {
 		return nil, err
+	}
+	// A mismatch means a frame went missing or a foreign frame slipped
+	// in, both of which somehow kept their checksums — refuse. (Each
+	// observed length is nonzero, so agreement also validates v2.1's
+	// stated lengths.)
+	if records == 0 || hdr.Records != records || tr.Records != records || !slices.Equal(hdr.ShardLens, lens) {
+		return nil, fmt.Errorf("store: segment states %d records in shards %v (trailer %d), its frames hold %d in %v",
+			hdr.Records, hdr.ShardLens, tr.Records, records, lens)
+	}
+	s, err := newSegStore(hdr, opts, keys, vals)
+	if err != nil {
+		return nil, err
+	}
+	if len(sf.Bloom) > 0 {
+		if s.bloom, err = filter.Unmarshal(sf.Bloom); err != nil {
+			return nil, fmt.Errorf("store: segment run filter: %w", err)
+		}
 	}
 	return s, nil
 }
 
-// readSegStreamV21 reads the streamable v2.1 format: the shard frames
-// arrive before their lengths are known, so the reader derives each
-// shard's record count from its key frame's size, collects the payloads
-// (blockio hands each frame a fresh slice, so retaining them is safe),
-// and only then — at the 'f' frame — learns the writer's view of the
-// structure, which must agree exactly with what was observed.
-func readSegStreamV21[K cmp.Ordered, V any](br *blockio.Reader, hdr *segHeader, codec segCodec[V], opts []Option) (*Store[K, V], error) {
-	var rawKeys, rawVals [][]byte
-	var sf segFilter
-	for {
-		tag, payload, err := br.Next()
-		if err != nil {
-			return nil, fmt.Errorf("store: reading segment shard frames (file truncated?): %w", err)
-		}
-		if tag == tagSegFilter {
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&sf); err != nil {
-				return nil, fmt.Errorf("store: decoding frame %q: %w", tagSegFilter, err)
-			}
-			break
-		}
-		if tag != tagSegPad {
-			return nil, fmt.Errorf("store: frame %q where pad or filter expected", tag)
-		}
-		tag, payload, err = br.Next()
-		if err != nil {
-			return nil, fmt.Errorf("store: reading frame %q: %w", tagSegKeys, err)
-		}
-		if tag != tagSegKeys {
-			return nil, fmt.Errorf("store: frame %q where %q expected", tag, tagSegKeys)
-		}
-		if len(payload) == 0 || len(payload)%hdr.KeyWidth != 0 {
-			return nil, fmt.Errorf("store: segment frame %q holds %d bytes, not a positive multiple of the %d-byte key width",
-				tagSegKeys, len(payload), hdr.KeyWidth)
-		}
-		l := len(payload) / hdr.KeyWidth
-		rawKeys = append(rawKeys, payload)
-		if hdr.HasVals {
-			raw, err := readRawFrame(br, codec.rawTag(), l, hdr.ValWidth)
-			if err != nil {
-				return nil, err
-			}
-			rawVals = append(rawVals, raw)
-		}
+// nextPad consumes the pad frame that precedes a raw array frame.
+func nextPad(next frameSource, before byte) error {
+	tag, _, err := next()
+	if err != nil {
+		return fmt.Errorf("store: reading pad before frame %q: %w", before, err)
 	}
-	// The observed structure is authoritative only if the 'f' frame
-	// agrees: a mismatch means a frame went missing or a foreign frame
-	// slipped in, both of which somehow kept their checksums — refuse.
-	lens := make([]int, len(rawKeys))
-	records := 0
-	for i, rk := range rawKeys {
-		lens[i] = len(rk) / hdr.KeyWidth
-		records += lens[i]
+	if tag != tagSegPad {
+		return fmt.Errorf("store: frame %q where pad expected", tag)
 	}
-	if err := validateShardLens(sf.ShardLens, sf.Records); err != nil {
-		return nil, err
+	return nil
+}
+
+// rawArray reads one raw array frame, which must carry the tag want and
+// hold exactly n elements — or, for n == 0, any nonzero count (a key
+// frame, which states its shard's length) — and views it as a []T.
+func rawArray[T any](next frameSource, want byte, n int) ([]T, error) {
+	tag, payload, err := next()
+	if err != nil {
+		return nil, fmt.Errorf("store: reading frame %q: %w", want, err)
 	}
-	if sf.Records != records || !slices.Equal(sf.ShardLens, lens) {
-		return nil, fmt.Errorf("store: segment filter frame says %d records in shards %v, stream holds %d in %v",
-			sf.Records, sf.ShardLens, records, lens)
+	if tag != want {
+		return nil, fmt.Errorf("store: frame %q where %q expected", tag, want)
 	}
-	hdr.Records = records
-	hdr.ShardLens = lens
-	s := newSegStore[K, V](hdr, opts)
-	kind := s.cfg.Layout
-	keys := make([]K, records)
-	var vals []V
-	if hdr.HasVals {
-		vals = make([]V, records)
+	a, err := mmapio.View[T](payload)
+	if err != nil {
+		return nil, fmt.Errorf("store: segment frame %q: %w", want, err)
 	}
-	off := 0
-	for i, l := range lens {
-		copy(mmapio.Bytes(keys[off:off+l]), rawKeys[i])
-		if hdr.HasVals {
-			copy(mmapio.Bytes(vals[off:off+l]), rawVals[i])
-		}
-		data := keys[off : off+l : off+l]
-		s.shards[i] = shard[K]{off: off, idx: search.NewIndex(data, kind, hdr.B)}
-		if hdr.HasVals {
-			s.svals[i] = vals[off : off+l : off+l]
-		}
-		s.fences[i] = s.shards[i].idx.AtRank(0)
-		off += l
+	if len(a) == 0 {
+		return nil, fmt.Errorf("store: segment frame %q is empty", want)
 	}
-	last := s.shards[len(s.shards)-1].idx
-	s.maxKey = last.AtRank(last.Len() - 1)
-	if len(sf.Bloom) > 0 {
-		b, err := filter.Unmarshal(sf.Bloom)
-		if err != nil {
-			return nil, fmt.Errorf("store: segment run filter: %w", err)
-		}
-		s.bloom = b
+	if n > 0 && len(a) != n {
+		return nil, fmt.Errorf("store: segment frame %q holds %d elements, its shard %d keys", want, len(a), n)
 	}
-	var tr segTrailer
-	if err := readGobFrame(br, tagSegTrailer, &tr); err != nil {
-		return nil, fmt.Errorf("store: segment trailer missing (file truncated?): %w", err)
-	}
-	if tr.Records != records {
-		return nil, fmt.Errorf("store: segment trailer says %d records, shard frames hold %d", tr.Records, records)
-	}
-	if err := checkFences(s); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return a, nil
 }
 
 // probeSegmentVersion reads just enough of a segment file to learn its

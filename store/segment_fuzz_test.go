@@ -29,8 +29,9 @@ var v2FuzzLayouts = [8]struct {
 
 // FuzzSegmentRoundTripV2 drives the raw fixed-width codec the way
 // FuzzSegmentRoundTrip drives gob: fuzzer-shaped record sets over
-// fixed-width keys AND values, so WriteTo picks codec v2 and the raw
-// frames, padding, and platform-contract header fields are all in play.
+// fixed-width keys AND values, so WriteTo writes raw v2.1 through
+// segWriter with a plain payload, and the raw frames, padding, filter
+// frame, and platform-contract header fields are all in play.
 // Properties: encode→decode identity (heap), truncation and bit-flip
 // rejection (heap — the checksum-verifying reader), and a mapped parse
 // of the same bytes that either refuses or serves the identical records,

@@ -13,137 +13,165 @@ import (
 	"implicitlayout/perm"
 )
 
-// segWriter writes a v2.1 run segment front to back, one shard at a
-// time, without ever holding more than one shard's records: the caller
-// hands AppendShard each shard's sorted keys and payloads as the merged
-// stream produces them, the writer permutes them into the run's layout
-// in place and appends their raw frames, and Finish seals the stream
-// with the filter frame (shard lengths, record count, bloom filter) and
-// the trailer. This is the streaming compaction's output half — the
-// reason a merge of arbitrarily many records peaks at one shard of
-// heap.
+// segWriter is the one writer of the raw segment format: it writes v2.1
+// front to back, one shard at a time, without ever holding more than one
+// shard's records. Every fixed-width store reaches disk through it. A
+// built store (Store.WriteTo, a DB flush, the in-memory merge sink)
+// hands it each already-permuted shard in turn; the streaming compaction
+// hands AppendShard each shard's sorted records as the merged stream
+// produces them, and the writer permutes them into the run's layout in
+// place first — the reason a merge of arbitrarily many records peaks at
+// one shard of heap. Finish seals the stream with the filter frame
+// (shard lengths, record count, bloom filter) and the trailer.
 //
-// The caller contract mirrors what a Build would have produced: each
-// shard's keys strictly ascend (the run codec is KeepLast — no
-// duplicates), successive shards ascend across the boundary, and no
-// shard is empty. AppendShard permutes the caller's slices in place, so
-// the caller may reuse them for the next shard once the call returns.
-// A segWriter abandoned without Finish leaves a stream with no trailer,
-// which every reader refuses — the crash-mid-merge story needs no
-// writer-side cleanup.
-type segWriter[K cmp.Ordered, V any] struct {
+// E is the on-disk element type: the user value for plain segments, the
+// mval wrapper for run segments. The AppendShard contract mirrors what a
+// Build would have produced: each shard's keys strictly ascend (the run
+// codec is KeepLast — no duplicates), successive shards ascend across
+// the boundary, and no shard is empty. AppendShard permutes the caller's
+// slices in place, so the caller may reuse them for the next shard once
+// the call returns. A segWriter abandoned without Finish leaves a stream
+// with no trailer, which every reader refuses — the crash-mid-merge
+// story needs no writer-side cleanup.
+type segWriter[K cmp.Ordered, E any] struct {
 	bw       *blockio.Writer
 	base     int64 // magic length: the frames' offset within the file
 	cfg      Config
 	align    int64
-	keyWidth int
-	valWidth int
+	hasVals  bool
+	valTag   byte
+	width    int // widest element: sizes the per-shard frame cap
 	bloom    *filter.Bloom
 	lens     []int
 	records  int
 	finished bool
 }
 
-// runStreamable reports whether runs of this type pair can take the
-// streaming merge path at all: the v2.1 codec is raw-only, so both the
-// key and the mval payload must be fixed-width. Everything else (string
-// keys, struct values) merges through the in-memory path and persists
-// as v1.
-func runStreamable[K cmp.Ordered, V any]() bool {
-	if _, ok := fixedKind(reflect.TypeFor[K]()); !ok {
-		return false
-	}
-	_, _, ok := runCodec[V]{}.rawElem()
-	return ok
+// newSegWriter starts the streamed v2.1 run segment of a compaction.
+// upper is an upper bound on the record count (the sum of the merge
+// inputs), used only to size the bloom filter AppendShard fills;
+// overshooting it costs filter density, never correctness. cfg carries
+// the run build parameters (layout, B, algorithm, workers) the shards
+// are permuted with.
+func newSegWriter[K cmp.Ordered, V any](w io.Writer, cfg Config, upper int) (*segWriter[K, mval[V]], error) {
+	return startSegWriter[K](w, cfg, runCodec[V]{}, true, filter.New(upper))
 }
 
-// newSegWriter starts a v2.1 run segment on w: magic plus the header,
+// startSegWriter starts a v2.1 segment on w: magic plus the header,
 // whose structural counts stay zero — the trailing filter frame states
-// them once the stream has run dry. upper is an upper bound on the
-// record count (the sum of the merge inputs), used only to size the
-// bloom filter; overshooting it costs filter density, never
-// correctness. cfg carries the run build parameters (layout, B,
-// algorithm, workers) the shards are permuted with.
-func newSegWriter[K cmp.Ordered, V any](w io.Writer, cfg Config, upper int) (*segWriter[K, V], error) {
-	if !runStreamable[K, V]() {
-		return nil, fmt.Errorf("store: streaming segment writer requires fixed-width key and value types")
-	}
-	n, err := io.WriteString(w, segMagic)
-	if err != nil {
-		return nil, err
-	}
-	sw := &segWriter[K, V]{
-		bw:    blockio.NewWriter(w),
-		base:  int64(n),
-		cfg:   cfg,
-		align: int64(segAlignFor(cfg.Layout)),
-		bloom: filter.New(upper),
+// them once the stream has run dry. codec names the payload kind and
+// the value element; bloom is the filter Finish writes (nil writes
+// none). Once the types pass the raw eligibility check the writer is
+// returned even if writing the header fails, so the bytes it wrote stay
+// countable.
+func startSegWriter[K cmp.Ordered, E any](w io.Writer, cfg Config, codec segCodec[E], hasVals bool, bloom *filter.Bloom) (*segWriter[K, E], error) {
+	if !rawSegEligible[K](codec, hasVals) {
+		return nil, fmt.Errorf("store: raw segment writer requires fixed-width key and value types")
 	}
 	kk, _ := fixedKind(reflect.TypeFor[K]())
 	var zk K
-	sw.keyWidth = int(unsafe.Sizeof(zk))
-	vw, vk, _ := runCodec[V]{}.rawElem()
-	sw.valWidth = vw
-	hdr := segHeader{
-		Version:    segV21,
-		Payload:    segPayloadRun,
-		HasVals:    true,
-		Layout:     int(cfg.Layout),
-		B:          cfg.B,
-		Algorithm:  int(cfg.Algorithm),
-		Duplicates: int(cfg.Duplicates),
-		Endian:     hostEndian(),
-		KeyKind:    int(kk),
-		KeyWidth:   sw.keyWidth,
-		ValKind:    int(vk),
-		ValWidth:   vw,
+	hdr := newSegHeader(segV21, codec.kind(), hasVals, cfg)
+	hdr.Endian = hostEndian()
+	hdr.KeyKind = int(kk)
+	hdr.KeyWidth = int(unsafe.Sizeof(zk))
+	if hasVals {
+		vw, vk, _ := codec.rawElem()
+		hdr.ValKind = int(vk)
+		hdr.ValWidth = vw
 	}
-	if err := writeGobFrame(sw.bw, tagSegHeader, hdr); err != nil {
-		return nil, err
+	n, err := io.WriteString(w, segMagic)
+	sw := &segWriter[K, E]{
+		bw:      blockio.NewWriter(w),
+		base:    int64(n),
+		cfg:     cfg,
+		align:   int64(segAlignFor(cfg.Layout)),
+		hasVals: hasVals,
+		valTag:  codec.rawTag(),
+		width:   max(hdr.KeyWidth, hdr.ValWidth),
+		bloom:   bloom,
 	}
-	return sw, nil
+	if err == nil {
+		err = writeGobFrame(sw.bw, tagSegHeader, hdr)
+	}
+	return sw, err
 }
 
 // AppendShard permutes one shard's sorted records into the configured
 // layout — in place, mutating the caller's slices — and appends their
 // raw frames. Every key is also fed to the run's bloom filter here, so
 // filter construction rides the single pass the write already makes.
-func (sw *segWriter[K, V]) AppendShard(keys []K, vals []mval[V]) error {
-	if sw.finished {
-		return fmt.Errorf("store: AppendShard after Finish")
-	}
-	if len(keys) == 0 || len(keys) != len(vals) {
-		return fmt.Errorf("store: segment shard holds %d keys and %d values; want equal and nonzero", len(keys), len(vals))
-	}
-	if w := max(sw.keyWidth, sw.valWidth); len(keys) > blockio.MaxBlock/w {
-		return fmt.Errorf("store: segment shard holds %d records × %d bytes, over the %d-byte per-shard frame cap of the raw segment codec",
-			len(keys), w, blockio.MaxBlock)
+func (sw *segWriter[K, E]) AppendShard(keys []K, vals []E) error {
+	if err := sw.checkShard(keys, vals); err != nil {
+		return err
 	}
 	for _, k := range keys {
 		sw.bloom.Add(keyHash(k))
 	}
 	perm.PermuteWith(keys, vals, sw.cfg.Layout, sw.cfg.Algorithm,
 		perm.WithWorkers(sw.cfg.Workers), perm.WithB(sw.cfg.B))
-	if err := writeRawFrame(sw.bw, sw.base, tagSegKeys, mmapio.Bytes(keys), sw.align); err != nil {
+	return sw.appendPermuted(keys, vals)
+}
+
+// appendPermuted appends one shard whose arrays already sit in the
+// segment's layout: a pad frame and the raw array for the keys, then for
+// the values when the segment has them. A shard's raw array is one
+// frame, and must be: a mapped shard is served as one contiguous region.
+func (sw *segWriter[K, E]) appendPermuted(keys []K, vals []E) error {
+	if err := sw.checkShard(keys, vals); err != nil {
 		return err
 	}
-	if err := writeRawFrame(sw.bw, sw.base, tagSegRawVals, mmapio.Bytes(vals), sw.align); err != nil {
+	if err := sw.writeArray(tagSegKeys, mmapio.Bytes(keys)); err != nil {
 		return err
+	}
+	if sw.hasVals {
+		if err := sw.writeArray(sw.valTag, mmapio.Bytes(vals)); err != nil {
+			return err
+		}
 	}
 	sw.lens = append(sw.lens, len(keys))
 	sw.records += len(keys)
 	return nil
 }
 
+func (sw *segWriter[K, E]) checkShard(keys []K, vals []E) error {
+	if sw.finished {
+		return fmt.Errorf("store: segment shard appended after Finish")
+	}
+	if len(keys) == 0 || (sw.hasVals && len(keys) != len(vals)) {
+		return fmt.Errorf("store: segment shard holds %d keys and %d values; want equal and nonzero", len(keys), len(vals))
+	}
+	// blockio caps a frame at MaxBlock (1 GiB): refuse here with an
+	// actionable error rather than fail inside the frame writer.
+	if len(keys) > blockio.MaxBlock/sw.width {
+		return fmt.Errorf("store: segment shard holds %d records × %d bytes, over the %d-byte per-shard frame cap of the raw segment codec; build with more shards (WithShards) to persist a dataset this large",
+			len(keys), sw.width, blockio.MaxBlock)
+	}
+	return nil
+}
+
+// segZeros backs pad-frame payloads (at most segPageAlign-1 bytes of
+// them).
+var segZeros [segPageAlign]byte
+
+// writeArray writes one raw array: a pad frame sized so the payload that
+// follows starts at an align-aligned file offset, then the array bytes.
+func (sw *segWriter[K, E]) writeArray(tag byte, payload []byte) error {
+	pad := int((sw.align - (sw.base+sw.bw.Offset()+2*blockio.HeaderSize)%sw.align) % sw.align)
+	if err := sw.bw.WriteBlock(tagSegPad, segZeros[:pad]); err != nil {
+		return err
+	}
+	return sw.bw.WriteBlock(tag, payload)
+}
+
 // Records returns the record count appended so far.
-func (sw *segWriter[K, V]) Records() int { return sw.records }
+func (sw *segWriter[K, E]) Records() int { return sw.records }
 
 // Finish seals the segment: the filter frame carrying the shard
 // lengths, record count, and bloom filter, then the trailer that marks
 // the stream complete. At least one shard must have been appended — an
 // empty segment is not a valid stream, and the compactor never writes
 // one (an all-tombstone merge abandons the file instead).
-func (sw *segWriter[K, V]) Finish() error {
+func (sw *segWriter[K, E]) Finish() error {
 	if sw.finished {
 		return fmt.Errorf("store: Finish called twice")
 	}
@@ -151,7 +179,10 @@ func (sw *segWriter[K, V]) Finish() error {
 		return fmt.Errorf("store: Finish on a segment with no shards")
 	}
 	sw.finished = true
-	sf := segFilter{ShardLens: sw.lens, Records: sw.records, Bloom: sw.bloom.Marshal()}
+	sf := segFilter{ShardLens: sw.lens, Records: sw.records}
+	if sw.bloom != nil {
+		sf.Bloom = sw.bloom.Marshal()
+	}
 	if err := writeGobFrame(sw.bw, tagSegFilter, sf); err != nil {
 		return err
 	}

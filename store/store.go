@@ -130,10 +130,11 @@ type Config struct {
 	Algorithm perm.Algorithm
 	// Duplicates selects the duplicate-key policy (default KeepLast).
 	Duplicates DuplicatePolicy
-	// Mmap asks OpenStore (and DB segment reopens) to serve codec-v2
-	// segment files from a read-only memory mapping instead of decoding
-	// them onto the heap: open cost drops from O(data) to O(shards), and
-	// the OS page cache — not the Go heap — holds the working set.
+	// Mmap asks OpenStore (and DB segment reopens) to serve raw (v2 or
+	// v2.1) segment files from a read-only memory mapping instead of
+	// decoding them onto the heap: open cost drops from O(data) to
+	// O(shards), and the OS page cache — not the Go heap — holds the
+	// working set.
 	// Ignored by Build (a built store is heap-born by construction) and
 	// silently degraded to heap decoding when the platform cannot map
 	// files or the segment is v1 (gob). See WithMmap.
@@ -162,7 +163,7 @@ func WithAlgorithm(a perm.Algorithm) Option { return func(c *Config) { c.Algorit
 // WithDuplicates selects the duplicate-key policy (default KeepLast).
 func WithDuplicates(d DuplicatePolicy) Option { return func(c *Config) { c.Duplicates = d } }
 
-// WithMmap selects zero-copy serving for OpenStore: a codec-v2 segment
+// WithMmap selects zero-copy serving for OpenStore: a raw v2/v2.1 segment
 // file is mapped read-only and its shard arrays are served in place from
 // the page cache, never decoded onto the heap. Platforms without mmap
 // and v1 (gob) segments fall back to heap decoding. See Store.Mapped and

@@ -136,13 +136,13 @@ func kwayMerge[K cmp.Ordered, V any](runs []*Store[K, mval[V]], lo, hi K, all, d
 // reused shard after shard (AppendShard writes the permuted bytes out
 // before returning).
 type shardStreamer[K cmp.Ordered, V any] struct {
-	w      *segWriter[K, V]
+	w      *segWriter[K, mval[V]]
 	target int
 	keys   []K
 	vals   []mval[V]
 }
 
-func newShardStreamer[K cmp.Ordered, V any](w *segWriter[K, V], target int) *shardStreamer[K, V] {
+func newShardStreamer[K cmp.Ordered, V any](w *segWriter[K, mval[V]], target int) *shardStreamer[K, V] {
 	return &shardStreamer[K, V]{
 		w:      w,
 		target: target,
