@@ -27,8 +27,8 @@ type AblationConfig struct {
 // cycle-leader algorithm from Section 4.2 — direct strided cycles,
 // per-worker cycle batching (the "simpler solution"), and the
 // matrix-transposition blocking — on both wall-clock time and simulated
-// block transfers. It substantiates the design-choice discussion in
-// DESIGN.md: batching wins on real caches; transposition wins on large
+// block transfers. It substantiates that section's design-choice
+// discussion: batching wins on real caches; transposition wins on large
 // blocks but pays constant-factor passes.
 func GatherAblation(cfg AblationConfig) Table {
 	if cfg.PEM.B == 0 {

@@ -2,11 +2,10 @@
 // figure of the paper's evaluation (Chapter 6 and Table 1.1). Each runner
 // executes the corresponding workload on this machine (or on the PEM/GPU
 // simulators) and returns a Table whose rows mirror the series the paper
-// plots; cmd/* print them, and EXPERIMENTS.md records paper-vs-measured.
+// plots; cmd/* print them.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -65,32 +64,6 @@ func (t *Table) CSV(w io.Writer) {
 	for _, r := range t.Rows {
 		fmt.Fprintln(w, strings.Join(r, ","))
 	}
-}
-
-// JSON writes the table as one machine-readable JSON object — title,
-// note, header, and both the raw rows and a records array of
-// header-keyed objects — so CI can archive benchmark runs
-// (BENCH_<name>.json) and trend them without parsing aligned text.
-func (t *Table) JSON(w io.Writer) error {
-	records := make([]map[string]string, len(t.Rows))
-	for i, r := range t.Rows {
-		rec := make(map[string]string, len(t.Header))
-		for j, h := range t.Header {
-			if j < len(r) {
-				rec[h] = r[j]
-			}
-		}
-		records[i] = rec
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Title   string              `json:"title"`
-		Note    string              `json:"note,omitempty"`
-		Header  []string            `json:"header"`
-		Rows    [][]string          `json:"rows"`
-		Records []map[string]string `json:"records"`
-	}{t.Title, t.Note, t.Header, t.Rows, records})
 }
 
 // timeIt runs f trials times after one warmup and returns the mean

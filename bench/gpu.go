@@ -11,7 +11,7 @@ import (
 
 // GPUConfig parameterizes the simulated-GPU experiments (Figures 6.8 and
 // 6.9). The device stands in for the paper's Tesla K40 — see package gpu
-// and DESIGN.md for the substitution rationale.
+// for the substitution rationale.
 type GPUConfig struct {
 	// MinLog and MaxLog bound the size sweep for Figure 6.8.
 	MinLog, MaxLog int

@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's tables and figures in testing.B
 // form, one per experiment, at a scale that completes quickly. The cmd/*
-// tools run the same experiments at paper scale with full sweeps; see
-// DESIGN.md's experiment index.
+// tools run the same experiments at paper scale with full sweeps; the
+// runners themselves live in package bench.
 package implicitlayout
 
 import (

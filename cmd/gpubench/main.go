@@ -1,5 +1,5 @@
 // Command gpubench regenerates the GPU experiments on the simulated
-// device (see internal/gpu and DESIGN.md for the hardware substitution):
+// device (see internal/gpu for the hardware substitution):
 // Figure 6.8 (modelled permute time per algorithm vs N) and Figure 6.9
 // (modelled combined permute+query time vs Q, with break-even points).
 package main

@@ -18,7 +18,8 @@
 //     blames for vEB's poor GPU performance (Figure 6.8).
 //
 // The absolute numbers are a model; the shape — who wins and by roughly
-// what factor — is what EXPERIMENTS.md compares against the paper.
+// what factor — is what to compare against the paper's Figures 6.8 and
+// 6.9 (cmd/gpubench prints both).
 package gpu
 
 import (

@@ -5,9 +5,14 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
+	"time"
 
+	"implicitlayout/internal/filter"
 	"implicitlayout/internal/par"
 	"implicitlayout/layout"
 )
@@ -339,5 +344,114 @@ func TestStreamShardPlan(t *testing.T) {
 	}
 	if got := streamShardPlan(Config{}, 0); got != 1 {
 		t.Fatalf("empty merge target = %d, want 1", got)
+	}
+}
+
+// TestStreamMergeHeapBound checks the streamed merge's memory claim:
+// peak merge heap is O(one output shard) plus the output's bloom
+// filter, not O(merged run). Eight strided, fully overlapping level-0
+// runs are served mapped, so the inputs live in the page cache, and one
+// 8-way merge is driven by Flush while a goroutine samples HeapAlloc.
+// A merge that buffered its whole output would grow the heap by at
+// least the merged run's payload on top of the filter; the streamed one
+// must stay under half of it.
+func TestStreamMergeHeapBound(t *testing.T) {
+	const runs = 8
+	n := 1 << 14 // preload Puts dominate the run time, most of all under -race
+	dir := t.TempDir()
+	opts := []Option{WithShards(64)}
+	// Fanout above the run count: the preload must leave the level-0
+	// stack intact for the measured merge to consume.
+	db, err := Open[uint64, uint64](dir, DBConfig{MemLimit: 2 * n, Fanout: runs + 1, Store: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Run r holds keys {i*runs + r}, so every run spans the whole key
+	// range and the merge interleaves all inputs.
+	for r := 0; r < runs; r++ {
+		for i := 0; i < n; i++ {
+			k := uint64(i*runs + r)
+			if err := db.Put(k, ^k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open[uint64, uint64](dir, DBConfig{MemLimit: 2 * n, Fanout: runs, Mmap: true, Store: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := db.Stats().Runs(); got != runs {
+		t.Fatalf("preload left %d runs, want %d", got, runs)
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	stop := make(chan struct{})
+	peak := make(chan uint64)
+	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		var ms runtime.MemStats
+		var hi uint64
+		for {
+			runtime.ReadMemStats(&ms)
+			hi = max(hi, ms.HeapAlloc)
+			select {
+			case <-stop:
+				peak <- hi
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	err = db.Flush() // level 0 is over-full: drives the 8-way merge
+	close(stop)
+	hi := <-peak
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	total := runs * n
+	if got := db.Stats().Runs(); got != 1 {
+		t.Fatalf("merge left %d runs, want 1", got)
+	}
+	// The merged run stores a key array and a run-payload array (value
+	// plus tombstone flag) per shard: the bytes a merge that buffered its
+	// output would hold.
+	payload := uint64(total) * uint64(8+reflect.TypeFor[mval[uint64]]().Size())
+	// The filter is O(records) by design, and sealing and reopening the
+	// segment hold up to eight copies of it at once: the writer's filter,
+	// its Marshal, gob's buffer and the bytes.Buffer it grows, and the
+	// frame on write; gob's read buffer, the decoded slice and the
+	// unmarshalled filter on reopen.
+	filterBytes := uint64(filter.New(total).Bytes())
+	limit := payload/2 + 8*filterBytes
+	growth := hi - min(hi, base)
+	t.Logf("merge of %d records: heap grew %d bytes; merged payload %d bytes, filter %d bytes",
+		total, growth, payload, filterBytes)
+	if growth >= limit {
+		t.Errorf("merge heap grew %d bytes: want < %d (half the %d-byte merged payload plus eight %d-byte filter copies)",
+			growth, limit, payload, filterBytes)
+	}
+	k := uint64(0)
+	db.Scan(func(key, v uint64) bool {
+		if key != k || v != ^k {
+			t.Fatalf("merged record %d = (%d, %d), want (%d, %d)", k, key, v, k, ^k)
+		}
+		k++
+		return true
+	})
+	if k != uint64(total) {
+		t.Fatalf("merged run holds %d records, want %d", k, total)
 	}
 }

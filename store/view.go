@@ -2,13 +2,15 @@ package store
 
 import "cmp"
 
-// View is a pinned point-in-time read view of a DB — the epoch-pinning
-// hook the wire server's batched reads ride. Creating one loads the
-// DB's snapshot pointer exactly once and captures the memtable that was
-// active at that moment; every read through the view resolves against
-// that same immutable epoch (frozen memtables + run stack), so a
-// multi-key batch or a long range never sees half its keys from one run
-// stack and half from another while a flush or merge races it.
+// View is a read view of a DB pinned to one run-stack epoch, with the
+// active memtable still live — the epoch-pinning hook the wire server's
+// batched reads ride. Creating one loads the DB's snapshot pointer
+// exactly once and captures the memtable that was active at that
+// moment; every read through the view resolves against that same
+// immutable epoch (frozen memtables + run stack), so a multi-key batch
+// or a long range never sees half its keys from one run stack and half
+// from another while a flush or merge races it. It is not a
+// point-in-time snapshot: see below.
 //
 // Pinning is free: the dbstate and its runs are immutable and
 // garbage-collected, so a View is three pointers, and dropping it (or
