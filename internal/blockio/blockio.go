@@ -48,9 +48,19 @@ const MaxBlock = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// tagCRC[t] is the CRC-32C of the one-byte string t: the running
+// checksum after the tag, from which checksum continues over the
+// payload. A table rather than a per-call one-byte slice, which the
+// checksum's assembly kernel would force onto the heap.
+var tagCRC = func() (t [256]uint32) {
+	for i := range t {
+		t[i] = crc32.Update(0, castagnoli, []byte{byte(i)})
+	}
+	return t
+}()
+
 func checksum(tag byte, payload []byte) uint32 {
-	crc := crc32.Update(0, castagnoli, []byte{tag})
-	return crc32.Update(crc, castagnoli, payload)
+	return crc32.Update(tagCRC[tag], castagnoli, payload)
 }
 
 // Writer appends frames to an underlying stream and tracks the byte
@@ -66,17 +76,26 @@ type Writer struct {
 // process crash loses nothing; fsync policy is the caller's).
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
+// AppendFrame appends one frame holding payload under tag to dst and
+// returns the extended slice. It is the one frame encoder: WriteBlock
+// wraps it, and a caller that writes many small frames (the write-ahead
+// log, one record per frame) reuses one buffer across them, so an
+// append allocates nothing once the buffer has grown. The caller keeps
+// payload within MaxBlock.
+func AppendFrame(dst []byte, tag byte, payload []byte) []byte {
+	var hdr [HeaderSize]byte
+	hdr[0] = tag
+	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[5:9], checksum(tag, payload))
+	return append(append(dst, hdr[:]...), payload...)
+}
+
 // WriteBlock appends one frame holding payload under the given tag.
 func (bw *Writer) WriteBlock(tag byte, payload []byte) error {
 	if len(payload) > MaxBlock {
 		return fmt.Errorf("blockio: payload of %d bytes exceeds MaxBlock", len(payload))
 	}
-	frame := make([]byte, HeaderSize+len(payload))
-	frame[0] = tag
-	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[5:9], checksum(tag, payload))
-	copy(frame[HeaderSize:], payload)
-	n, err := bw.w.Write(frame)
+	n, err := bw.w.Write(AppendFrame(make([]byte, 0, HeaderSize+len(payload)), tag, payload))
 	bw.off += int64(n)
 	return err
 }

@@ -45,6 +45,31 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendFrame: the frame encoder WriteBlock wraps appends exactly
+// the bytes WriteBlock writes, keeps what dst already held, and — into a
+// buffer with room — allocates nothing.
+func TestAppendFrame(t *testing.T) {
+	var want bytes.Buffer
+	bw := NewWriter(&want)
+	prefix := []byte("prefix")
+	got := bytes.Clone(prefix)
+	for i, p := range [][]byte{[]byte("hello"), nil, bytes.Repeat([]byte{0xAB}, 300)} {
+		tag := byte('a' + i)
+		if err := bw.WriteBlock(tag, p); err != nil {
+			t.Fatal(err)
+		}
+		got = AppendFrame(got, tag, p)
+	}
+	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want.Bytes()) {
+		t.Fatalf("AppendFrame wrote % x after the prefix, WriteBlock % x", got[len(prefix):], want.Bytes())
+	}
+	buf := make([]byte, 0, HeaderSize+16)
+	payload := make([]byte, 16)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendFrame(buf[:0], 'p', payload) }); n != 0 {
+		t.Fatalf("AppendFrame into a buffer with room: %v allocs, want 0", n)
+	}
+}
+
 func TestReaderDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	bw := NewWriter(&buf)

@@ -102,18 +102,19 @@ func (db *DB[K, V]) flushOne() bool {
 	return true
 }
 
-// mergeOne merges the runs of the shallowest over-full level (>= Fanout
-// runs) into one run of the next level, returning false when every level
-// is within bounds. Each victim is read in key order by a store cursor
-// over its permuted arrays (no Export, no heap copy of the inputs), and
-// the DB's one k-way merge resolves the victims newest-first with
-// first-hit-wins (see stream.go). A merge that consumes the oldest run
-// drops tombstones too — nothing older exists for them to shadow. The
-// survivors go to one of two sinks: a durable DB with fixed-width types
-// writes the output segment shard by shard, so its peak heap is one
-// output shard however large the inputs; memory-only DBs and types the
-// raw codec cannot stream (string keys, struct values) collect them for
-// one run build, O(output) heap.
+// mergeOne merges the oldest Fanout runs of the shallowest over-full
+// level (>= Fanout runs) into one run of the next level, returning false
+// when every level is within bounds (see overFullLevel). Each victim is
+// read in key order by a store cursor over its permuted arrays (no
+// Export, no heap copy of the inputs), and the DB's one k-way merge
+// resolves the victims newest-first with first-hit-wins (see
+// stream.go). A merge that consumes the oldest run drops tombstones too
+// — nothing older exists for them to shadow. The survivors go to one of
+// two sinks: a durable DB with fixed-width types writes the output
+// segment shard by shard, so its peak heap is one output shard however
+// large the inputs; memory-only DBs and types the raw codec cannot
+// stream (string keys, struct values) collect them for one run build,
+// O(output) heap.
 //
 // Durable mode follows the same swap protocol as flushOne: merged
 // segment written first, manifest rewritten without the victims (the
@@ -266,9 +267,14 @@ func mergeVictims[K cmp.Ordered, V any](victims []*run[K, V], dropTombs bool, em
 	kwayMerge(runs, zero, zero, true, dropTombs, emit)
 }
 
-// overFullLevel returns the bounds [lo, hi) of the runs of the
-// shallowest level holding at least fanout runs. Runs are newest-first
-// and level-ascending, so each level is one contiguous band.
+// overFullLevel returns the bounds [lo, hi) of the oldest fanout runs
+// of the shallowest level holding at least fanout runs. Runs are
+// newest-first and level-ascending, so each level is one contiguous band
+// and its oldest runs are the band's tail. Merging exactly fanout runs —
+// never the whole band a lagging compactor let pile up — makes every
+// level-L run the merge of Fanout^L memtables, so once the compactor
+// drains, the run stack spells the flush count in base Fanout whatever
+// the timing of writes and merges.
 func overFullLevel[K cmp.Ordered, V any](runs []*run[K, V], fanout int) (lo, hi int, ok bool) {
 	for i := 0; i < len(runs); {
 		j := i
@@ -276,7 +282,7 @@ func overFullLevel[K cmp.Ordered, V any](runs []*run[K, V], fanout int) (lo, hi 
 			j++
 		}
 		if j-i >= fanout {
-			return i, j, true
+			return j - fanout, j, true
 		}
 		i = j
 	}

@@ -113,8 +113,9 @@ type DB[K cmp.Ordered, V any] struct {
 	runOpts []Option // cfg.Store + the forced KeepLast policy
 	mu      sync.RWMutex
 	active  *memtable[K, V]
-	wal     *walWriter // active memtable's log; nil when memory-only or closed (guarded by mu)
-	closed  bool       // guarded by mu
+	wal     *walWriter[K, V] // active memtable's log; nil when memory-only or closed (guarded by mu)
+	walRaw  bool             // durable logs are raw v2 (walRawTypes), not gob; set once by Open
+	closed  bool             // guarded by mu
 	nextSeq atomic.Uint64
 	state   atomic.Pointer[dbstate[K, V]]
 	compact sync.Mutex // serializes maintain(): background worker vs Flush/Close
@@ -149,7 +150,9 @@ func NewDB[K cmp.Ordered, V any](cfg DBConfig) (*DB[K, V], error) {
 // segment, and deleted, so the acknowledged history is intact before
 // Open returns. (A log damaged beyond its tail is preserved under a
 // ".corrupt" suffix rather than deleted: its intact prefix is recovered,
-// the rest is kept for inspection.)
+// the rest is kept for inspection. A raw log written for other key or
+// value types fails Open with an error naming the mismatch and is left
+// in place.)
 //
 // The directory is held exclusively: Open takes an advisory flock on a
 // LOCK file inside it, so a second Open — from this or another process
@@ -197,11 +200,14 @@ func Open[K cmp.Ordered, V any](dir string, cfg DBConfig) (*DB[K, V], error) {
 // creation of the active memtable's log.
 func (db *DB[K, V]) openDir(dir string) error {
 	db.dir = dir
-	// Durable mode ships keys and values through gob; reject types it
-	// cannot carry now, not at the first Put.
-	var zeroK K
-	if _, _, err := encodeWALRecord(zeroK, mval[V]{}); err != nil {
-		return fmt.Errorf("store: durable mode requires gob-encodable key and value types: %w", err)
+	// Fixed-width keys and values are logged raw (v2), so they are
+	// always encodable. Every other type pair is logged through gob;
+	// reject the types gob cannot carry now, not at the first Put.
+	if db.walRaw = walRawTypes[K, V](); !db.walRaw {
+		var zeroK K
+		if _, _, err := encodeGobRecord(zeroK, mval[V]{}); err != nil {
+			return fmt.Errorf("store: durable mode requires fixed-width or gob-encodable key and value types: %w", err)
+		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: creating db directory: %w", err)
@@ -341,7 +347,7 @@ func (db *DB[K, V]) openDir(dir string) error {
 		}
 	}
 
-	w, err := createWAL(dir, db.nextSeq.Add(1)-1)
+	w, err := createWAL[K, V](dir, db.nextSeq.Add(1)-1)
 	if err != nil {
 		return fail(err)
 	}
@@ -388,18 +394,20 @@ func (db *DB[K, V]) Delete(key K) error {
 // write applies one record: log-ahead (durable mode), then the memtable
 // under a short mutex, freezing the table for the compactor when it
 // reaches the limit. The WAL append shares the memtable's mutex, which
-// is what makes log order equal apply order; the record is encoded
-// outside the lock and the SyncWrites fsync happens after the lock is
-// released (see walWriter.syncAck), so the critical section is one
-// unbuffered file write plus one map write even in the fully-durable
-// configuration. The expensive work (sorting, permuting, merging) all
-// happens on the compactor goroutine outside the lock.
+// is what makes log order equal apply order. A raw record is encoded
+// under the lock, into the log's reused buffers — a copy of the key and
+// value plus a CRC, no allocation; a gob record is encoded before the
+// lock is taken. The SyncWrites fsync happens after the lock is released
+// (see walWriter.syncAck), so the critical section is one unbuffered
+// file write plus one map write even in the fully-durable configuration.
+// The expensive work (sorting, permuting, merging) all happens on the
+// compactor goroutine outside the lock.
 func (db *DB[K, V]) write(key K, mv mval[V]) error {
 	var tag byte
 	var payload []byte
-	if db.dir != "" {
+	if db.dir != "" && !db.walRaw {
 		var err error
-		tag, payload, err = encodeWALRecord(key, mv)
+		tag, payload, err = encodeGobRecord(key, mv)
 		if err != nil {
 			return err
 		}
@@ -415,6 +423,9 @@ func (db *DB[K, V]) write(key K, mv mval[V]) error {
 	}
 	w := db.wal
 	if w != nil {
+		if db.walRaw {
+			tag, payload = w.rawRecord(key, mv)
+		}
 		if err := w.append(tag, payload); err != nil {
 			db.setErr(err)
 			db.mu.Unlock()
@@ -483,7 +494,7 @@ func (db *DB[K, V]) freezeLocked(rotate bool) {
 	db.state.Store(ns)
 	db.active = newMemtable[K, V]()
 	if rotate && db.dir != "" {
-		w, err := createWAL(db.dir, db.nextSeq.Add(1)-1)
+		w, err := createWAL[K, V](db.dir, db.nextSeq.Add(1)-1)
 		if err != nil {
 			db.setErr(err) // sticky: every later write fails rather than going unlogged
 		} else {

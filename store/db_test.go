@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"implicitlayout/internal/mmapio"
 	"implicitlayout/layout"
@@ -87,6 +88,12 @@ func TestDBCompactionMergesAndDropsTombstones(t *testing.T) {
 	}
 	defer db.Close()
 
+	// 64 Puts, 32 Deletes of the even keys and 32 overwrites of the odd
+	// ones fill exactly 32 memtables of 4 records. 32 is a power of
+	// Fanout, and every merge takes exactly the oldest Fanout runs of a
+	// level, so after Flush the stack is one level-5 run: the last merge
+	// consumed the oldest run by construction, not because the
+	// compactor happened to lag the writer.
 	const n = 64
 	for i := uint64(0); i < n; i++ {
 		db.Put(i, fmt.Sprint("v", i))
@@ -94,11 +101,17 @@ func TestDBCompactionMergesAndDropsTombstones(t *testing.T) {
 	for i := uint64(0); i < n; i += 2 {
 		db.Delete(i)
 	}
+	for i := uint64(1); i < n; i += 2 {
+		db.Put(i, fmt.Sprint("w", i))
+	}
 	db.Flush()
 
 	st := db.Stats()
 	if st.MemRecords != 0 || st.FrozenTables != 0 {
 		t.Fatalf("after Flush: %+v; want empty memtable and frozen list", st)
+	}
+	if !slices.Equal(st.RunLevels, []int{5}) {
+		t.Fatalf("run levels %v after 32 flushes at fanout 2, want [5]", st.RunLevels)
 	}
 	for i, lvl := range st.RunLevels {
 		if i > 0 && lvl < st.RunLevels[i-1] {
@@ -121,7 +134,7 @@ func TestDBCompactionMergesAndDropsTombstones(t *testing.T) {
 	var wantV []string
 	for i := uint64(1); i < n; i += 2 {
 		wantK = append(wantK, i)
-		wantV = append(wantV, fmt.Sprint("v", i))
+		wantV = append(wantV, fmt.Sprint("w", i))
 	}
 	if !slices.Equal(keys, wantK) || !slices.Equal(vals, wantV) {
 		t.Fatalf("Scan = %v/%v, want %v/%v", keys, vals, wantK, wantV)
@@ -136,6 +149,64 @@ func TestDBCompactionMergesAndDropsTombstones(t *testing.T) {
 	if total != len(wantK) {
 		t.Fatalf("runs hold %d records, want %d live (tombstones not dropped)",
 			total, len(wantK))
+	}
+}
+
+// TestDBCompactionShapeIndependentOfTiming: merges take exactly the
+// oldest Fanout runs of a level, so the run stack after Flush is set by
+// what was written, not by how far the compactor lagged. A burst, writes
+// paced so the compactor keeps up, and a burst with the compactor held
+// off until the end must leave identical stacks: 23 flushes at fanout 3
+// (212 in base 3) are two level-0 runs, one level-1 and two level-2.
+func TestDBCompactionShapeIndependentOfTiming(t *testing.T) {
+	const memLimit, fanout, flushes = 4, 3, 23
+	shape := func(t *testing.T, hold bool, pace time.Duration) DBStats {
+		db, err := NewDB[uint64, uint64](DBConfig{MemLimit: memLimit, Fanout: fanout,
+			Store: []Option{WithShards(2)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if hold {
+			db.compact.Lock() // the compactor can flush and merge nothing until the writes end
+		}
+		// Every write is to a key its memtable does not hold yet, so
+		// each memtable freezes after exactly memLimit writes. From the
+		// third memtable on, each fourth write deletes the key put
+		// seven writes earlier, so runs carry tombstones too.
+		for i := uint64(0); i < memLimit*flushes; i++ {
+			if i%4 == 3 && i > 7 {
+				db.Delete(i - 7)
+			} else {
+				db.Put(i, i*i)
+			}
+			time.Sleep(pace)
+		}
+		if hold {
+			db.compact.Unlock()
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return db.Stats()
+	}
+	burst := shape(t, false, 0)
+	if want := []int{0, 0, 1, 2, 2}; !slices.Equal(burst.RunLevels, want) {
+		t.Fatalf("burst: run levels %v, want %v", burst.RunLevels, want)
+	}
+	for _, c := range []struct {
+		name string
+		hold bool
+		pace time.Duration
+	}{
+		{"paced", false, time.Millisecond},
+		{"held", true, 0},
+	} {
+		got := shape(t, c.hold, c.pace)
+		if !slices.Equal(got.RunLevels, burst.RunLevels) || !slices.Equal(got.RunRecords, burst.RunRecords) {
+			t.Fatalf("%s: runs %v at levels %v; burst left %v at %v",
+				c.name, got.RunRecords, got.RunLevels, burst.RunRecords, burst.RunLevels)
+		}
 	}
 }
 

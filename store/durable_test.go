@@ -478,8 +478,9 @@ func TestDBOpenEmptyAndReopen(t *testing.T) {
 // unencodable has fields but exports none, which gob refuses to carry.
 type unencodable struct{ secret int }
 
-// TestDBOpenRejectsUnencodableTypes: durable mode ships records through
-// gob, so types it cannot carry must fail at Open, not at the first Put.
+// TestDBOpenRejectsUnencodableTypes: durable mode logs every type pair
+// that is not fixed-width through gob, so types gob cannot carry must
+// fail at Open, not at the first Put.
 func TestDBOpenRejectsUnencodableTypes(t *testing.T) {
 	if _, err := Open[int, unencodable](t.TempDir(), DBConfig{}); err == nil {
 		t.Fatal("Open accepted a value type gob cannot encode (no exported fields)")

@@ -40,7 +40,7 @@ type memtable[K cmp.Ordered, V any] struct {
 	// records (durable mode, set at freeze). It outlives the table just
 	// long enough for the flush that persists the records as a segment,
 	// which then deletes it.
-	wal *walWriter
+	wal *walWriter[K, V]
 }
 
 func newMemtable[K cmp.Ordered, V any]() *memtable[K, V] {

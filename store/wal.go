@@ -10,9 +10,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
+	"unsafe"
 
 	"implicitlayout/internal/blockio"
+	"implicitlayout/internal/mmapio"
 )
 
 // The write-ahead log makes Put and Delete crash-safe: every write is
@@ -24,11 +27,26 @@ import (
 // the manifest committed, its log is deleted — the segment now owns
 // those records.
 //
-// A log is the magic "ILWAL\x01" followed by one blockio frame per
-// record:
+// A log has one of two formats, chosen by the DB's types. When fixedKind
+// accepts both the key and the value type (the integer and float kinds),
+// the log is raw (v2): the magic "ILWAL\x02", one header frame stating
+// the platform contract the v2.1 segment header also records, then one
+// blockio frame per record holding the key and value exactly as they
+// sit in memory:
+//
+//	frame 'h': version(1) = 2 | endian(1) | key kind(1) | key width(1) | val kind(1) | val width(1)
+//	frame 'p': key | val    a Put (raw, native layout)
+//	frame 'd': key          a Delete (tombstone)
+//
+// Kinds are reflect.Kind values, widths are bytes, and the endian byte
+// is 'l' or 'b'. Every other type pair (string keys, struct values) logs
+// through gob (v1): the magic "ILWAL\x01", then
 //
 //	frame 'P': klen(4, LE) | gob(key) | gob(val)    a Put
 //	frame 'D': klen(4, LE) | gob(key)               a Delete (tombstone)
+//
+// Replay reads both, so a v1 log of fixed-width types written by an
+// earlier build still recovers; it is never written for them again.
 //
 // Each frame carries its own CRC-32C, so replay walks records until the
 // stream ends, classifying how it ended: cleanly (walClean), at a frame
@@ -38,13 +56,24 @@ import (
 // deletes replayed logs that ended clean or torn, but preserves a
 // corrupt log under a ".corrupt" suffix: the intact prefix is recovered
 // and served, and the damaged file is kept for inspection instead of
-// being silently destroyed.
-
-const walMagic = "ILWAL\x01"
+// being silently destroyed. An intact v2 header that names other types,
+// another byte order or an unknown version is not damage: Open refuses
+// the directory with an error naming the mismatch and leaves the log in
+// place, so reopening with the types that wrote it recovers everything.
 
 const (
-	walTagPut    = 'P'
-	walTagDelete = 'D'
+	walMagicGob = "ILWAL\x01"
+	walMagicRaw = "ILWAL\x02"
+)
+
+const walRawVersion = 2 // the header frame's version byte
+
+const (
+	walTagPut    = 'P' // v1 (gob)
+	walTagDelete = 'D' // v1 (gob)
+	walTagHeader = 'h' // v2 (raw)
+	walTagRawPut = 'p' // v2 (raw)
+	walTagRawDel = 'd' // v2 (raw)
 )
 
 // walEnd classifies how a log replay ended.
@@ -58,13 +87,21 @@ const (
 
 // walWriter appends records to one log file. Appends are not internally
 // locked: the DB serializes them under the same mutex that orders
-// memtable writes, which is what makes log order equal apply order.
-// syncAck and seal have their own lock because the SyncWrites fsync
-// deliberately happens after the DB mutex is released (see DB.write).
-type walWriter struct {
+// memtable writes, which is what makes log order equal apply order —
+// and what lets every append reuse the writer's buffers. syncAck and
+// seal have their own lock because the SyncWrites fsync deliberately
+// happens after the DB mutex is released (see DB.write).
+type walWriter[K cmp.Ordered, V any] struct {
 	f    *os.File
-	bw   *blockio.Writer
 	path string
+
+	// Append scratch, reused by every record (guarded by the DB mutex):
+	// rawRecord copies the key and value through the one-element arrays
+	// into rec, and append builds the frame in frame.
+	frame []byte
+	rec   []byte
+	key   [1]K
+	val   [1]V
 
 	mu       sync.Mutex // guards fsync vs seal/close, never held during appends
 	sealed   bool       // seal ran: the file is closed
@@ -90,17 +127,78 @@ func parseWALSeq(name string) (seq uint64, ok bool) {
 	return seq, name == fmt.Sprintf("wal-%016x.log", seq)
 }
 
+// walRawTypes reports whether a DB[K, V] logs raw (v2): fixedKind must
+// accept both types.
+func walRawTypes[K cmp.Ordered, V any]() bool {
+	_, kok := fixedKind(reflect.TypeFor[K]())
+	_, vok := fixedKind(reflect.TypeFor[V]())
+	return kok && vok
+}
+
+// walHeader returns the v2 header frame's payload for K and V on this
+// host. For a type fixedKind rejects, the kind byte is 0
+// (reflect.Invalid), which no header written by a raw log carries.
+func walHeader[K cmp.Ordered, V any]() []byte {
+	kk, _ := fixedKind(reflect.TypeFor[K]())
+	vk, _ := fixedKind(reflect.TypeFor[V]())
+	var zk K
+	var zv V
+	return []byte{walRawVersion, hostEndian()[0],
+		byte(kk), byte(unsafe.Sizeof(zk)), byte(vk), byte(unsafe.Sizeof(zv))}
+}
+
+// walPreamble returns the bytes a fresh log of a DB[K, V] starts with:
+// the raw magic and header frame, or the gob magic.
+func walPreamble[K cmp.Ordered, V any]() []byte {
+	if !walRawTypes[K, V]() {
+		return []byte(walMagicGob)
+	}
+	return blockio.AppendFrame([]byte(walMagicRaw), walTagHeader, walHeader[K, V]())
+}
+
+// checkWALHeader refuses a v2 header this DB[K, V] cannot replay: an
+// unknown version, the other byte order, or records of other kinds or
+// widths. Each would misdecode every record, so the error names the
+// mismatch instead.
+func checkWALHeader[K cmp.Ordered, V any](h []byte) error {
+	want := walHeader[K, V]()
+	if len(h) != len(want) || h[0] != walRawVersion {
+		return fmt.Errorf("store: WAL header % x is not the %d-byte version-%d header this build reads (written by a newer build?)",
+			h, len(want), walRawVersion)
+	}
+	if h[1] != want[1] {
+		return fmt.Errorf("store: WAL records have byte order %q, this host is %s-endian — refusing to replay byte-swapped records",
+			h[1], hostEndian())
+	}
+	if !bytes.Equal(h[2:], want[2:]) {
+		return fmt.Errorf("store: WAL records hold %v keys (%d bytes) and %v values (%d bytes); this DB's keys are %s and its values are %s — reopen it with the types that wrote the log",
+			reflect.Kind(h[2]), h[3], reflect.Kind(h[4]), h[5], rawTypeName[K](), rawTypeName[V]())
+	}
+	return nil
+}
+
+// rawTypeName describes T for a platform-contract error: its name and
+// width, or that it has no raw form.
+func rawTypeName[T any]() string {
+	var z T
+	if _, ok := fixedKind(reflect.TypeFor[T]()); !ok {
+		return fmt.Sprintf("%T (not fixed-width)", z)
+	}
+	return fmt.Sprintf("%T (%d bytes)", z, unsafe.Sizeof(z))
+}
+
 // createWAL creates a fresh log file for a new memtable lifetime and
 // fsyncs the directory, so the file's existence survives a power
 // failure — without that, a crash could drop the directory entry and
-// with it every record the log had durably absorbed.
-func createWAL(dir string, seq uint64) (*walWriter, error) {
+// with it every record the log had durably absorbed. The magic and a
+// raw log's header frame go out in one write.
+func createWAL[K cmp.Ordered, V any](dir string, seq uint64) (*walWriter[K, V], error) {
 	path := walPath(dir, seq)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: creating WAL: %w", err)
 	}
-	if _, err := f.WriteString(walMagic); err != nil {
+	if _, err := f.Write(walPreamble[K, V]()); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, fmt.Errorf("store: initializing WAL: %w", err)
@@ -110,14 +208,29 @@ func createWAL(dir string, seq uint64) (*walWriter, error) {
 		os.Remove(path)
 		return nil, fmt.Errorf("store: syncing db directory after WAL create: %w", err)
 	}
-	return &walWriter{f: f, bw: blockio.NewWriter(f), path: path}, nil
+	return &walWriter[K, V]{f: f, path: path}, nil
 }
 
-// append logs one record. The frame reaches the OS (one unbuffered
-// write) before append returns; making it reach the disk is syncAck's
-// job. Caller holds the DB mutex.
-func (w *walWriter) append(tag byte, payload []byte) error {
-	if err := w.bw.WriteBlock(tag, payload); err != nil {
+// rawRecord encodes one record of a raw log into the writer's reused
+// payload buffer: the key's bytes, then — for a Put — the value's. The
+// payload is valid until the next call. Caller holds the DB mutex.
+func (w *walWriter[K, V]) rawRecord(key K, mv mval[V]) (tag byte, payload []byte) {
+	w.key[0] = key
+	w.rec = append(w.rec[:0], mmapio.Bytes(w.key[:])...)
+	if mv.dead {
+		return walTagRawDel, w.rec
+	}
+	w.val[0] = mv.val
+	w.rec = append(w.rec, mmapio.Bytes(w.val[:])...)
+	return walTagRawPut, w.rec
+}
+
+// append logs one record, framing it in the writer's reused buffer. The
+// frame reaches the OS (one unbuffered write) before append returns;
+// making it reach the disk is syncAck's job. Caller holds the DB mutex.
+func (w *walWriter[K, V]) append(tag byte, payload []byte) error {
+	w.frame = blockio.AppendFrame(w.frame[:0], tag, payload)
+	if _, err := w.f.Write(w.frame); err != nil {
 		return fmt.Errorf("store: appending to WAL: %w", err)
 	}
 	return nil
@@ -130,7 +243,7 @@ func (w *walWriter) append(tag byte, payload []byte) error {
 // a natural group commit. If the log was sealed in the window between
 // the append and this call (a concurrent freeze), the seal's fsync
 // already covered the record and there is nothing to do.
-func (w *walWriter) syncAck() error {
+func (w *walWriter[K, V]) syncAck() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.fsyncErr != nil {
@@ -150,7 +263,7 @@ func (w *walWriter) syncAck() error {
 // seal fsyncs and closes the log at memtable freeze: the frozen table's
 // records are now durable regardless of the sync policy, and the file
 // waits for its flush-then-delete.
-func (w *walWriter) seal() error {
+func (w *walWriter[K, V]) seal() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.sealed = true
@@ -180,7 +293,7 @@ func (w *walWriter) seal() error {
 // log of an active memtable at a clean Close. Only ever called on a log
 // with no records (no syncAck can be in flight: there is nothing to
 // ack).
-func (w *walWriter) discard() error {
+func (w *walWriter[K, V]) discard() error {
 	w.mu.Lock()
 	w.sealed = true
 	w.f.Close()
@@ -188,10 +301,11 @@ func (w *walWriter) discard() error {
 	return os.Remove(w.path)
 }
 
-// encodeWALRecord builds the frame for one write. Key and value travel
-// as independent gob streams so replay can decode them without a shared
-// type dictionary; the key's byte length is prefixed to split the two.
-func encodeWALRecord[K cmp.Ordered, V any](key K, mv mval[V]) (tag byte, payload []byte, err error) {
+// encodeGobRecord builds the payload of one v1 record. Key and value
+// travel as independent gob streams so replay can decode them without a
+// shared type dictionary; the key's byte length is prefixed to split the
+// two.
+func encodeGobRecord[K cmp.Ordered, V any](key K, mv mval[V]) (tag byte, payload []byte, err error) {
 	var kbuf bytes.Buffer
 	if err := gob.NewEncoder(&kbuf).Encode(key); err != nil {
 		return 0, nil, fmt.Errorf("store: encoding WAL key: %w", err)
@@ -213,8 +327,8 @@ func encodeWALRecord[K cmp.Ordered, V any](key K, mv mval[V]) (tag byte, payload
 	return walTagPut, payload, nil
 }
 
-// decodeWALRecord inverts encodeWALRecord.
-func decodeWALRecord[K cmp.Ordered, V any](tag byte, payload []byte) (key K, mv mval[V], err error) {
+// decodeGobRecord inverts encodeGobRecord.
+func decodeGobRecord[K cmp.Ordered, V any](tag byte, payload []byte) (key K, mv mval[V], err error) {
 	if len(payload) < 4 {
 		return key, mv, errors.New("store: WAL record shorter than its key-length prefix")
 	}
@@ -238,27 +352,82 @@ func decodeWALRecord[K cmp.Ordered, V any](tag byte, payload []byte) (key K, mv 
 	return key, mv, nil
 }
 
+// decodeRawRecord inverts rawRecord. The payload must be exactly one
+// key (a Delete) or one key and one value (a Put); it is copied out, so
+// its alignment does not matter.
+func decodeRawRecord[K cmp.Ordered, V any](tag byte, payload []byte) (key K, mv mval[V], err error) {
+	var kc [1]K
+	var vc [1]V
+	kb, vb := mmapio.Bytes(kc[:]), mmapio.Bytes(vc[:])
+	switch {
+	case tag == walTagRawDel && len(payload) == len(kb):
+		mv.dead = true
+	case tag == walTagRawPut && len(payload) == len(kb)+len(vb):
+		copy(vb, payload[len(kb):])
+		mv.val = vc[0]
+	default:
+		return key, mv, fmt.Errorf("store: WAL record %q of %d bytes is neither a %d-byte delete nor a %d-byte put",
+			tag, len(payload), len(kb), len(kb)+len(vb))
+	}
+	copy(kb, payload)
+	return kc[0], mv, nil
+}
+
+// frameEnd maps a blockio.Reader error to how the log ended.
+func frameEnd(err error) walEnd {
+	switch {
+	case err == io.EOF:
+		return walClean
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return walTorn // a crash-interrupted append: expected
+	}
+	return walCorrupt // checksum/length damage: preserve the file
+}
+
 // replayWAL applies every intact record of one log file in append order,
 // returning the applied count and how the stream ended (see walEnd).
 // Replay never errors on damage — the intact prefix is exactly the
 // history worth recovering either way — but the caller uses the
 // classification to decide the file's fate: delete a clean or torn log,
-// preserve a corrupt one. Only a log the filesystem refuses to read is
-// an error.
+// preserve a corrupt one. Only a log the filesystem refuses to read, or
+// one whose intact header this DB[K, V] cannot replay, is an error.
 func replayWAL[K cmp.Ordered, V any](path string, apply func(key K, mv mval[V])) (n int, end walEnd, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, walCorrupt, fmt.Errorf("store: opening WAL: %w", err)
 	}
 	defer f.Close()
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
+	return readWAL(f, apply)
+}
+
+// readWAL is replayWAL over any byte stream.
+func readWAL[K cmp.Ordered, V any](r io.Reader, apply func(key K, mv mval[V])) (n int, end walEnd, err error) {
+	magic := make([]byte, len(walMagicGob))
+	if _, err := io.ReadFull(r, magic); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return 0, walTorn, nil // torn before the magic finished: an empty log
 		}
 		return 0, walCorrupt, fmt.Errorf("store: reading WAL magic: %w", err)
 	}
-	if string(magic) != walMagic {
+	br := blockio.NewReader(r)
+	decode := decodeGobRecord[K, V]
+	switch string(magic) {
+	case walMagicGob:
+	case walMagicRaw:
+		tag, hdr, err := br.Next()
+		switch {
+		case err == io.EOF:
+			return 0, walTorn, nil // the preamble's write was cut after the magic
+		case err != nil:
+			return 0, frameEnd(err), nil
+		case tag != walTagHeader:
+			return 0, walCorrupt, nil
+		}
+		if err := checkWALHeader[K, V](hdr); err != nil {
+			return 0, walCorrupt, err
+		}
+		decode = decodeRawRecord[K, V]
+	default:
 		// The name matched the WAL pattern but the content does not:
 		// bit rot in the first bytes. Same policy as damage anywhere
 		// else — recover what can be recovered (nothing), preserve the
@@ -266,18 +435,12 @@ func replayWAL[K cmp.Ordered, V any](path string, apply func(key K, mv mval[V]))
 		// future Open on a hard error.
 		return 0, walCorrupt, nil
 	}
-	br := blockio.NewReader(f)
 	for {
 		tag, payload, err := br.Next()
-		switch {
-		case err == io.EOF:
-			return n, walClean, nil
-		case errors.Is(err, io.ErrUnexpectedEOF):
-			return n, walTorn, nil // a crash-interrupted append: expected
-		case err != nil:
-			return n, walCorrupt, nil // checksum/length damage: preserve the file
+		if err != nil {
+			return n, frameEnd(err), nil
 		}
-		key, mv, err := decodeWALRecord[K, V](tag, payload)
+		key, mv, err := decode(tag, payload)
 		if err != nil {
 			return n, walCorrupt, nil // frame intact but content unparseable
 		}
