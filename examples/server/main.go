@@ -1,8 +1,8 @@
 // Network serving walkthrough: the DB on a TCP socket. A server wraps
 // a writable store.DB and speaks the internal/wire protocol — every
 // message one checksummed blockio frame, a version-negotiated
-// handshake, raw native-endian bulk arrays (the codec-v2 platform
-// contract, applied to a socket). The client pipelines: many requests
+// handshake, raw native-endian bulk arrays (the platform contract raw
+// segments record, applied to a socket). The client pipelines: many requests
 // ride one connection concurrently, the server answers out of order,
 // and a multi-key GetBatch is resolved against a single pinned snapshot
 // epoch no matter what the compactor is doing. This walkthrough runs
@@ -25,7 +25,7 @@ import (
 func main() {
 	// 1. A DB to serve. The wire carries fixed-width keys and values
 	//    only (ints, uints, floats): server.New would refuse a string-
-	//    valued DB the same way a codec-v2 segment write would.
+	//    valued DB, which segments and logs would carry through gob.
 	db, err := store.NewDB[uint64, uint64](store.DBConfig{})
 	must(err)
 	for i := uint64(0); i < 10_000; i++ {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"implicitlayout/internal/blockio"
+	"implicitlayout/internal/rawfmt"
 )
 
 // FuzzWireRoundTrip throws arbitrary bytes at every wire decoder — as a
@@ -34,7 +35,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	seed(c.EncodeResponse(&Response[uint64, int64]{ID: 6, Op: OpGet, Found: true, Val: 9}))
 	seed(c.EncodeResponse(&Response[uint64, int64]{ID: 7, Op: OpGetBatch, Vals: []int64{5}, FoundAll: []bool{true}}))
 	seed(c.EncodeResponse(&Response[uint64, int64]{ID: 8, Op: OpRange, Keys: []uint64{1}, Vals: []int64{2}, More: true}))
-	f.Add(EncodeHello(Hello{Version: 1, Endian: "little", KeyKind: 11, KeyWidth: 8, ValKind: 6, ValWidth: 8}))
+	f.Add(EncodeHello(Hello{Version: 1, Contract: rawfmt.Contract{Endian: "little", KeyKind: 11, KeyWidth: 8, ValKind: 6, ValWidth: 8}}))
 	f.Add(EncodeError(9, "boom"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -113,4 +114,53 @@ func unwrap(err error) error {
 		return nil
 	}
 	return u.Unwrap()
+}
+
+// FuzzWireDecode holds the three handshake and session decoders — the
+// parsers an untrusted peer feeds — to an exact inverse: arbitrary bytes
+// never panic them, and any payload one of them accepts re-encodes to
+// exactly the same bytes, so no two payloads decode to one message.
+func FuzzWireDecode(f *testing.F) {
+	c, err := NewCodec[uint64, int64]()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := func(payload []byte, err error) {
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	seed(c.EncodeRequest(&Request[uint64, int64]{ID: 1, Op: OpGet, Key: 42}))
+	seed(c.EncodeRequest(&Request[uint64, int64]{ID: 2, Op: OpPut, Key: 7, Val: -1}))
+	seed(c.EncodeRequest(&Request[uint64, int64]{ID: 3, Op: OpDelete, Key: 9}))
+	seed(c.EncodeRequest(&Request[uint64, int64]{ID: 4, Op: OpGetBatch, Keys: []uint64{1, 2, 3}}))
+	seed(c.EncodeRequest(&Request[uint64, int64]{ID: 5, Op: OpRange, Lo: 1, Hi: 9, Limit: 5}))
+	seed(c.EncodeRequest(&Request[uint64, int64]{ID: 6, Op: OpStats}))
+	seed(c.EncodeResponse(&Response[uint64, int64]{ID: 7, Op: OpGet, Found: true, Val: 9}))
+	seed(c.EncodeResponse(&Response[uint64, int64]{ID: 8, Op: OpPut}))
+	seed(c.EncodeResponse(&Response[uint64, int64]{ID: 9, Op: OpGetBatch, Vals: []int64{5, 0}, FoundAll: []bool{true, false}}))
+	seed(c.EncodeResponse(&Response[uint64, int64]{ID: 10, Op: OpRange, Keys: []uint64{1}, Vals: []int64{2}, More: true}))
+	seed(c.EncodeResponse(&Response[uint64, int64]{ID: 11, Op: OpStats, Stats: []byte("gob")}))
+	f.Add(EncodeHello(c.Hello()))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if h, err := DecodeHello(data); err == nil {
+			if re := EncodeHello(h); !bytes.Equal(re, data) {
+				t.Fatalf("hello %+v re-encodes to % x, decoded from % x", h, re, data)
+			}
+		}
+		if req, err := c.DecodeRequest(data); err == nil {
+			re, err := c.EncodeRequest(req)
+			if err != nil || !bytes.Equal(re, data) {
+				t.Fatalf("request %+v re-encodes to % x (%v), decoded from % x", req, re, err, data)
+			}
+		}
+		if resp, err := c.DecodeResponse(data); err == nil {
+			re, err := c.EncodeResponse(resp)
+			if err != nil || !bytes.Equal(re, data) {
+				t.Fatalf("response %+v re-encodes to % x (%v), decoded from % x", resp, re, err, data)
+			}
+		}
+	})
 }

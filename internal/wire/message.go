@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"implicitlayout/internal/mmapio"
+	"implicitlayout/internal/rawfmt"
 )
 
 // Request is one client operation. ID is client-chosen and echoed by
@@ -43,54 +44,41 @@ type Response[K cmp.Ordered, V any] struct {
 // payload: id u64 LE + op byte.
 const sessionHeader = 8 + 1
 
-// appendRaw appends a slice's raw native-endian memory to dst — the
-// codec-v2 array dump, on the wire.
-func appendRaw[T any](dst []byte, s []T) []byte {
-	return append(dst, mmapio.Bytes(s)...)
-}
-
-// rawSlice decodes n raw elements from the front of b, returning the
-// remainder. The copy into a freshly allocated slice is what guarantees
+// cutArray decodes n raw elements of width bytes from the front of b,
+// returning the remainder; ok is false when b holds fewer or n is out of
+// range. The copy into a freshly allocated slice is what guarantees
 // alignment: the payload's offset inside a read buffer is arbitrary,
 // the new backing array is not.
-func rawSlice[T any](b []byte, n, width int) ([]T, []byte, error) {
-	if n < 0 || n > MaxBatch || width <= 0 || len(b)/width < n {
-		return nil, nil, fmt.Errorf("%w: %d elements of %d bytes in a %d-byte body", ErrMalformed, n, width, len(b))
+func cutArray[T any](b []byte, n, width int) (out []T, rest []byte, ok bool) {
+	if n < 0 || n > MaxBatch || len(b)/width < n {
+		return nil, nil, false
 	}
-	out := make([]T, n)
-	copy(mmapio.Bytes(out), b[:n*width])
-	return out, b[n*width:], nil
-}
-
-// rawOne decodes one raw element from the front of b.
-func rawOne[T any](b []byte, width int) (T, []byte, error) {
-	s, rest, err := rawSlice[T](b, 1, width)
-	if err != nil {
-		var zero T
-		return zero, nil, err
-	}
-	return s[0], rest, nil
+	out = make([]T, n)
+	copy(mmapio.Bytes(out), b)
+	return out, b[n*width:], true
 }
 
 // EncodeRequest renders req as a TagRequest payload.
 func (c *Codec[K, V]) EncodeRequest(req *Request[K, V]) ([]byte, error) {
-	b := make([]byte, 0, sessionHeader+c.keyWidth+c.valWidth+len(req.Keys)*c.keyWidth+8)
+	kw, vw := c.raw.KeyWidth, c.raw.ValWidth
+	b := make([]byte, 0, sessionHeader+2*kw+vw+4+len(req.Keys)*kw)
 	b = binary.LittleEndian.AppendUint64(b, req.ID)
 	b = append(b, byte(req.Op))
 	switch req.Op {
 	case OpGet, OpDelete:
-		b = appendRaw(b, []K{req.Key})
+		b = rawfmt.Append(b, req.Key)
 	case OpPut:
-		b = appendRaw(b, []K{req.Key})
-		b = appendRaw(b, []V{req.Val})
+		b = rawfmt.Append(b, req.Key)
+		b = rawfmt.Append(b, req.Val)
 	case OpGetBatch:
 		if len(req.Keys) > MaxBatch {
 			return nil, fmt.Errorf("%w: GetBatch of %d keys exceeds MaxBatch %d", ErrMalformed, len(req.Keys), MaxBatch)
 		}
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(req.Keys)))
-		b = appendRaw(b, req.Keys)
+		b = append(b, mmapio.Bytes(req.Keys)...)
 	case OpRange:
-		b = appendRaw(b, []K{req.Lo, req.Hi})
+		b = rawfmt.Append(b, req.Lo)
+		b = rawfmt.Append(b, req.Hi)
 		b = binary.LittleEndian.AppendUint32(b, uint32(req.Limit))
 	case OpStats:
 		// header only
@@ -112,35 +100,26 @@ func (c *Codec[K, V]) DecodeRequest(payload []byte) (*Request[K, V], error) {
 		Op: Op(payload[8]),
 	}
 	body := payload[sessionHeader:]
-	var err error
+	ok := true
 	switch req.Op {
 	case OpGet, OpDelete:
-		if req.Key, body, err = rawOne[K](body, c.keyWidth); err != nil {
-			return nil, err
-		}
+		req.Key, body, ok = rawfmt.Cut[K](body)
 	case OpPut:
-		if req.Key, body, err = rawOne[K](body, c.keyWidth); err != nil {
-			return nil, err
-		}
-		if req.Val, body, err = rawOne[V](body, c.valWidth); err != nil {
-			return nil, err
+		if req.Key, body, ok = rawfmt.Cut[K](body); ok {
+			req.Val, body, ok = rawfmt.Cut[V](body)
 		}
 	case OpGetBatch:
 		if len(body) < 4 {
 			return nil, fmt.Errorf("%w: GetBatch body of %d bytes has no count", ErrMalformed, len(body))
 		}
 		n := int(binary.LittleEndian.Uint32(body[:4]))
-		if req.Keys, body, err = rawSlice[K](body[4:], n, c.keyWidth); err != nil {
-			return nil, err
-		}
+		req.Keys, body, ok = cutArray[K](body[4:], n, c.raw.KeyWidth)
 	case OpRange:
-		var bounds []K
-		if bounds, body, err = rawSlice[K](body, 2, c.keyWidth); err != nil {
-			return nil, err
+		if req.Lo, body, ok = rawfmt.Cut[K](body); ok {
+			req.Hi, body, ok = rawfmt.Cut[K](body)
 		}
-		req.Lo, req.Hi = bounds[0], bounds[1]
-		if len(body) < 4 {
-			return nil, fmt.Errorf("%w: Range body has no limit", ErrMalformed)
+		if !ok || len(body) < 4 {
+			return nil, fmt.Errorf("%w: Range body has no bounds and limit", ErrMalformed)
 		}
 		req.Limit = int(binary.LittleEndian.Uint32(body[:4]))
 		body = body[4:]
@@ -148,6 +127,9 @@ func (c *Codec[K, V]) DecodeRequest(payload []byte) (*Request[K, V], error) {
 		// header only
 	default:
 		return nil, fmt.Errorf("%w: unknown request op %q", ErrMalformed, byte(req.Op))
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: %s request body of %d bytes is too short", ErrMalformed, req.Op, len(payload)-sessionHeader)
 	}
 	if len(body) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after %s request", ErrMalformed, len(body), req.Op)
@@ -157,14 +139,15 @@ func (c *Codec[K, V]) DecodeRequest(payload []byte) (*Request[K, V], error) {
 
 // EncodeResponse renders resp as a TagResponse payload.
 func (c *Codec[K, V]) EncodeResponse(resp *Response[K, V]) ([]byte, error) {
+	kw, vw := c.raw.KeyWidth, c.raw.ValWidth
 	n := max(len(resp.Vals), len(resp.Keys))
-	b := make([]byte, 0, sessionHeader+8+n*(c.keyWidth+c.valWidth+1)+len(resp.Stats))
+	b := make([]byte, 0, sessionHeader+5+vw+n*(kw+vw+1)+len(resp.Stats))
 	b = binary.LittleEndian.AppendUint64(b, resp.ID)
 	b = append(b, byte(resp.Op))
 	switch resp.Op {
 	case OpGet:
 		b = append(b, boolByte(resp.Found))
-		b = appendRaw(b, []V{resp.Val})
+		b = rawfmt.Append(b, resp.Val)
 	case OpPut, OpDelete:
 		// header only: the response IS the acknowledgment
 	case OpGetBatch:
@@ -176,7 +159,7 @@ func (c *Codec[K, V]) EncodeResponse(resp *Response[K, V]) ([]byte, error) {
 		for _, f := range resp.FoundAll {
 			b = append(b, boolByte(f))
 		}
-		b = appendRaw(b, resp.Vals)
+		b = append(b, mmapio.Bytes(resp.Vals)...)
 	case OpRange:
 		if len(resp.Keys) != len(resp.Vals) {
 			return nil, fmt.Errorf("%w: Range response with %d keys but %d vals",
@@ -184,8 +167,8 @@ func (c *Codec[K, V]) EncodeResponse(resp *Response[K, V]) ([]byte, error) {
 		}
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Keys)))
 		b = append(b, boolByte(resp.More))
-		b = appendRaw(b, resp.Keys)
-		b = appendRaw(b, resp.Vals)
+		b = append(b, mmapio.Bytes(resp.Keys)...)
+		b = append(b, mmapio.Bytes(resp.Vals)...)
 	case OpStats:
 		b = append(b, resp.Stats...)
 	default:
@@ -205,6 +188,7 @@ func (c *Codec[K, V]) DecodeResponse(payload []byte) (*Response[K, V], error) {
 		Op: Op(payload[8]),
 	}
 	body := payload[sessionHeader:]
+	ok := true
 	var err error
 	switch resp.Op {
 	case OpGet:
@@ -214,9 +198,7 @@ func (c *Codec[K, V]) DecodeResponse(payload []byte) (*Response[K, V], error) {
 		if resp.Found, err = byteBool(body[0]); err != nil {
 			return nil, err
 		}
-		if resp.Val, body, err = rawOne[V](body[1:], c.valWidth); err != nil {
-			return nil, err
-		}
+		resp.Val, body, ok = rawfmt.Cut[V](body[1:])
 	case OpPut, OpDelete:
 		// header only
 	case OpGetBatch:
@@ -234,9 +216,7 @@ func (c *Codec[K, V]) DecodeResponse(payload []byte) (*Response[K, V], error) {
 				return nil, err
 			}
 		}
-		if resp.Vals, body, err = rawSlice[V](body[n:], n, c.valWidth); err != nil {
-			return nil, err
-		}
+		resp.Vals, body, ok = cutArray[V](body[n:], n, c.raw.ValWidth)
 	case OpRange:
 		if len(body) < 5 {
 			return nil, fmt.Errorf("%w: Range response has no count", ErrMalformed)
@@ -245,16 +225,16 @@ func (c *Codec[K, V]) DecodeResponse(payload []byte) (*Response[K, V], error) {
 		if resp.More, err = byteBool(body[4]); err != nil {
 			return nil, err
 		}
-		if resp.Keys, body, err = rawSlice[K](body[5:], n, c.keyWidth); err != nil {
-			return nil, err
-		}
-		if resp.Vals, body, err = rawSlice[V](body, n, c.valWidth); err != nil {
-			return nil, err
+		if resp.Keys, body, ok = cutArray[K](body[5:], n, c.raw.KeyWidth); ok {
+			resp.Vals, body, ok = cutArray[V](body, n, c.raw.ValWidth)
 		}
 	case OpStats:
 		resp.Stats, body = body, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown response op %q", ErrMalformed, byte(resp.Op))
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: %s response body of %d bytes is too short", ErrMalformed, resp.Op, len(payload)-sessionHeader)
 	}
 	if len(body) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after %s response", ErrMalformed, len(body), resp.Op)

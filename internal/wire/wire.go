@@ -13,16 +13,16 @@
 // that walks segment files walks the socket.
 //
 // A connection opens with version negotiation: the client sends one
-// Hello frame carrying the protocol version and the platform contract —
-// byte order, key/value reflect kinds and element widths, exactly the
-// fields a codec-v2 segment header records — and the server answers
-// with an accept or a refusal that names the reason. An unknown version
-// is refused, never guessed at (the segment codec's
-// errSegVersionUnknown rule, applied to the socket), and a platform
-// mismatch is refused the way a mapped segment from a foreign machine
-// is: bulk key and value arrays cross the wire as raw native-endian
-// memory dumps, encoded exactly as codec-v2 array frames are, so both
-// ends must agree on the bytes before any data moves.
+// Hello frame carrying the protocol version and the platform contract
+// (internal/rawfmt: byte order, key/value kinds and element widths),
+// and the server answers with an accept or a refusal that names the
+// reason. An unknown version is refused, never guessed at (the segment
+// codec's errSegVersionUnknown rule, applied to the socket), and a
+// contract mismatch is refused the way a mapped segment from a foreign
+// machine is: bulk key and value arrays cross the wire as raw
+// native-endian memory dumps, encoded exactly as raw segment array
+// frames are, so both ends must agree on the bytes before any data
+// moves.
 //
 // After the handshake the connection is a full-duplex pipeline:
 // requests carry client-chosen IDs, the server answers each when its
@@ -34,15 +34,14 @@
 package wire
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
-	"unsafe"
 
 	"implicitlayout/internal/blockio"
+	"implicitlayout/internal/rawfmt"
 )
 
 const (
@@ -127,29 +126,15 @@ var ErrPlatform = errors.New("wire: platform contract mismatch")
 var ErrMalformed = errors.New("wire: malformed message")
 
 // Hello is the handshake's content: the protocol version and the
-// platform contract, the same facts a codec-v2 segment header pins.
+// platform contract, the same facts a raw segment header pins.
 type Hello struct {
-	Version  int
-	Endian   string // "little" or "big", as in segment headers
-	KeyKind  reflect.Kind
-	KeyWidth int
-	ValKind  reflect.Kind
-	ValWidth int
+	Version int
+	rawfmt.Contract
 }
 
 // helloSize is the fixed Hello payload: magic, version u32, endian
 // byte, then kind/width byte pairs for key and value.
 const helloSize = len(Magic) + 4 + 1 + 4
-
-// hostEndian returns this machine's byte order tag.
-func hostEndian() string {
-	var buf [2]byte
-	binary.NativeEndian.PutUint16(buf[:], 1)
-	if buf[0] == 1 {
-		return "little"
-	}
-	return "big"
-}
 
 func endianByte(e string) byte {
 	if e == "big" {
@@ -158,62 +143,27 @@ func endianByte(e string) byte {
 	return 1
 }
 
-// Codec carries one (K, V) pair's wire facts: reflect kinds and element
-// widths for the raw array frames, as negotiated in the handshake.
+// Codec carries one (K, V) pair's wire facts: the platform contract its
+// raw values and arrays are encoded under, as negotiated in the
+// handshake.
 type Codec[K cmp.Ordered, V any] struct {
-	keyKind  reflect.Kind
-	keyWidth int
-	valKind  reflect.Kind
-	valWidth int
-}
-
-// fixedKind reports whether t is a fixed-width primitive the raw wire
-// format can carry as a memory dump — the same eligibility rule as the
-// codec-v2 segment format.
-func fixedKind(t reflect.Type) (reflect.Kind, bool) {
-	switch k := t.Kind(); k {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Uintptr, reflect.Float32, reflect.Float64:
-		return k, true
-	}
-	return 0, false
+	raw rawfmt.Contract
 }
 
 // NewCodec builds the codec for one key/value type pair, refusing types
 // the raw wire format cannot carry (strings, structs, slices — anything
 // the segment codec would route to gob instead of a raw dump).
 func NewCodec[K cmp.Ordered, V any]() (*Codec[K, V], error) {
-	kk, ok := fixedKind(reflect.TypeFor[K]())
-	if !ok {
-		var zk K
-		return nil, fmt.Errorf("wire: key type %T is not fixed-width; the wire carries raw native-endian arrays only", zk)
+	c, err := rawfmt.For[K, V]()
+	if err != nil {
+		return nil, fmt.Errorf("wire: %v; the wire carries raw native-endian arrays only", err)
 	}
-	vk, ok := fixedKind(reflect.TypeFor[V]())
-	if !ok {
-		var zv V
-		return nil, fmt.Errorf("wire: value type %T is not fixed-width; the wire carries raw native-endian arrays only", zv)
-	}
-	var zk K
-	var zv V
-	return &Codec[K, V]{
-		keyKind:  kk,
-		keyWidth: int(unsafe.Sizeof(zk)),
-		valKind:  vk,
-		valWidth: int(unsafe.Sizeof(zv)),
-	}, nil
+	return &Codec[K, V]{raw: c}, nil
 }
 
 // Hello returns the handshake this codec's end would send.
 func (c *Codec[K, V]) Hello() Hello {
-	return Hello{
-		Version:  Version,
-		Endian:   hostEndian(),
-		KeyKind:  c.keyKind,
-		KeyWidth: c.keyWidth,
-		ValKind:  c.valKind,
-		ValWidth: c.valWidth,
-	}
+	return Hello{Version: Version, Contract: c.raw}
 }
 
 // CheckHello validates a peer's handshake against this codec: the
@@ -223,17 +173,8 @@ func (c *Codec[K, V]) CheckHello(h Hello) error {
 		return fmt.Errorf("%w: peer speaks version %d, this build speaks %d",
 			ErrVersionUnknown, h.Version, Version)
 	}
-	mine := c.Hello()
-	if h.Endian != mine.Endian {
-		return fmt.Errorf("%w: peer is %s-endian, this end is %s-endian", ErrPlatform, h.Endian, mine.Endian)
-	}
-	if h.KeyKind != mine.KeyKind || h.KeyWidth != mine.KeyWidth {
-		return fmt.Errorf("%w: peer keys are kind %d width %d, this end kind %d width %d",
-			ErrPlatform, h.KeyKind, h.KeyWidth, mine.KeyKind, mine.KeyWidth)
-	}
-	if h.ValKind != mine.ValKind || h.ValWidth != mine.ValWidth {
-		return fmt.Errorf("%w: peer values are kind %d width %d, this end kind %d width %d",
-			ErrPlatform, h.ValKind, h.ValWidth, mine.ValKind, mine.ValWidth)
+	if err := h.Check(c.raw); err != nil {
+		return fmt.Errorf("%w: peer %v", ErrPlatform, err)
 	}
 	return nil
 }
@@ -260,11 +201,13 @@ func DecodeHello(payload []byte) (Hello, error) {
 	}
 	p := payload[len(Magic):]
 	h := Hello{
-		Version:  int(binary.LittleEndian.Uint32(p[0:4])),
-		KeyKind:  reflect.Kind(p[5]),
-		KeyWidth: int(p[6]),
-		ValKind:  reflect.Kind(p[7]),
-		ValWidth: int(p[8]),
+		Version: int(binary.LittleEndian.Uint32(p[0:4])),
+		Contract: rawfmt.Contract{
+			KeyKind:  reflect.Kind(p[5]),
+			KeyWidth: int(p[6]),
+			ValKind:  reflect.Kind(p[7]),
+			ValWidth: int(p[8]),
+		},
 	}
 	switch p[4] {
 	case 1:
@@ -278,13 +221,12 @@ func DecodeHello(payload []byte) (Hello, error) {
 }
 
 // FrameBytes renders one complete frame — header and payload — as a
-// byte slice, through the same blockio writer that renders it onto a
-// socket. The client's pipelined send path queues pre-rendered frames.
+// byte slice of exactly its size, with the one frame encoder every
+// writer uses. The client's pipelined send path queues pre-rendered
+// frames.
 func FrameBytes(tag byte, payload []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(blockio.HeaderSize + len(payload))
-	if err := blockio.NewWriter(&buf).WriteBlock(tag, payload); err != nil {
-		return nil, err
+	if len(payload) > blockio.MaxBlock {
+		return nil, fmt.Errorf("wire: payload of %d bytes exceeds blockio.MaxBlock", len(payload))
 	}
-	return buf.Bytes(), nil
+	return blockio.AppendFrame(make([]byte, 0, blockio.HeaderSize+len(payload)), tag, payload), nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -42,6 +43,20 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHelloGolden pins the handshake payload byte for byte: magic,
+// version 1 (u32 LE), endian tag 1 (little), then uint64 keys (kind 11,
+// 8 bytes) and int64 values (kind 6, 8 bytes).
+func TestHelloGolden(t *testing.T) {
+	h := mustCodec[uint64, int64](t).Hello()
+	if h.Endian != "little" {
+		t.Skip("the golden hello is a little-endian host's")
+	}
+	want := []byte("ILWP\x01\x01\x00\x00\x00\x01\x0b\x08\x06\x08")
+	if got := EncodeHello(h); !bytes.Equal(got, want) {
+		t.Fatalf("hello payload\n got % x\nwant % x", got, want)
+	}
+}
+
 func TestHelloRefusals(t *testing.T) {
 	c := mustCodec[uint64, int64](t)
 	h := c.Hello()
@@ -67,6 +82,18 @@ func TestHelloRefusals(t *testing.T) {
 	narrow.KeyKind = reflect.Uint32
 	if err := c.CheckHello(narrow); !errors.Is(err, ErrPlatform) {
 		t.Fatalf("narrow keys: got %v, want ErrPlatform", err)
+	}
+
+	floatVals := h
+	floatVals.ValKind = reflect.Float64
+	if err := c.CheckHello(floatVals); !errors.Is(err, ErrPlatform) {
+		t.Fatalf("float values: got %v, want ErrPlatform", err)
+	}
+
+	narrowVals := h
+	narrowVals.ValWidth = 4
+	if err := c.CheckHello(narrowVals); !errors.Is(err, ErrPlatform) {
+		t.Fatalf("narrow values: got %v, want ErrPlatform", err)
 	}
 
 	// A future-version hello still decodes (so it can be refused by
@@ -200,5 +227,48 @@ func TestFrameBytes(t *testing.T) {
 	}
 	if frame[0] != TagError || len(frame) != 9+len(payload) {
 		t.Fatalf("frame shape: tag %q len %d", frame[0], len(frame))
+	}
+}
+
+// TestCodecAllocs pins the point-operation codec at one allocation per
+// call: the payload buffer, the decoded message or the frame. Single
+// keys and values are copied in and out of the payload with no scratch.
+func TestCodecAllocs(t *testing.T) {
+	c := mustCodec[uint64, uint64](t)
+	get := &Request[uint64, uint64]{ID: 1, Op: OpGet, Key: 42}
+	put := &Request[uint64, uint64]{ID: 2, Op: OpPut, Key: 42, Val: 7}
+	hit := &Response[uint64, uint64]{ID: 1, Op: OpGet, Found: true, Val: 7}
+	must := func(b []byte, err error) []byte {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	getPayload, putPayload := must(c.EncodeRequest(get)), must(c.EncodeRequest(put))
+	hitPayload := must(c.EncodeResponse(hit))
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"EncodeRequest Get", func() error { _, err := c.EncodeRequest(get); return err }},
+		{"DecodeRequest Get", func() error { _, err := c.DecodeRequest(getPayload); return err }},
+		{"DecodeRequest Put", func() error { _, err := c.DecodeRequest(putPayload); return err }},
+		{"EncodeResponse Get", func() error { _, err := c.EncodeResponse(hit); return err }},
+		{"DecodeResponse Get", func() error { _, err := c.DecodeResponse(hitPayload); return err }},
+		{"FrameBytes", func() error { _, err := FrameBytes(TagResponse, hitPayload); return err }},
+	}
+	for _, tc := range cases {
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			if e := tc.call(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if allocs > 1 {
+			t.Errorf("%s: %v allocs per call, want at most 1", tc.name, allocs)
+		}
 	}
 }

@@ -85,7 +85,7 @@ type Server[K cmp.Ordered, V any] struct {
 
 // New wraps db in a server. It fails if the key or value type cannot
 // cross the wire (the raw format carries fixed-width primitives only,
-// the same eligibility rule as the codec-v2 segment format).
+// by the rule internal/rawfmt states for every raw format).
 func New[K cmp.Ordered, V any](db *store.DB[K, V], cfg Config) (*Server[K, V], error) {
 	codec, err := wire.NewCodec[K, V]()
 	if err != nil {

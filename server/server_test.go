@@ -13,6 +13,7 @@ import (
 
 	"implicitlayout/client"
 	"implicitlayout/internal/blockio"
+	"implicitlayout/internal/rawfmt"
 	"implicitlayout/internal/wire"
 	"implicitlayout/server"
 	"implicitlayout/store"
@@ -144,7 +145,7 @@ func TestVersionMismatchRefused(t *testing.T) {
 	}
 	s, addr, serveErr := startServer(t, db, server.Config{})
 
-	hello := wire.Hello{Version: wire.Version + 7, Endian: "little", KeyKind: 11, KeyWidth: 8, ValKind: 11, ValWidth: 8}
+	hello := wire.Hello{Version: wire.Version + 7, Contract: rawfmt.Contract{Endian: "little", KeyKind: 11, KeyWidth: 8, ValKind: 11, ValWidth: 8}}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

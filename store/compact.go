@@ -133,7 +133,7 @@ func (db *DB[K, V]) mergeOne() bool {
 	var err error
 	// The streamed sink writes raw v2.1, so both the key and the mval
 	// payload must be fixed-width.
-	if db.dir != "" && rawSegEligible[K](runCodec[V]{}, true) {
+	if db.dir != "" && db.raw {
 		newRun, err = db.mergeStreamed(victims, level+1, toLast)
 	} else {
 		// The in-memory sink: the merged records become one run build.

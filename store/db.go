@@ -114,7 +114,7 @@ type DB[K cmp.Ordered, V any] struct {
 	mu      sync.RWMutex
 	active  *memtable[K, V]
 	wal     *walWriter[K, V] // active memtable's log; nil when memory-only or closed (guarded by mu)
-	walRaw  bool             // durable logs are raw v2 (walRawTypes), not gob; set once by Open
+	raw     bool             // rawDB: logs are raw v2 and merges stream v2.1, not gob; set once by Open
 	closed  bool             // guarded by mu
 	nextSeq atomic.Uint64
 	state   atomic.Pointer[dbstate[K, V]]
@@ -203,7 +203,7 @@ func (db *DB[K, V]) openDir(dir string) error {
 	// Fixed-width keys and values are logged raw (v2), so they are
 	// always encodable. Every other type pair is logged through gob;
 	// reject the types gob cannot carry now, not at the first Put.
-	if db.walRaw = walRawTypes[K, V](); !db.walRaw {
+	if db.raw = rawDB[K, V](); !db.raw {
 		var zeroK K
 		if _, _, err := encodeGobRecord(zeroK, mval[V]{}); err != nil {
 			return fmt.Errorf("store: durable mode requires fixed-width or gob-encodable key and value types: %w", err)
@@ -405,7 +405,7 @@ func (db *DB[K, V]) Delete(key K) error {
 func (db *DB[K, V]) write(key K, mv mval[V]) error {
 	var tag byte
 	var payload []byte
-	if db.dir != "" && !db.walRaw {
+	if db.dir != "" && !db.raw {
 		var err error
 		tag, payload, err = encodeGobRecord(key, mv)
 		if err != nil {
@@ -423,7 +423,7 @@ func (db *DB[K, V]) write(key K, mv mval[V]) error {
 	}
 	w := db.wal
 	if w != nil {
-		if db.walRaw {
+		if db.raw {
 			tag, payload = w.rawRecord(key, mv)
 		}
 		if err := w.append(tag, payload); err != nil {

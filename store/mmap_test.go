@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"implicitlayout/internal/blockio"
@@ -511,19 +512,21 @@ func TestSegmentPlatformMismatch(t *testing.T) {
 
 	cases := []struct {
 		name   string
+		field  string // the words the error must contain
 		mutate func(h *segHeader)
 	}{
-		{"endianness", func(h *segHeader) {
+		{"endianness", "byte order", func(h *segHeader) {
 			if h.Endian == "little" {
 				h.Endian = "big"
 			} else {
 				h.Endian = "little"
 			}
 		}},
-		{"key width", func(h *segHeader) { h.KeyWidth = 4 }},
-		{"key kind", func(h *segHeader) { h.KeyKind = int(reflect.Float64) }},
-		{"value width", func(h *segHeader) { h.ValWidth = 2 }},
-		{"unknown version", func(h *segHeader) { h.Version = 99 }},
+		{"key width", "key width", func(h *segHeader) { h.KeyWidth = 4 }},
+		{"key kind", "key kind", func(h *segHeader) { h.KeyKind = int(reflect.Float64) }},
+		{"value width", "value width", func(h *segHeader) { h.ValWidth = 2 }},
+		{"value kind", "value kind", func(h *segHeader) { h.ValKind = int(reflect.Int64) }},
+		{"unknown version", "version 99", func(h *segHeader) { h.Version = 99 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -532,11 +535,18 @@ func TestSegmentPlatformMismatch(t *testing.T) {
 			if err == nil {
 				t.Fatal("heap reader served a platform-mismatched segment")
 			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("heap reader's refusal %q does not name %q", err, tc.field)
+			}
 			if tc.name == "unknown version" && !errors.Is(err, errSegVersionUnknown) {
 				t.Fatalf("unknown version not classified: %v", err)
 			}
-			if _, merr := readSegMapped[int64, uint64](enc, plainCodec[uint64]{}, nil); merr == nil {
+			_, merr := readSegMapped[int64, uint64](enc, plainCodec[uint64]{}, nil)
+			if merr == nil {
 				t.Fatal("mapped reader served a platform-mismatched segment")
+			}
+			if !strings.Contains(merr.Error(), tc.field) {
+				t.Fatalf("mapped reader's refusal %q does not name %q", merr, tc.field)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -12,11 +11,11 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"unsafe"
 
 	"implicitlayout/internal/blockio"
 	"implicitlayout/internal/filter"
 	"implicitlayout/internal/mmapio"
+	"implicitlayout/internal/rawfmt"
 	"implicitlayout/layout"
 	"implicitlayout/perm"
 	"implicitlayout/search"
@@ -96,11 +95,11 @@ import (
 // rank arithmetic (rank 0 of each shard, last rank of the last shard),
 // O(1) per shard.
 //
-// Raw frames are native-endian; the header records the byte order and
-// the element widths, and a reader on a mismatched platform refuses the
-// segment with a clear error instead of serving garbage. A segment
-// whose version this build does not know is likewise refused — never
-// guessed at, and never garbage-collected as a stray.
+// Raw frames are native-endian; the header records their platform
+// contract (internal/rawfmt), and a reader whose contract differs
+// refuses the segment with an error naming the field instead of serving
+// garbage. A segment whose version this build does not know is likewise
+// refused — never guessed at, and never garbage-collected as a stray.
 //
 // Every frame carries a CRC-32C (see internal/blockio), so truncation
 // surfaces as a torn or missing trailer and bit rot as a checksum
@@ -189,11 +188,10 @@ type segHeader struct {
 	Duplicates int   // DuplicatePolicy the store was built with
 	ShardLens  []int // per-shard record counts, in fence order
 
-	// Raw platform contract: raw arrays are memory dumps, so a reader
-	// must be byte-order- and width-compatible with the writer or
-	// refuse. KeyKind/ValKind are reflect.Kind values; ValWidth is the
-	// on-disk element width — sizeof(V) for plain segments, sizeof(mval)
-	// for run segments, whose elements carry the tombstone flag inline.
+	// The rawfmt.Contract fields, flat (see segHeader.contract).
+	// KeyKind/ValKind are reflect.Kind values; ValWidth is the on-disk
+	// element width — sizeof(V) for plain segments, sizeof(mval) for run
+	// segments, whose elements carry the tombstone flag inline.
 	Endian   string
 	KeyKind  int
 	KeyWidth int
@@ -217,45 +215,20 @@ type segFilter struct {
 	Bloom     []byte
 }
 
-// hostEndian returns this machine's byte order tag as recorded in raw
-// segment headers.
-func hostEndian() string {
-	var buf [2]byte
-	binary.NativeEndian.PutUint16(buf[:], 1)
-	if buf[0] == 1 {
-		return "little"
-	}
-	return "big"
-}
-
-// fixedKind reports whether t is a fixed-width primitive the raw codec
-// can serialize as a memory dump — the reflection-time eligibility test
-// for the raw formats. Strings, structs, slices, and interfaces are not;
-// they take the gob path.
-func fixedKind(t reflect.Type) (reflect.Kind, bool) {
-	switch k := t.Kind(); k {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Uintptr, reflect.Float32, reflect.Float64:
-		return k, true
-	}
-	return 0, false
-}
-
 // segCodec abstracts how a shard's value slice crosses the codec: one
 // gob frame for plain stores, raw values + tombstone bitmap for DB runs
-// (v1), or — when rawElem allows — a verbatim array dump (raw formats).
-// readShard fills dst (length 0, capacity n — a window into the store's
-// preallocated value array) with exactly n decoded payloads.
+// (v1), or — when segContract allows — a verbatim array dump (raw
+// formats). readShard fills dst (length 0, capacity n — a window into
+// the store's preallocated value array) with exactly n decoded payloads.
 type segCodec[V any] interface {
 	kind() int
 	writeShard(bw *blockio.Writer, vals []V) error
 	readShard(br *blockio.Reader, n int, dst []V) error
-	// rawElem reports raw eligibility: the on-disk element width and the
-	// reflect kind recorded in the header (the user value's kind — for
-	// run segments the element is the mval wrapper but the kind names
-	// the wrapped primitive). ok is false when only gob can carry V.
-	rawElem() (width int, kind reflect.Kind, ok bool)
+	// rawVals returns the value type whose kind the header records and
+	// the on-disk element type whose size it records: the user value
+	// both times for plain segments; for run segments the element is the
+	// mval wrapper of the value.
+	rawVals() (val, elem reflect.Type)
 	// rawTag is the raw array frame tag ('v' plain, 'w' run).
 	rawTag() byte
 }
@@ -267,13 +240,8 @@ type plainCodec[V any] struct{}
 func (plainCodec[V]) kind() int    { return segPayloadPlain }
 func (plainCodec[V]) rawTag() byte { return tagSegVals }
 
-func (plainCodec[V]) rawElem() (int, reflect.Kind, bool) {
-	k, ok := fixedKind(reflect.TypeFor[V]())
-	if !ok {
-		return 0, 0, false
-	}
-	var v V
-	return int(unsafe.Sizeof(v)), k, true
+func (plainCodec[V]) rawVals() (reflect.Type, reflect.Type) {
+	return reflect.TypeFor[V](), reflect.TypeFor[V]()
 }
 
 func (plainCodec[V]) writeShard(bw *blockio.Writer, vals []V) error {
@@ -298,12 +266,8 @@ type runCodec[V any] struct{}
 func (runCodec[V]) kind() int    { return segPayloadRun }
 func (runCodec[V]) rawTag() byte { return tagSegRawVals }
 
-func (runCodec[V]) rawElem() (int, reflect.Kind, bool) {
-	k, ok := fixedKind(reflect.TypeFor[V]())
-	if !ok {
-		return 0, 0, false
-	}
-	return int(unsafe.Sizeof(mval[V]{})), k, true
+func (runCodec[V]) rawVals() (reflect.Type, reflect.Type) {
+	return reflect.TypeFor[V](), reflect.TypeFor[mval[V]]()
 }
 
 func (runCodec[V]) writeShard(bw *blockio.Writer, vals []mval[V]) error {
@@ -453,15 +417,25 @@ func readRunStream[K cmp.Ordered, V any](r io.Reader, workers int) (*Store[K, mv
 	return readSegStream[K](r, runCodec[V]{}, []Option{WithWorkers(workers)})
 }
 
-// rawSegEligible reports whether a store with key type K, and with
-// values carried by codec when hasVals, can be written in the raw
-// format: every array it holds must be a fixed-width memory dump.
-func rawSegEligible[K cmp.Ordered, V any](codec segCodec[V], hasVals bool) bool {
-	if _, ok := fixedKind(reflect.TypeFor[K]()); !ok {
-		return false
+// segContract returns the platform contract of a raw segment of K keys
+// and, when hasVals, of codec's values. An error means some array the
+// store holds is not a fixed-width memory dump, so only gob can carry it.
+func segContract[K cmp.Ordered, V any](codec segCodec[V], hasVals bool) (rawfmt.Contract, error) {
+	var val, elem reflect.Type
+	if hasVals {
+		val, elem = codec.rawVals()
 	}
-	_, _, ok := codec.rawElem()
-	return ok || !hasVals
+	return rawfmt.New(reflect.TypeFor[K](), val, elem)
+}
+
+// contract returns the platform contract a raw header records. The value
+// fields of a key set's header are not part of it.
+func (h *segHeader) contract() rawfmt.Contract {
+	c := rawfmt.Contract{Endian: h.Endian, KeyKind: reflect.Kind(h.KeyKind), KeyWidth: h.KeyWidth}
+	if h.HasVals {
+		c.ValKind, c.ValWidth = reflect.Kind(h.ValKind), h.ValWidth
+	}
+	return c
 }
 
 // newSegHeader states the structural fields every writer records.
@@ -481,7 +455,7 @@ func newSegHeader(version, payload int, hasVals bool, cfg Config) segHeader {
 // already-permuted shard at a time, when every array is a fixed-width
 // memory dump, and as v1 (gob) otherwise.
 func writeSegStream[K cmp.Ordered, V any](w io.Writer, s *Store[K, V], codec segCodec[V]) (int64, error) {
-	if !rawSegEligible[K](codec, s.hasVals) {
+	if _, err := segContract[K](codec, s.hasVals); err != nil {
 		return writeSegV1(w, s, codec)
 	}
 	// Eligible, so startSegWriter returns a writer even when its first
@@ -533,9 +507,8 @@ func writeSegV1[K cmp.Ordered, V any](w io.Writer, s *Store[K, V], codec segCode
 
 // validateSegHeader runs the structural checks shared by every reader:
 // known version and layout, consistent record and shard counts, and —
-// for raw segments — the platform contract (byte order, key/value kinds
-// and widths must match this build on this machine, or the raw arrays
-// would be served as garbage).
+// for raw segments — the platform contract, which must match this
+// build's on this machine, or the raw arrays would be served as garbage.
 func validateSegHeader[K cmp.Ordered, V any](hdr *segHeader, codec segCodec[V]) error {
 	if !knownSegVersion(hdr.Version) {
 		return fmt.Errorf("%w: version %d, this build reads v%d (gob), v%d (raw), and v%d (raw streamable) — written by a newer build?",
@@ -564,28 +537,12 @@ func validateSegHeader[K cmp.Ordered, V any](hdr *segHeader, codec segCodec[V]) 
 		return err
 	}
 	if hdr.Version != segV1 {
-		if host := hostEndian(); hdr.Endian != host {
-			return fmt.Errorf("store: segment raw arrays are %s-endian, this host is %s-endian — refusing to serve byte-swapped data",
-				hdr.Endian, host)
+		want, err := segContract[K](codec, hdr.HasVals)
+		if err != nil {
+			return fmt.Errorf("store: segment holds raw arrays, but this store's %v", err)
 		}
-		kk, kok := fixedKind(reflect.TypeFor[K]())
-		var zk K
-		if !kok {
-			return fmt.Errorf("store: segment holds raw fixed-width keys but key type %T is not fixed-width", zk)
-		}
-		if hdr.KeyKind != int(kk) || hdr.KeyWidth != int(unsafe.Sizeof(zk)) {
-			return fmt.Errorf("store: segment keys are %v (%d bytes), this store's key type %T is %v (%d bytes)",
-				reflect.Kind(hdr.KeyKind), hdr.KeyWidth, zk, kk, unsafe.Sizeof(zk))
-		}
-		if hdr.HasVals {
-			vw, vk, ok := codec.rawElem()
-			if !ok {
-				return fmt.Errorf("store: segment holds raw fixed-width values but this store's value type is not fixed-width")
-			}
-			if hdr.ValKind != int(vk) || hdr.ValWidth != vw {
-				return fmt.Errorf("store: segment values are %v (%d bytes/element), this store expects %v (%d bytes/element)",
-					reflect.Kind(hdr.ValKind), hdr.ValWidth, vk, vw)
-			}
+		if err := hdr.contract().Check(want); err != nil {
+			return fmt.Errorf("store: segment %v — refusing to serve its raw arrays", err)
 		}
 	}
 	return nil

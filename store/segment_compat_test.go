@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"implicitlayout/internal/mmapio"
+	"implicitlayout/internal/rawfmt"
 	"implicitlayout/layout"
 )
 
@@ -111,7 +112,7 @@ func openGoldenRun[V any](name string) func(bool) (*Store[uint64, mval[V]], erro
 // version and writer of earlier builds, and byte-for-byte write
 // compatibility of v2.1 runs.
 func TestSegmentGoldenCompat(t *testing.T) {
-	if hostEndian() != "little" {
+	if rawfmt.HostEndian() != "little" {
 		t.Skip("the golden raw segments hold little-endian arrays")
 	}
 	t.Run("v1-plain", func(t *testing.T) { // VEB, 3 shards, string values

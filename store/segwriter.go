@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"reflect"
-	"unsafe"
 
 	"implicitlayout/internal/blockio"
 	"implicitlayout/internal/filter"
@@ -65,20 +63,13 @@ func newSegWriter[K cmp.Ordered, V any](w io.Writer, cfg Config, upper int) (*se
 // returned even if writing the header fails, so the bytes it wrote stay
 // countable.
 func startSegWriter[K cmp.Ordered, E any](w io.Writer, cfg Config, codec segCodec[E], hasVals bool, bloom *filter.Bloom) (*segWriter[K, E], error) {
-	if !rawSegEligible[K](codec, hasVals) {
-		return nil, fmt.Errorf("store: raw segment writer requires fixed-width key and value types")
+	c, err := segContract[K](codec, hasVals)
+	if err != nil {
+		return nil, fmt.Errorf("store: raw segment writer: %v", err)
 	}
-	kk, _ := fixedKind(reflect.TypeFor[K]())
-	var zk K
 	hdr := newSegHeader(segV21, codec.kind(), hasVals, cfg)
-	hdr.Endian = hostEndian()
-	hdr.KeyKind = int(kk)
-	hdr.KeyWidth = int(unsafe.Sizeof(zk))
-	if hasVals {
-		vw, vk, _ := codec.rawElem()
-		hdr.ValKind = int(vk)
-		hdr.ValWidth = vw
-	}
+	hdr.Endian, hdr.KeyKind, hdr.KeyWidth = c.Endian, int(c.KeyKind), c.KeyWidth
+	hdr.ValKind, hdr.ValWidth = int(c.ValKind), c.ValWidth
 	n, err := io.WriteString(w, segMagic)
 	sw := &segWriter[K, E]{
 		bw:      blockio.NewWriter(w),
@@ -87,7 +78,7 @@ func startSegWriter[K cmp.Ordered, E any](w io.Writer, cfg Config, codec segCode
 		align:   int64(segAlignFor(cfg.Layout)),
 		hasVals: hasVals,
 		valTag:  codec.rawTag(),
-		width:   max(hdr.KeyWidth, hdr.ValWidth),
+		width:   max(c.KeyWidth, c.ValWidth),
 		bloom:   bloom,
 	}
 	if err == nil {

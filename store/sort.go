@@ -5,10 +5,10 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"unsafe"
 
 	"implicitlayout/internal/mmapio"
 	"implicitlayout/internal/par"
+	"implicitlayout/internal/rawfmt"
 )
 
 // sortSerialBelow is the input size under which forking sort runs is not
@@ -30,12 +30,13 @@ func sortByKey[K cmp.Ordered, V any](r par.Runner, srcK []K, srcV []V, dstK []K,
 		copy(dstV, srcV)
 		return
 	}
-	kind, ok := fixedKind(reflect.TypeFor[K]())
+	kt := reflect.TypeFor[K]()
+	kind, ok := rawfmt.Kind(kt)
 	if !ok {
 		mergeSortByKey(r, srcK, srcV, dstK, dstV)
 		return
 	}
-	switch unsafe.Sizeof(srcK[0]) { // unsorted, so not empty
+	switch kt.Size() {
 	case 1:
 		radixAs[uint8](r, kind, srcK, srcV, dstK, dstV)
 	case 2:

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"implicitlayout/internal/par"
+	"implicitlayout/internal/rawfmt"
 )
 
 // TestParallelSort compares against the standard sort across sizes
@@ -357,7 +358,7 @@ func benchSortByKey[K cmp.Ordered](b *testing.B, name string, n int, conv func(u
 		name string
 		sort func(par.Runner, []K, []uint64, []K, []uint64)
 	}{{"sortByKey", sortByKey[K, uint64]}, {"merge", mergeSortByKey[K, uint64]}}
-	if _, fixed := fixedKind(reflect.TypeFor[K]()); !fixed {
+	if _, fixed := rawfmt.Kind(reflect.TypeFor[K]()); !fixed {
 		engines = engines[1:] // sortByKey is the merge engine
 	}
 	for _, e := range engines {

@@ -12,10 +12,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
-	"unsafe"
 
 	"implicitlayout/internal/blockio"
-	"implicitlayout/internal/mmapio"
+	"implicitlayout/internal/rawfmt"
 )
 
 // The write-ahead log makes Put and Delete crash-safe: every write is
@@ -27,12 +26,12 @@ import (
 // the manifest committed, its log is deleted — the segment now owns
 // those records.
 //
-// A log has one of two formats, chosen by the DB's types. When fixedKind
-// accepts both the key and the value type (the integer and float kinds),
-// the log is raw (v2): the magic "ILWAL\x02", one header frame stating
-// the platform contract the v2.1 segment header also records, then one
-// blockio frame per record holding the key and value exactly as they
-// sit in memory:
+// A log has one of two formats, chosen by the DB's types. When both the
+// key and the value type dump raw (rawfmt.Kind: the integer and float
+// kinds), the log is raw (v2): the magic "ILWAL\x02", one header frame
+// stating the platform contract (rawfmt.Contract), then one blockio
+// frame per record holding the key and value exactly as they sit in
+// memory:
 //
 //	frame 'h': version(1) = 2 | endian(1) | key kind(1) | key width(1) | val kind(1) | val width(1)
 //	frame 'p': key | val    a Put (raw, native layout)
@@ -96,12 +95,10 @@ type walWriter[K cmp.Ordered, V any] struct {
 	path string
 
 	// Append scratch, reused by every record (guarded by the DB mutex):
-	// rawRecord copies the key and value through the one-element arrays
-	// into rec, and append builds the frame in frame.
+	// rawRecord encodes the key and value into rec, and append builds the
+	// frame in frame.
 	frame []byte
 	rec   []byte
-	key   [1]K
-	val   [1]V
 
 	mu       sync.Mutex // guards fsync vs seal/close, never held during appends
 	sealed   bool       // seal ran: the file is closed
@@ -127,33 +124,28 @@ func parseWALSeq(name string) (seq uint64, ok bool) {
 	return seq, name == fmt.Sprintf("wal-%016x.log", seq)
 }
 
-// walRawTypes reports whether a DB[K, V] logs raw (v2): fixedKind must
-// accept both types.
-func walRawTypes[K cmp.Ordered, V any]() bool {
-	_, kok := fixedKind(reflect.TypeFor[K]())
-	_, vok := fixedKind(reflect.TypeFor[V]())
-	return kok && vok
+// rawDB reports whether a DB[K, V] is raw end to end: it logs raw (v2)
+// and its merges stream raw v2.1 segments. Both need K and V to dump
+// raw.
+func rawDB[K cmp.Ordered, V any]() bool {
+	_, err := rawfmt.For[K, V]()
+	return err == nil
 }
 
-// walHeader returns the v2 header frame's payload for K and V on this
-// host. For a type fixedKind rejects, the kind byte is 0
-// (reflect.Invalid), which no header written by a raw log carries.
-func walHeader[K cmp.Ordered, V any]() []byte {
-	kk, _ := fixedKind(reflect.TypeFor[K]())
-	vk, _ := fixedKind(reflect.TypeFor[V]())
-	var zk K
-	var zv V
-	return []byte{walRawVersion, hostEndian()[0],
-		byte(kk), byte(unsafe.Sizeof(zk)), byte(vk), byte(unsafe.Sizeof(zv))}
+// walHeader returns the v2 header frame's payload stating contract c.
+// The endian byte is the first letter of c.Endian: 'l' or 'b'.
+func walHeader(c rawfmt.Contract) []byte {
+	return []byte{walRawVersion, c.Endian[0], byte(c.KeyKind), byte(c.KeyWidth), byte(c.ValKind), byte(c.ValWidth)}
 }
 
 // walPreamble returns the bytes a fresh log of a DB[K, V] starts with:
 // the raw magic and header frame, or the gob magic.
 func walPreamble[K cmp.Ordered, V any]() []byte {
-	if !walRawTypes[K, V]() {
+	c, err := rawfmt.For[K, V]()
+	if err != nil {
 		return []byte(walMagicGob)
 	}
-	return blockio.AppendFrame([]byte(walMagicRaw), walTagHeader, walHeader[K, V]())
+	return blockio.AppendFrame([]byte(walMagicRaw), walTagHeader, walHeader(c))
 }
 
 // checkWALHeader refuses a v2 header this DB[K, V] cannot replay: an
@@ -161,30 +153,23 @@ func walPreamble[K cmp.Ordered, V any]() []byte {
 // widths. Each would misdecode every record, so the error names the
 // mismatch instead.
 func checkWALHeader[K cmp.Ordered, V any](h []byte) error {
-	want := walHeader[K, V]()
-	if len(h) != len(want) || h[0] != walRawVersion {
-		return fmt.Errorf("store: WAL header % x is not the %d-byte version-%d header this build reads (written by a newer build?)",
-			h, len(want), walRawVersion)
+	if len(h) != 6 || h[0] != walRawVersion {
+		return fmt.Errorf("store: WAL header % x is not the 6-byte version-%d header this build reads (written by a newer build?)",
+			h, walRawVersion)
 	}
-	if h[1] != want[1] {
+	host := rawfmt.HostEndian()
+	if h[1] != host[0] {
 		return fmt.Errorf("store: WAL records have byte order %q, this host is %s-endian — refusing to replay byte-swapped records",
-			h[1], hostEndian())
+			h[1], host)
 	}
-	if !bytes.Equal(h[2:], want[2:]) {
+	logged := rawfmt.Contract{Endian: host,
+		KeyKind: reflect.Kind(h[2]), KeyWidth: int(h[3]), ValKind: reflect.Kind(h[4]), ValWidth: int(h[5])}
+	if want, err := rawfmt.For[K, V](); err != nil || logged.Check(want) != nil {
 		return fmt.Errorf("store: WAL records hold %v keys (%d bytes) and %v values (%d bytes); this DB's keys are %s and its values are %s — reopen it with the types that wrote the log",
-			reflect.Kind(h[2]), h[3], reflect.Kind(h[4]), h[5], rawTypeName[K](), rawTypeName[V]())
+			logged.KeyKind, logged.KeyWidth, logged.ValKind, logged.ValWidth,
+			rawfmt.Describe(reflect.TypeFor[K]()), rawfmt.Describe(reflect.TypeFor[V]()))
 	}
 	return nil
-}
-
-// rawTypeName describes T for a platform-contract error: its name and
-// width, or that it has no raw form.
-func rawTypeName[T any]() string {
-	var z T
-	if _, ok := fixedKind(reflect.TypeFor[T]()); !ok {
-		return fmt.Sprintf("%T (not fixed-width)", z)
-	}
-	return fmt.Sprintf("%T (%d bytes)", z, unsafe.Sizeof(z))
 }
 
 // createWAL creates a fresh log file for a new memtable lifetime and
@@ -215,13 +200,11 @@ func createWAL[K cmp.Ordered, V any](dir string, seq uint64) (*walWriter[K, V], 
 // payload buffer: the key's bytes, then — for a Put — the value's. The
 // payload is valid until the next call. Caller holds the DB mutex.
 func (w *walWriter[K, V]) rawRecord(key K, mv mval[V]) (tag byte, payload []byte) {
-	w.key[0] = key
-	w.rec = append(w.rec[:0], mmapio.Bytes(w.key[:])...)
+	w.rec = rawfmt.Append(w.rec[:0], key)
 	if mv.dead {
 		return walTagRawDel, w.rec
 	}
-	w.val[0] = mv.val
-	w.rec = append(w.rec, mmapio.Bytes(w.val[:])...)
+	w.rec = rawfmt.Append(w.rec, mv.val)
 	return walTagRawPut, w.rec
 }
 
@@ -356,21 +339,20 @@ func decodeGobRecord[K cmp.Ordered, V any](tag byte, payload []byte) (key K, mv 
 // key (a Delete) or one key and one value (a Put); it is copied out, so
 // its alignment does not matter.
 func decodeRawRecord[K cmp.Ordered, V any](tag byte, payload []byte) (key K, mv mval[V], err error) {
-	var kc [1]K
-	var vc [1]V
-	kb, vb := mmapio.Bytes(kc[:]), mmapio.Bytes(vc[:])
+	key, rest, ok := rawfmt.Cut[K](payload)
 	switch {
-	case tag == walTagRawDel && len(payload) == len(kb):
+	case !ok:
+	case tag == walTagRawDel:
 		mv.dead = true
-	case tag == walTagRawPut && len(payload) == len(kb)+len(vb):
-		copy(vb, payload[len(kb):])
-		mv.val = vc[0]
+	case tag == walTagRawPut:
+		mv.val, rest, ok = rawfmt.Cut[V](rest)
 	default:
-		return key, mv, fmt.Errorf("store: WAL record %q of %d bytes is neither a %d-byte delete nor a %d-byte put",
-			tag, len(payload), len(kb), len(kb)+len(vb))
+		ok = false
 	}
-	copy(kb, payload)
-	return kc[0], mv, nil
+	if !ok || len(rest) != 0 {
+		return key, mv, fmt.Errorf("store: WAL record %q of %d bytes is neither a raw delete nor a raw put", tag, len(payload))
+	}
+	return key, mv, nil
 }
 
 // frameEnd maps a blockio.Reader error to how the log ended.

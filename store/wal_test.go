@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"implicitlayout/internal/blockio"
+	"implicitlayout/internal/rawfmt"
 )
 
 // walOp is one logged write: a Put of val, or a Delete when dead.
@@ -47,7 +48,7 @@ func goldenWALPath(name string) string { return filepath.Join("testdata", "wal",
 // through the production encoder of its format.
 func walRecord[K cmp.Ordered](w *walWriter[K, uint64], key K, op walOp) (byte, []byte) {
 	mv := mval[uint64]{val: op.val, dead: op.dead}
-	if walRawTypes[K, uint64]() {
+	if rawDB[K, uint64]() {
 		return w.rawRecord(key, mv)
 	}
 	tag, payload, err := encodeGobRecord(key, mv)
@@ -129,7 +130,7 @@ func TestWALGoldenReplay(t *testing.T) {
 		checkWALBytes(t, "v1-str.wal", writeWALFile(t, goldenWALOps(), str))
 	})
 	t.Run("v2-u64", func(t *testing.T) {
-		if hostEndian() != "little" {
+		if rawfmt.HostEndian() != "little" {
 			t.Skip("the golden raw log holds little-endian records")
 		}
 		checkGoldenWAL(t, "v2-u64.wal", u64)
@@ -152,7 +153,7 @@ func checkWALBytes(t *testing.T, name string, got []byte) {
 // magic, a header frame of version, endian, and key and value kind and
 // width, and one frame per record holding the raw key (and value).
 func TestWALRawFrameLayout(t *testing.T) {
-	if hostEndian() != "little" {
+	if rawfmt.HostEndian() != "little" {
 		t.Skip("spells out little-endian records")
 	}
 	ops := []walOp{{key: 0x0102030405060708, val: 0x1112131415161718}, {key: 9, dead: true}}
