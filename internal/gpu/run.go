@@ -118,10 +118,11 @@ func queryKernel(v *Vec[uint64], nav layout.VEBNav, p, n int, k layout.Kind, b i
 			v.AddInstr(p, 6)
 		}
 	case layout.VEB:
-		cur := nav.Cursor()
+		var cur layout.VEBCursor
+		nav.InitCursor(&cur)
 		for {
 			pos := cur.Pos()
-			// incremental decomposition bookkeeping per level
+			// split-table navigation bookkeeping per level
 			v.AddInstr(p, 12)
 			e := v.Get(p, pos)
 			v.AddInstr(p, 4)

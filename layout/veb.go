@@ -96,37 +96,48 @@ func (nav VEBNav) Exists(depth, rank int) bool {
 }
 
 // Pos returns the array position of node (depth, rank). It walks the
-// recursive decomposition, O(log log n) steps, re-deriving at each step
-// which top or bottom subtree the node falls into — the "costly index
-// computation" that makes vEB queries slower than B-tree queries in the
-// paper's measurements.
+// recursive decomposition top-down, carrying the current subtree's offset,
+// level count h and last-level node count w: each step halves h for a
+// few shifts and one multiply-add (vebBottom), so a position costs
+// O(log log n) such steps. Root-to-leaf descents use VEBCursor instead,
+// which pays O(1) per level.
 func (nav VEBNav) Pos(depth, rank int) int {
 	if !nav.Exists(depth, rank) {
 		panic("layout: VEBNav.Pos of non-existent node")
 	}
-	off, n := 0, nav.n
-	levels := bits.Levels(n)
-	for {
-		if levels == 1 {
-			return off // depth is necessarily 0 here
-		}
-		lt, _ := VEBSplit(levels)
+	off, h := 0, bits.Levels(nav.n)
+	w := nav.n - (1<<uint(h-1) - 1)
+	for depth > 0 {
+		lt, lb := VEBSplit(h)
 		if depth < lt {
-			// The node lies in the (perfect) top tree, which is laid out
-			// first, starting at the same offset.
-			n = 1<<uint(lt) - 1
-			levels = lt
+			// The node lies in the perfect top tree, laid out first.
+			h, w = lt, 1<<uint(lt-1)
 			continue
 		}
-		d := vebDecompose(n, levels)
-		dd := depth - lt
-		bi := rank >> uint(dd)
-		rank &= 1<<uint(dd) - 1
-		depth = dd
-		off += d.topN + d.sizeSum(bi)
-		n = d.size(bi)
-		levels = bits.Levels(n)
+		depth -= lt
+		j := rank >> uint(depth)
+		rank &= 1<<uint(depth) - 1
+		var o int
+		o, h, w = vebBottom(lt, lb, w, j)
+		off += o
 	}
+	return off
+}
+
+// vebBottom returns the offset of bottom subtree j within a vEB frame of
+// lt top levels and lb bottom levels whose last level holds wf nodes
+// (wf may lie outside [0, 2^(lt+lb-1)]; it is clamped), and that
+// bottom's level count and last-level node count. The last level fills
+// left to right, so each earlier bottom holds 2^(lb-1) - 1 full-part
+// nodes plus its share of wf. A bottom whose share is empty is a perfect
+// tree of lb - 1 levels.
+func vebBottom(lt, lb, wf, j int) (off, h, w int) {
+	c := 1 << uint(lb-1)
+	off = 1<<uint(lt) - 1 + j*(c-1) + clamp(wf, 0, j*c)
+	if s := wf - j*c; s > 0 {
+		return off, lb, min(s, c)
+	}
+	return off, lb - 1, c >> 1
 }
 
 func clamp(x, lo, hi int) int {

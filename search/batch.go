@@ -301,10 +301,11 @@ func btreeBatchRing[T cmp.Ordered](a []T, b int, queries []T, pos []int, ring in
 }
 
 // vebMach is one in-flight van Emde Boas search: the query, the
-// decomposition cursor positioned at the current node, the value
-// loaded when that node was entered, and the last position whose key
-// did not exceed the query (with its value, so resolution never
-// reloads a line the descent has moved past).
+// table-driven layout.VEBCursor positioned at the current node (O(1)
+// arithmetic per level, 560 bytes, so a ring of 32 holds about 18 KiB of
+// cursor state), the value loaded when that node was entered, and the
+// last position whose key did not exceed the query (with its value, so
+// resolution never reloads a line the descent has moved past).
 type vebMach[T cmp.Ordered] struct {
 	q    T
 	v    T // a[cur.Pos()], loaded one rotation ago
@@ -341,13 +342,17 @@ func vebBatchRing[T cmp.Ordered](a, queries []T, pos []int, ring int) (hits int)
 		ring = 1
 	}
 	nav := layout.NewVEBNav(n)
-	rootCur := nav.Cursor()
-	rootVal := a[rootCur.Pos()]
 	ms := make([]vebMach[T], ring)
+	for s := range ms {
+		nav.InitCursor(&ms[s].cur)
+	}
+	rootVal := a[ms[0].cur.Pos()]
 	for base := 0; base < len(queries); base += ring {
 		g := min(ring, len(queries)-base)
 		for s := 0; s < g; s++ {
-			ms[s] = vebMach[T]{q: queries[base+s], v: rootVal, cand: -1, cur: rootCur}
+			m := &ms[s]
+			m.q, m.v, m.cand, m.done = queries[base+s], rootVal, -1, false
+			m.cur.Reset()
 		}
 		// Lockstep descents: a complete tree's paths differ by at most
 		// one level, so the done flag costs one predictable branch per
@@ -358,11 +363,12 @@ func vebBatchRing[T cmp.Ordered](a, queries []T, pos []int, ring int) (hits int)
 				if m.done {
 					continue
 				}
-				dir := 0
+				// Selects, not branches: the comparison is a coin flip.
+				pos, cand, cv, dir := m.cur.Pos(), m.cand, m.cv, 0
 				if m.v <= m.q {
-					m.cand, m.cv = m.cur.Pos(), m.v
-					dir = 1
+					cand, cv, dir = pos, m.v, 1
 				}
+				m.cand, m.cv = cand, cv
 				if !m.cur.Descend(dir) {
 					m.done = true
 					live--

@@ -57,7 +57,8 @@ func successorVEB[T cmp.Ordered](a []T, x T) int {
 	if len(a) == 0 {
 		return -1
 	}
-	cur := layout.NewVEBNav(len(a)).Cursor()
+	var cur layout.VEBCursor
+	layout.NewVEBNav(len(a)).InitCursor(&cur)
 	for i, node := 0, -1; ; {
 		dir := 1
 		if a[cur.Pos()] >= x {

@@ -70,7 +70,8 @@ func PredecessorVEB[T cmp.Ordered](a []T, x T) int {
 	if n == 0 {
 		return -1
 	}
-	cur := layout.NewVEBNav(n).Cursor()
+	var cur layout.VEBCursor
+	layout.NewVEBNav(n).InitCursor(&cur)
 	cand := -1
 	for {
 		pos := cur.Pos()

@@ -180,7 +180,6 @@ func (s *Server[K, V]) isClosed() bool {
 // error is the DB's Close error.
 func (s *Server[K, V]) Close() error {
 	s.mu.Lock()
-	already := s.closed
 	s.closed = true
 	lis := s.lis
 	conns := make([]net.Conn, 0, len(s.conns))
@@ -198,10 +197,7 @@ func (s *Server[K, V]) Close() error {
 		c.SetReadDeadline(time.Now())
 	}
 	s.wg.Wait()
-	if already {
-		return s.db.Close() // idempotent: returns the sticky error
-	}
-	return s.db.Close()
+	return s.db.Close() // idempotent: a repeat returns the sticky error
 }
 
 // handleConn owns one connection: handshake, then the read-loop /

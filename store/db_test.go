@@ -484,3 +484,41 @@ func TestDBCloseFlushesAllFrozen(t *testing.T) {
 		}
 	}
 }
+
+// TestDBGetAllocs pins a Get served from a flushed run at zero
+// allocations, hit or miss: the run's vEB descent keeps its cursor on
+// the stack.
+func TestDBGetAllocs(t *testing.T) {
+	db, err := Open[uint64, uint64](t.TempDir(), DBConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const n = 5000
+	for k := uint64(0); k < n; k++ {
+		if err := db.Put(2*k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.Runs() == 0 {
+		t.Fatal("Flush left no run")
+	}
+	// AllocsPerRun truncates its average, so hits and misses are timed
+	// apart: a miss the bloom filter rejects would hide a hit's
+	// allocation.
+	for _, odd := range []uint64{0, 1} {
+		var k uint64
+		allocs := testing.AllocsPerRun(1000, func() {
+			k = (k + 7919) % n
+			if _, ok := db.Get(2*k + odd); ok != (odd == 0) {
+				t.Fatalf("Get(%d) = %v", 2*k+odd, ok)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("DB.Get (odd=%d): %v allocs, want 0", odd, allocs)
+		}
+	}
+}
