@@ -68,7 +68,7 @@ func TestGatherThroughputShape(t *testing.T) {
 
 func TestQueryTimesShape(t *testing.T) {
 	tb := QueryTimes(QueryConfig{MinLog: 10, MaxLog: 11, Q: 1000, B: 4, Trials: 1, Seed: 1})
-	if len(tb.Rows) != 2 || len(tb.Header) != 6 {
+	if len(tb.Rows) != 2 || len(tb.Header) != 5 {
 		t.Fatal("unexpected shape")
 	}
 }

@@ -28,13 +28,14 @@ var querySink int
 
 // QueryTimes reproduces Figure 6.5: the time to sequentially answer Q
 // uniformly random queries on each search layout versus the array size,
-// with binary search on the un-permuted array as the baseline and the BST
-// layout measured both with and without explicit prefetching.
+// with binary search on the un-permuted array as the baseline. Go has no
+// prefetch instruction, so the figure's prefetched-BST series is not
+// reproduced.
 func QueryTimes(cfg QueryConfig) Table {
 	t := Table{
 		Title:  fmt.Sprintf("fig6.5: time [s] for %d queries vs N (B=%d)", cfg.Q, cfg.B),
-		Note:   "sequential; uniform random queries, 50% hit rate",
-		Header: []string{"N", "binary", "bst", "bst-prefetch", "btree", "veb"},
+		Note:   "sequential; uniform random queries, 50% hit rate; no prefetched-BST series (Go has no prefetch instruction)",
+		Header: []string{"N", "binary", "bst", "btree", "veb"},
 	}
 	for lg := cfg.MinLog; lg <= cfg.MaxLog; lg++ {
 		n := 1 << uint(lg)
@@ -57,15 +58,6 @@ func QueryTimes(cfg QueryConfig) Table {
 			h := 0
 			for _, q := range queries {
 				if search.BST(bst, q) >= 0 {
-					h++
-				}
-			}
-			querySink += h
-		})))
-		row = append(row, secs(timeIt(cfg.Trials, func() {}, func() {
-			h := 0
-			for _, q := range queries {
-				if search.BSTPrefetch(bst, q) >= 0 {
 					h++
 				}
 			}

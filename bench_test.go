@@ -101,8 +101,8 @@ func BenchmarkFig64GatherVsSwap(b *testing.B) {
 }
 
 // BenchmarkFig65Queries reproduces Figure 6.5: per-query time on each
-// layout (binary search baseline, BST with and without prefetch, B-tree,
-// vEB).
+// layout (binary search baseline, BST, B-tree, vEB). Go has no prefetch
+// instruction, so the figure's prefetched-BST series is not reproduced.
 func BenchmarkFig65Queries(b *testing.B) {
 	n := 1 << benchLogN
 	sorted := workload.Sorted(n)
@@ -121,7 +121,6 @@ func BenchmarkFig65Queries(b *testing.B) {
 	run("binary", sorted, func(q uint64) int { return search.Binary(sorted, q) })
 	bst := layout.Build(layout.BST, sorted, 0)
 	run("bst", bst, func(q uint64) int { return search.BST(bst, q) })
-	run("bst-prefetch", bst, func(q uint64) int { return search.BSTPrefetch(bst, q) })
 	btree := layout.Build(layout.BTree, sorted, benchB)
 	run("btree", btree, func(q uint64) int { return search.BTree(btree, benchB, q) })
 	veb := layout.Build(layout.VEB, sorted, 0)

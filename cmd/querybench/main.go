@@ -1,7 +1,7 @@
 // Command querybench regenerates Figure 6.5: the time to answer 10^6
 // uniformly random queries on each search-tree layout versus the array
-// size, with binary search as baseline and the BST layout measured with
-// and without explicit prefetching.
+// size, with binary search as baseline. Go has no prefetch instruction,
+// so the figure's prefetched-BST series is not reproduced.
 package main
 
 import (

@@ -1,24 +1,29 @@
 // Package keepalive defines an analyzer that keeps software-prefetch
 // warm-up loads observable to the compiler.
 //
-// The Khuong–Morin prefetched search loops (search.BSTPrefetch, and the
-// upcoming AMAC batched kernels) have no portable prefetch intrinsic to
-// call, so they issue an ordinary "warm-up" load of the block they will
-// visit a few levels down and accumulate it into a local sink:
+// Go has no prefetch intrinsic, so a search kernel that wants a line in
+// cache before it needs it issues an ordinary "warm-up" load and
+// accumulates it into a local sink. The batched B-tree kernel
+// (search's btreeBatchRing) does this for the partial last level: the
+// last full-level step touches the ends of each machine's chosen child
+// block, and the conditional tail scans that block once the whole ring
+// has stepped:
 //
 //	var warm T
-//	for i < n {
-//		if j := 8*i + 7; j < n {
-//			if warm < a[j] { // pull the great-grandchildren's line
+//	for base := 0; base < len(queries); base += ring {
+//		...
+//		if j := m.node * b; j < n {
+//			if warm < a[j] { // pull the child block's line
 //				warm = a[j]
 //			}
 //		}
 //		...
 //	}
+//	runtime.KeepAlive(warm)
 //
 // The sink's value is never used, which is exactly the problem: a
 // compiler that proves warm dead may delete the loads, silently turning
-// the prefetched kernel back into the slow one — a regression no test
+// the warmed kernel back into the cold one — a regression no test
 // catches, because the code stays correct. The established idiom pins
 // the sink with runtime.KeepAlive(warm) immediately before every
 // return, which both keeps the loads live and stays race-free under

@@ -4,8 +4,10 @@ package prefetch
 
 import "runtime"
 
-// good mirrors search.BSTPrefetch: the sink is pinned immediately
-// before every return after the warming loop begins.
+// good has the shape of the warm sink in search's btreeBatchRing:
+// loads of lines the search reads later accumulate into a running
+// maximum, pinned immediately before every return after the warming
+// loop begins.
 func good(a []uint64, key uint64) int {
 	if len(a) == 0 {
 		return -1 // guard clause before the loop: nothing loaded yet

@@ -24,17 +24,20 @@ import (
 // Every kernel answers the same contract: pos[i] receives the array
 // position of queries[i] (or -1 when absent) — pos may be nil when only
 // the hit count is wanted — and the result is identical to running the
-// layout's serial searcher per query. Finished slots are refilled from
-// the pending queries, so the ring stays full until the batch drains.
+// layout's serial searcher per query. A ring takes the queries in groups
+// of its size and admits the next group once the current one has
+// finished. The sorted, BST, B-tree and vEB layouts have a ring kernel;
+// hier batches descend one query at a time (see findBatchChunk).
 
 // batchRing is the number of in-flight searches per ring. One rotation
 // must outlast a memory fetch for the early loads to land in time: at a
 // handful of ns of compare work per machine step, 32 machines cover
 // DRAM latency with slack, keeping the per-core miss buffers (~10-16
 // outstanding lines) saturated even while some loads are still queued
-// behind them. Measured on the lockstep kernels, 32 edges out 16 on
-// every layout (see BenchmarkBatchKernels) and the extra state is a few
-// hundred bytes.
+// behind them. On a 2 vCPU guest, BenchmarkBatchKernels puts rings of
+// 8, 16 and 32 within run-to-run noise of each other on every layout at
+// n = 2^20 and 2^22; the ring's state is small (the vEB cursors, the
+// largest, take about 18 KiB).
 const batchRing = 32
 
 // InterleaveMinBatch is the per-worker batch size from which the
@@ -63,13 +66,9 @@ type bstMach[T cmp.Ordered] struct {
 	j int
 }
 
-// BSTBatch answers many independent queries against the level-order
-// (Eytzinger) BST layout with a ring of interleaved branch-free
-// descents. Results match BST per query; pos may be nil.
-func BSTBatch[T cmp.Ordered](a, queries []T, pos []int) int {
-	return bstBatchRing(a, queries, pos, batchRing)
-}
-
+// bstBatchRing answers queries against the level-order (Eytzinger) BST
+// layout with ring interleaved branch-free descents. Results match BST
+// per query; pos may be nil.
 func bstBatchRing[T cmp.Ordered](a, queries []T, pos []int, ring int) (hits int) {
 	n := len(a)
 	if len(queries) == 0 {
@@ -151,7 +150,7 @@ type btreeMach[T cmp.Ordered] struct {
 // all complete (b keys, b+1 children): level k holds (b+1)^k nodes
 // starting at node index ((b+1)^k - 1)/b, and is full when its last
 // block's end stays within n keys. Descents through full levels need
-// no bounds clamps — the branch-free lockstep phase of BTreeBatch.
+// no bounds clamps — the branch-free lockstep phase of btreeBatchRing.
 func btreeFullLevels(n, b int) int {
 	full := 0
 	levelStart, nodes := 0, 1
@@ -163,16 +162,12 @@ func btreeFullLevels(n, b int) int {
 	return full
 }
 
-// BTreeBatch answers many independent queries against the level-order
-// B-tree layout (b keys per node) with a ring of interleaved searches:
-// each step scans one block with a branch-free compare loop (count the
-// keys below q — no early exit, no per-key branch) and warms the
-// chosen child block's lines before rotating away. Results match BTree
-// per query; pos may be nil.
-func BTreeBatch[T cmp.Ordered](a []T, b int, queries []T, pos []int) int {
-	return btreeBatchRing(a, b, queries, pos, batchRing)
-}
-
+// btreeBatchRing answers queries against the level-order B-tree layout
+// (b keys per node) with ring interleaved searches: each step scans one
+// block with a branch-free compare loop (count the keys below q — no
+// early exit, no per-key branch) and warms the chosen child block's
+// lines before rotating away. Results match BTree per query; pos may be
+// nil.
 func btreeBatchRing[T cmp.Ordered](a []T, b int, queries []T, pos []int, ring int) (hits int) {
 	n := len(a)
 	if len(queries) == 0 {
@@ -205,8 +200,8 @@ func btreeBatchRing[T cmp.Ordered](a []T, b int, queries []T, pos []int, ring in
 	}
 	// warm sinks the partial-level touches issued by the last full-level
 	// step: those loads' values are never consumed, so the running
-	// maximum keeps them observable (see BSTPrefetch), pinned at the
-	// return below.
+	// maximum keeps them observable, and runtime.KeepAlive pins it at
+	// the return below (the keepalive analyzer checks the pin).
 	var warm T
 	for base := 0; base < len(queries); base += ring {
 		g := min(ring, len(queries)-base)
@@ -315,16 +310,12 @@ type vebMach[T cmp.Ordered] struct {
 	cur  layout.VEBCursor
 }
 
-// VEBBatch answers many independent queries against the van Emde Boas
-// layout with a ring of interleaved cursor descents: the cursor's rank
-// arithmetic for one query overlaps the other queries' loads, and the
-// descent is two-way (track the last key <= q, verify equality once at
-// the bottom) rather than re-testing equality every level. Results
-// match VEB per query; pos may be nil.
-func VEBBatch[T cmp.Ordered](a, queries []T, pos []int) int {
-	return vebBatchRing(a, queries, pos, batchRing)
-}
-
+// vebBatchRing answers queries against the van Emde Boas layout with
+// ring interleaved cursor descents: the cursor's arithmetic for one
+// query overlaps the other queries' loads, and the descent is two-way
+// (track the last key <= q, verify equality once at the bottom) rather
+// than re-testing equality every level. Results match VEB per query;
+// pos may be nil.
 func vebBatchRing[T cmp.Ordered](a, queries []T, pos []int, ring int) (hits int) {
 	n := len(a)
 	if len(queries) == 0 {
@@ -401,13 +392,9 @@ type binMach[T cmp.Ordered] struct {
 	lo, ln int
 }
 
-// BinaryBatch answers many independent queries against the sorted
-// baseline layout with a ring of interleaved branchless binary
-// searches. Results match Binary per query; pos may be nil.
-func BinaryBatch[T cmp.Ordered](a, queries []T, pos []int) int {
-	return binBatchRing(a, queries, pos, batchRing)
-}
-
+// binBatchRing answers queries against the sorted baseline layout with
+// ring interleaved branchless binary searches. Results match Binary per
+// query; pos may be nil.
 func binBatchRing[T cmp.Ordered](a, queries []T, pos []int, ring int) (hits int) {
 	n := len(a)
 	if len(queries) == 0 {
@@ -477,29 +464,23 @@ func binBatchRing[T cmp.Ordered](a, queries []T, pos []int, ring int) (hits int)
 	return hits
 }
 
-// findBatchKernel routes one already-sized chunk to its layout's
-// interleaved kernel.
-func (ix *Index[T]) findBatchKernel(queries []T, pos []int) int {
-	switch ix.kind {
-	case layout.Sorted:
-		return BinaryBatch(ix.data, queries, pos)
-	case layout.BST:
-		return BSTBatch(ix.data, queries, pos)
-	case layout.BTree:
-		return BTreeBatch(ix.data, ix.b, queries, pos)
-	case layout.VEB:
-		return VEBBatch(ix.data, queries, pos)
-	case layout.Hier:
-		return HierBatch(ix.data, ix.b, queries, pos)
-	}
-	panic(fmt.Sprintf("search: unknown layout %v", ix.kind))
-}
-
-// findBatchChunk answers one worker's chunk: interleaved above the
-// dispatch threshold, one-at-a-time descents below it. pos may be nil.
+// findBatchChunk answers one worker's chunk: on the layout's interleaved
+// ring kernel above the dispatch threshold, one-at-a-time descents below
+// it. Hier chunks always descend one at a time: a hier ring measured no
+// faster than serial descents (BenchmarkBatchKernels), and a major page
+// fault blocks the goroutine whatever the ring does. pos may be nil.
 func (ix *Index[T]) findBatchChunk(queries []T, pos []int) (hits int) {
 	if len(queries) >= InterleaveMinBatch {
-		return ix.findBatchKernel(queries, pos)
+		switch ix.kind {
+		case layout.Sorted:
+			return binBatchRing(ix.data, queries, pos, batchRing)
+		case layout.BST:
+			return bstBatchRing(ix.data, queries, pos, batchRing)
+		case layout.BTree:
+			return btreeBatchRing(ix.data, ix.b, queries, pos, batchRing)
+		case layout.VEB:
+			return vebBatchRing(ix.data, queries, pos, batchRing)
+		}
 	}
 	for i, q := range queries {
 		p := ix.Find(q)
@@ -522,8 +503,8 @@ func (ix *Index[T]) findBatchChunk(queries []T, pos []int) (hits int) {
 //
 // Chunks of at least InterleaveMinBatch queries run on the interleaved
 // ring kernels, which answer the same queries identically to Find but
-// overlap independent searches' memory latency; smaller chunks run
-// serial descents.
+// overlap independent searches' memory latency; smaller chunks, and
+// every hier chunk, run serial descents.
 func (ix *Index[T]) FindBatchInto(queries []T, pos []int, p int) (hits int) {
 	if len(pos) != len(queries) {
 		panic(fmt.Sprintf("search: FindBatchInto: %d queries but %d positions", len(queries), len(pos)))

@@ -1,14 +1,16 @@
 package search
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"implicitlayout/layout"
 )
 
 // ringKernel runs one layout's interleaved kernel with an explicit ring
-// size — the knob the exported wrappers fix at batchRing.
+// size — the knob findBatchChunk fixes at batchRing.
 func ringKernel(kind layout.Kind, arr []uint64, b int, queries []uint64, pos []int, ring int) int {
 	switch kind {
 	case layout.Sorted:
@@ -19,10 +21,14 @@ func ringKernel(kind layout.Kind, arr []uint64, b int, queries []uint64, pos []i
 		return btreeBatchRing(arr, b, queries, pos, ring)
 	case layout.VEB:
 		return vebBatchRing(arr, queries, pos, ring)
-	case layout.Hier:
-		return hierBatchRing(arr, b, queries, pos, ring)
 	}
-	panic("unknown kind")
+	panic(fmt.Sprintf("no ring kernel for %v", kind))
+}
+
+// ringKinds lists the layouts that have a ring kernel: every one but
+// hier, whose batches descend one query at a time.
+func ringKinds() []layout.Kind {
+	return []layout.Kind{layout.Sorted, layout.BST, layout.BTree, layout.VEB}
 }
 
 func allKindsWithSorted() []layout.Kind {
@@ -39,7 +45,7 @@ func TestBatchKernelsMatchSerial(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 26, 100, 513, 4095} {
 		sorted := oddKeys(n)
 		for _, b := range []int{1, 3, 8} {
-			for _, kind := range allKindsWithSorted() {
+			for _, kind := range ringKinds() {
 				arr := layout.Build(kind, sorted, b)
 				ix := NewIndex(arr, kind, b)
 				for _, nq := range []int{0, 1, 5, 31, 32, 33, 100} {
@@ -87,7 +93,7 @@ func TestBatchKernelsMatchSerial(t *testing.T) {
 // and still write every position.
 func TestBatchKernelsEmptyArray(t *testing.T) {
 	queries := []uint64{0, 1, 2}
-	for _, kind := range allKindsWithSorted() {
+	for _, kind := range ringKinds() {
 		pos := []int{7, 7, 7}
 		if hits := ringKernel(kind, nil, 4, queries, pos, 8); hits != 0 {
 			t.Fatalf("%v: empty array returned %d hits", kind, hits)
@@ -117,7 +123,7 @@ func TestBatchKernelsDuplicates(t *testing.T) {
 			}
 		}
 		for _, b := range []int{2, 8} {
-			for _, kind := range allKindsWithSorted() {
+			for _, kind := range ringKinds() {
 				arr := layout.Build(kind, sorted, b)
 				ix := NewIndex(arr, kind, b)
 				queries := make([]uint64, 200)
@@ -197,8 +203,9 @@ func TestFindBatchInto(t *testing.T) {
 	ix.FindBatchInto(make([]uint64, 4), make([]int, 3), 1)
 }
 
-// FuzzBatchParity cross-checks every ring kernel against serial Find on
-// fuzzed sizes, block capacities, ring sizes, and query streams.
+// FuzzBatchParity cross-checks every ring kernel, and FindBatchInto on
+// every layout, against serial Find on fuzzed sizes, block capacities,
+// ring sizes, and query streams.
 func FuzzBatchParity(f *testing.F) {
 	f.Add(uint16(1), uint8(1), uint8(1), uint64(0))
 	f.Add(uint16(100), uint8(4), uint8(8), uint64(42))
@@ -218,21 +225,29 @@ func FuzzBatchParity(f *testing.F) {
 		for _, kind := range allKindsWithSorted() {
 			arr := layout.Build(kind, sorted, b)
 			ix := NewIndex(arr, kind, b)
-			pos := make([]int, len(queries))
-			hits := ringKernel(kind, arr, b, queries, pos, ring)
+			want := make([]int, len(queries))
 			wantHits := 0
 			for i, q := range queries {
-				want := ix.Find(q)
-				if want >= 0 {
+				if want[i] = ix.Find(q); want[i] >= 0 {
 					wantHits++
 				}
-				if pos[i] != want {
-					t.Fatalf("%v n=%d b=%d ring=%d: pos[%d] = %d, want %d (query %d)",
-						kind, n, b, ring, i, pos[i], want, q)
+			}
+			check := func(path string, pos []int, hits int) {
+				for i := range pos {
+					if pos[i] != want[i] {
+						t.Fatalf("%v n=%d b=%d %s: pos[%d] = %d, want %d (query %d)",
+							kind, n, b, path, i, pos[i], want[i], queries[i])
+					}
+				}
+				if hits != wantHits {
+					t.Fatalf("%v n=%d b=%d %s: hits = %d, want %d", kind, n, b, path, hits, wantHits)
 				}
 			}
-			if hits != wantHits {
-				t.Fatalf("%v n=%d b=%d ring=%d: hits = %d, want %d", kind, n, b, ring, hits, wantHits)
+			pos := make([]int, len(queries))
+			check("FindBatchInto", pos, ix.FindBatchInto(queries, pos, 1))
+			if slices.Contains(ringKinds(), kind) {
+				pos := make([]int, len(queries))
+				check(fmt.Sprintf("ring%d", ring), pos, ringKernel(kind, arr, b, queries, pos, ring))
 			}
 		}
 	})

@@ -47,14 +47,6 @@ func BenchmarkSearch(b *testing.B) {
 			arr, qs := benchArr(b, layout.BST, n, 8)
 			benchQueries(b, func(q uint64) int { return BST(arr, q) }, qs)
 		})
-		b.Run(fmt.Sprintf("bst-branchless/n=%s", size.name), func(b *testing.B) {
-			arr, qs := benchArr(b, layout.BST, n, 8)
-			benchQueries(b, func(q uint64) int { return BSTBranchless(arr, q) }, qs)
-		})
-		b.Run(fmt.Sprintf("bst-prefetch/n=%s", size.name), func(b *testing.B) {
-			arr, qs := benchArr(b, layout.BST, n, 8)
-			benchQueries(b, func(q uint64) int { return BSTPrefetch(arr, q) }, qs)
-		})
 		b.Run(fmt.Sprintf("btree/n=%s", size.name), func(b *testing.B) {
 			arr, qs := benchArr(b, layout.BTree, n, 8)
 			benchQueries(b, func(q uint64) int { return BTree(arr, 8, q) }, qs)
@@ -63,6 +55,14 @@ func BenchmarkSearch(b *testing.B) {
 			arr, qs := benchArr(b, layout.VEB, n, 8)
 			benchQueries(b, func(q uint64) int { return VEB(arr, q) }, qs)
 		})
+		// The same queries through Index.Find: the raw kernel plus the
+		// layout routing that every store lookup pays.
+		for _, kind := range allKindsWithSorted() {
+			b.Run(fmt.Sprintf("index/%v/n=%s", kind, size.name), func(b *testing.B) {
+				arr, qs := benchArr(b, kind, n, 8)
+				benchQueries(b, NewIndex(arr, kind, 8).Find, qs)
+			})
+		}
 	}
 }
 

@@ -22,10 +22,17 @@ type Index[T cmp.Ordered] struct {
 // For B-tree layouts a b below 1 defaults to perm.DefaultB, matching the
 // capacity perm.Permute uses when none is given — pass b explicitly
 // whenever the layout was built with perm.WithB: b must equal the build
-// capacity or every query silently descends the wrong tree.
+// capacity or every query silently descends the wrong tree. It panics on
+// a Kind that names no layout.
 func NewIndex[T cmp.Ordered](data []T, k layout.Kind, b int) *Index[T] {
-	if (k == layout.BTree || k == layout.Hier) && b < 1 {
-		b = perm.DefaultB
+	switch k {
+	case layout.Sorted, layout.BST, layout.VEB:
+	case layout.BTree, layout.Hier:
+		if b < 1 {
+			b = perm.DefaultB
+		}
+	default:
+		panic(fmt.Sprintf("search: unknown layout %v", k))
 	}
 	return &Index[T]{data: data, kind: k, b: b}
 }
@@ -64,21 +71,12 @@ func (ix *Index[T]) PosOfRank(rank int) int {
 // Range, built on one) steps to the next key in amortized O(1).
 func (ix *Index[T]) AtRank(rank int) T { return ix.data[ix.PosOfRank(rank)] }
 
-// bstPrefetchMinLen is the key count from which Find routes BST-layout
-// queries through BSTPrefetch: below it the tree's hot levels fit in L2
-// and the extra warm-up loads are pure overhead; above it they hide
-// memory latency (Khuong–Morin report ~2x on large arrays).
-const bstPrefetchMinLen = 1 << 15
-
 // Find returns the array position of x, or -1 if absent.
 func (ix *Index[T]) Find(x T) int {
 	switch ix.kind {
 	case layout.Sorted:
 		return Binary(ix.data, x)
 	case layout.BST:
-		if len(ix.data) >= bstPrefetchMinLen {
-			return BSTPrefetch(ix.data, x)
-		}
 		return BST(ix.data, x)
 	case layout.BTree:
 		return BTree(ix.data, ix.b, x)
@@ -99,7 +97,7 @@ func (ix *Index[T]) Contains(x T) bool { return ix.Find(x) >= 0 }
 // evaluation, where each GPU thread owns one query. Each worker's chunk
 // dispatches to the layout's interleaved ring kernel above
 // InterleaveMinBatch queries (see FindBatchInto) and to one-at-a-time
-// descents below it.
+// descents below it and for hier.
 func (ix *Index[T]) FindBatch(queries []T, p int) (hits int) {
 	return ix.findBatch(queries, nil, p)
 }

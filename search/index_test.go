@@ -65,3 +65,27 @@ func TestFindBatchParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestNewIndexUnknownKindPanics: a Kind that names no layout is refused
+// when the index is built, as Find refuses it, so Predecessor, NewCursor
+// and Seek never see it.
+func TestNewIndexUnknownKindPanics(t *testing.T) {
+	arr := oddKeys(100)
+	for _, k := range []layout.Kind{layout.Kind(-1), layout.Hier + 1, layout.Kind(99)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewIndex(%v) did not panic", k)
+				}
+			}()
+			ix := NewIndex(arr, k, 8)
+			t.Errorf("NewIndex(%v) returned an index: Predecessor(50) = %d", k, ix.Predecessor(50))
+			c := NewCursor(ix)
+			c.Seek(50)
+			t.Errorf("NewIndex(%v): cursor walked it, Seek(50) then Next = %d", k, c.Next())
+		}()
+	}
+	for _, k := range allKindsWithSorted() {
+		NewIndex(layout.Build(k, arr, 8), k, 8) // every real layout is accepted
+	}
+}

@@ -2,6 +2,7 @@ package search
 
 import (
 	"cmp"
+	"fmt"
 
 	"implicitlayout/layout"
 )
@@ -101,5 +102,5 @@ func (ix *Index[T]) Predecessor(x T) int {
 	case layout.Hier:
 		return PredecessorHier(ix.data, ix.b, x)
 	}
-	return -1
+	panic(fmt.Sprintf("search: unknown layout %v", ix.kind))
 }

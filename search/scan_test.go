@@ -68,48 +68,33 @@ func TestRankAccessors(t *testing.T) {
 	}
 }
 
-// TestBSTPrefetchGenericTypes: the prefetching searcher, now generic,
-// agrees with the plain BST searcher for non-uint64 key types.
-func TestBSTPrefetchGenericTypes(t *testing.T) {
-	const n = 300
+// TestBSTIndexGenericTypesLarge: Index.Find on a BST of at least 2^15
+// keys gives the same answers as Binary on the sorted keys, for string
+// and int32 keys (negatives included), hits and misses alike.
+func TestBSTIndexGenericTypesLarge(t *testing.T) {
+	const n = 1 << 15
 	sortedStr := make([]string, n)
 	for i := range sortedStr {
-		sortedStr[i] = fmt.Sprintf("key-%04d", 2*i+1)
+		sortedStr[i] = fmt.Sprintf("key-%06d", 2*i+1)
 	}
-	arr := layout.Build(layout.BST, sortedStr, 0)
-	for i := 0; i < 2*n+2; i++ {
-		q := fmt.Sprintf("key-%04d", i)
-		if got, want := BSTPrefetch(arr, q), BST(arr, q); got != want {
-			t.Fatalf("string key %q: prefetch %d, plain %d", q, got, want)
+	ixStr := NewIndex(layout.Build(layout.BST, sortedStr, 0), layout.BST, 0)
+	for i := 0; i < 2*n+2; i += 7 {
+		q := fmt.Sprintf("key-%06d", i)
+		got, want := ixStr.Find(q), Binary(sortedStr, q)
+		if (got >= 0) != (want >= 0) || (got >= 0 && ixStr.At(got) != q) {
+			t.Fatalf("string key %q: Index.Find %d, Binary %d", q, got, want)
 		}
 	}
 
 	sortedI := make([]int32, n)
 	for i := range sortedI {
-		sortedI[i] = int32(3*i) - 450 // negatives included
+		sortedI[i] = int32(3*i) - n // negatives included
 	}
-	arrI := layout.Build(layout.BST, sortedI, 0)
-	for q := int32(-460); q < 460; q++ {
-		if got, want := BSTPrefetch(arrI, q), BST(arrI, q); got != want {
-			t.Fatalf("int32 key %d: prefetch %d, plain %d", q, got, want)
-		}
-	}
-}
-
-// TestIndexFindUsesPrefetchPath: above the wiring threshold the BST index
-// answers through BSTPrefetch; verify query answers stay correct there.
-func TestIndexFindUsesPrefetchPath(t *testing.T) {
-	n := bstPrefetchMinLen // exactly at the threshold: prefetch path
-	sorted := oddKeys(n)
-	arr := layout.Build(layout.BST, sorted, 0)
-	ix := NewIndex(arr, layout.BST, 0)
-	for i := 0; i < 4000; i++ {
-		present := uint64(2*(i*7%n) + 1)
-		if pos := ix.Find(present); pos < 0 || arr[pos] != present {
-			t.Fatalf("Find(%d) = %d on prefetch path", present, pos)
-		}
-		if pos := ix.Find(present - 1); pos != -1 {
-			t.Fatalf("Find(%d) = %d, want -1 on prefetch path", present-1, pos)
+	ixI := NewIndex(layout.Build(layout.BST, sortedI, 0), layout.BST, 0)
+	for q := int32(-n - 10); q < 2*n+10; q += 5 {
+		got, want := ixI.Find(q), Binary(sortedI, q)
+		if (got >= 0) != (want >= 0) || (got >= 0 && ixI.At(got) != q) {
+			t.Fatalf("int32 key %d: Index.Find %d, Binary %d", q, got, want)
 		}
 	}
 }

@@ -1,10 +1,13 @@
 // Package search implements the query side of every memory layout the
-// repository builds. The layout-specific kernels — plain binary search
-// on sorted arrays (the paper's baseline), level-order BST search with
-// and without explicit prefetching, level-order B-tree search, and van
-// Emde Boas search — are the engines behind the paper's evaluation
-// figures 6.5–6.7 and 6.9, and the Index type wraps any laid-out array
-// in one queryable interface over them.
+// repository builds. Each layout has one kernel per question: plain
+// binary search on sorted arrays (the paper's baseline), level-order BST
+// search, level-order B-tree search, van Emde Boas search, and the
+// two-level hier search, whose page steps run the B-tree kernels on one
+// page. These are the engines behind the paper's evaluation figures
+// 6.5–6.7 and 6.9, and the Index type wraps any laid-out array in one
+// queryable interface over them. Go has no prefetch instruction, so the
+// paper's prefetched-BST series has no kernel here: a warm-up load is a
+// demand load, and it measured slower than the plain descent.
 //
 // Beyond exact membership, an Index answers predecessor and successor
 // queries, gives positional access in sorted order (PosOfRank/AtRank,
@@ -13,7 +16,9 @@
 // at amortized O(1) node visits, walking the layout's tree in order with
 // no unpermuting and no allocation. Range and Scan are loops over a
 // Cursor. FindBatch fans independent queries across workers, the
-// embarrassingly parallel workload of the paper's GPU evaluation.
+// embarrassingly parallel workload of the paper's GPU evaluation, and
+// runs each worker's chunk on the layout's interleaved ring kernel where
+// it has one (batch.go).
 // These primitives are what the store layer builds its record serving
 // on: positions returned by an Index are array positions, so a value
 // slice moved by perm.PermuteWith is indexed by the very same integers.
@@ -21,7 +26,6 @@ package search
 
 import (
 	"cmp"
-	"runtime"
 
 	"implicitlayout/layout"
 )
@@ -62,61 +66,6 @@ func BST[T cmp.Ordered](a []T, x T) int {
 			i = 2*i + 2
 		}
 	}
-	return -1
-}
-
-// BSTBranchless searches the BST layout without an equality branch in the
-// loop (Khuong–Morin): it always descends to a leaf, tracking the position
-// of the last element not exceeding x, and verifies once at the end.
-func BSTBranchless[T cmp.Ordered](a []T, x T) int {
-	n := len(a)
-	i := 0
-	cand := -1
-	for i < n {
-		if a[i] <= x {
-			cand = i
-			i = 2*i + 2
-		} else {
-			i = 2*i + 1
-		}
-	}
-	if cand >= 0 && a[cand] == x {
-		return cand
-	}
-	return -1
-}
-
-// BSTPrefetch searches the BST layout while explicitly touching the
-// great-grandchild block of the current node, emulating the software
-// prefetching that Khuong and Morin report roughly doubles BST query
-// throughput. Go has no portable prefetch intrinsic, so the "hint" is an
-// ordinary load: by the time the search descends three levels, the line
-// is resident. It works for any ordered key type; the warm-up load feeds
-// a running maximum that runtime.KeepAlive pins at every exit, which
-// keeps each load observable to the compiler without a shared sink — so
-// concurrent batch queries stay free of data races.
-func BSTPrefetch[T cmp.Ordered](a []T, x T) int {
-	n := len(a)
-	i := 0
-	var warm T
-	for i < n {
-		if j := 8*i + 7; j < n {
-			if warm < a[j] { // pull the great-grandchildren's cache line
-				warm = a[j]
-			}
-		}
-		v := a[i]
-		switch {
-		case x == v:
-			runtime.KeepAlive(warm)
-			return i
-		case x < v:
-			i = 2*i + 1
-		default:
-			i = 2*i + 2
-		}
-	}
-	runtime.KeepAlive(warm)
 	return -1
 }
 
