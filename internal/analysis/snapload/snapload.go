@@ -46,7 +46,7 @@ var Analyzer = &lintkit.Analyzer{
 
 // publishers names the functions allowed to swap a snapshot pointer:
 // the DB's open/recovery paths and the compactor's commit points.
-var publishers = "Open,openDir,flushRecovered,freezeLocked,flushOne,mergeOne"
+var publishers = "Open,openDir,freezeLocked,flushOne,mergeOne,install"
 
 func init() {
 	Analyzer.Flags.StringVar(&publishers, "publishers", publishers,

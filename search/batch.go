@@ -26,8 +26,8 @@ import (
 // the hit count is wanted — and the result is identical to running the
 // layout's serial searcher per query. A ring takes the queries in groups
 // of its size and admits the next group once the current one has
-// finished. The sorted, BST, B-tree and vEB layouts have a ring kernel;
-// hier batches descend one query at a time (see findBatchChunk).
+// finished. The sorted, BST and B-tree layouts have a ring kernel; vEB
+// and hier batches descend one query at a time (see findBatchChunk).
 
 // batchRing is the number of in-flight searches per ring. One rotation
 // must outlast a memory fetch for the early loads to land in time: at a
@@ -36,8 +36,8 @@ import (
 // outstanding lines) saturated even while some loads are still queued
 // behind them. On a 2 vCPU guest, BenchmarkBatchKernels puts rings of
 // 8, 16 and 32 within run-to-run noise of each other on every layout at
-// n = 2^20 and 2^22; the ring's state is small (the vEB cursors, the
-// largest, take about 18 KiB).
+// n = 2^20 and 2^22; the ring's state is a few machines' worth of
+// indices and keys.
 const batchRing = 32
 
 // InterleaveMinBatch is the per-worker batch size from which the
@@ -295,94 +295,6 @@ func btreeBatchRing[T cmp.Ordered](a []T, b int, queries []T, pos []int, ring in
 	return hits
 }
 
-// vebMach is one in-flight van Emde Boas search: the query, the
-// table-driven layout.VEBCursor positioned at the current node (O(1)
-// arithmetic per level, 560 bytes, so a ring of 32 holds about 18 KiB of
-// cursor state), the value loaded when that node was entered, and the
-// last position whose key did not exceed the query (with its value, so
-// resolution never reloads a line the descent has moved past).
-type vebMach[T cmp.Ordered] struct {
-	q    T
-	v    T // a[cur.Pos()], loaded one rotation ago
-	cv   T // a[cand]
-	cand int
-	done bool
-	cur  layout.VEBCursor
-}
-
-// vebBatchRing answers queries against the van Emde Boas layout with
-// ring interleaved cursor descents: the cursor's arithmetic for one
-// query overlaps the other queries' loads, and the descent is two-way
-// (track the last key <= q, verify equality once at the bottom) rather
-// than re-testing equality every level. Results match VEB per query;
-// pos may be nil.
-func vebBatchRing[T cmp.Ordered](a, queries []T, pos []int, ring int) (hits int) {
-	n := len(a)
-	if len(queries) == 0 {
-		return 0
-	}
-	if n == 0 {
-		for i := range queries {
-			if pos != nil {
-				pos[i] = -1
-			}
-		}
-		return 0
-	}
-	if ring < 1 {
-		ring = 1
-	}
-	nav := layout.NewVEBNav(n)
-	ms := make([]vebMach[T], ring)
-	for s := range ms {
-		nav.InitCursor(&ms[s].cur)
-	}
-	rootVal := a[ms[0].cur.Pos()]
-	for base := 0; base < len(queries); base += ring {
-		g := min(ring, len(queries)-base)
-		for s := 0; s < g; s++ {
-			m := &ms[s]
-			m.q, m.v, m.cand, m.done = queries[base+s], rootVal, -1, false
-			m.cur.Reset()
-		}
-		// Lockstep descents: a complete tree's paths differ by at most
-		// one level, so the done flag costs one predictable branch per
-		// machine for the last rotation or two.
-		for live := g; live > 0; {
-			for s := 0; s < g; s++ {
-				m := &ms[s]
-				if m.done {
-					continue
-				}
-				// Selects, not branches: the comparison is a coin flip.
-				pos, cand, cv, dir := m.cur.Pos(), m.cand, m.cv, 0
-				if m.v <= m.q {
-					cand, cv, dir = pos, m.v, 1
-				}
-				m.cand, m.cv = cand, cv
-				if !m.cur.Descend(dir) {
-					m.done = true
-					live--
-					continue
-				}
-				m.v = a[m.cur.Pos()] // early load for the next rotation
-			}
-		}
-		for s := 0; s < g; s++ {
-			m := &ms[s]
-			res := -1
-			if m.cand >= 0 && m.cv == m.q {
-				res = m.cand
-				hits++
-			}
-			if pos != nil {
-				pos[base+s] = res
-			}
-		}
-	}
-	return hits
-}
-
 // binMach is one in-flight branchless binary search: the query, the
 // live window [lo, lo+ln), and the value at the window's midpoint,
 // loaded when the window was set.
@@ -466,9 +378,10 @@ func binBatchRing[T cmp.Ordered](a, queries []T, pos []int, ring int) (hits int)
 
 // findBatchChunk answers one worker's chunk: on the layout's interleaved
 // ring kernel above the dispatch threshold, one-at-a-time descents below
-// it. Hier chunks always descend one at a time: a hier ring measured no
-// faster than serial descents (BenchmarkBatchKernels), and a major page
-// fault blocks the goroutine whatever the ring does. pos may be nil.
+// it. vEB and hier chunks always descend one at a time: their rings
+// measured no faster than serial descents (BenchmarkBatchKernels), and a
+// major page fault blocks the goroutine whatever the ring does. pos may
+// be nil.
 func (ix *Index[T]) findBatchChunk(queries []T, pos []int) (hits int) {
 	if len(queries) >= InterleaveMinBatch {
 		switch ix.kind {
@@ -478,8 +391,6 @@ func (ix *Index[T]) findBatchChunk(queries []T, pos []int) (hits int) {
 			return bstBatchRing(ix.data, queries, pos, batchRing)
 		case layout.BTree:
 			return btreeBatchRing(ix.data, ix.b, queries, pos, batchRing)
-		case layout.VEB:
-			return vebBatchRing(ix.data, queries, pos, batchRing)
 		}
 	}
 	for i, q := range queries {
@@ -504,7 +415,7 @@ func (ix *Index[T]) findBatchChunk(queries []T, pos []int) (hits int) {
 // Chunks of at least InterleaveMinBatch queries run on the interleaved
 // ring kernels, which answer the same queries identically to Find but
 // overlap independent searches' memory latency; smaller chunks, and
-// every hier chunk, run serial descents.
+// every vEB and hier chunk, run serial descents.
 func (ix *Index[T]) FindBatchInto(queries []T, pos []int, p int) (hits int) {
 	if len(pos) != len(queries) {
 		panic(fmt.Sprintf("search: FindBatchInto: %d queries but %d positions", len(queries), len(pos)))

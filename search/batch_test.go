@@ -19,16 +19,14 @@ func ringKernel(kind layout.Kind, arr []uint64, b int, queries []uint64, pos []i
 		return bstBatchRing(arr, queries, pos, ring)
 	case layout.BTree:
 		return btreeBatchRing(arr, b, queries, pos, ring)
-	case layout.VEB:
-		return vebBatchRing(arr, queries, pos, ring)
 	}
 	panic(fmt.Sprintf("no ring kernel for %v", kind))
 }
 
 // ringKinds lists the layouts that have a ring kernel: every one but
-// hier, whose batches descend one query at a time.
+// vEB and hier, whose batches descend one query at a time.
 func ringKinds() []layout.Kind {
-	return []layout.Kind{layout.Sorted, layout.BST, layout.BTree, layout.VEB}
+	return []layout.Kind{layout.Sorted, layout.BST, layout.BTree}
 }
 
 func allKindsWithSorted() []layout.Kind {

@@ -46,18 +46,20 @@ type DBConfig struct {
 	// returns, and the log is always fsynced when a memtable freezes.
 	// Ignored in memory-only mode.
 	SyncWrites bool
-	// Mmap selects cold-serve mode for durable DBs: Open serves every
-	// raw (v2 or v2.1) segment from a read-only memory mapping instead of
-	// decoding it onto the heap, so reopening a directory is O(#segments)
-	// metadata work — the shard arrays are never read, only mapped — and
-	// the OS page cache, not the Go heap, holds the working set, letting
-	// a DB serve datasets well beyond RAM (and beyond GOMEMLIMIT).
-	// Segments written by flushes and compactions while the DB is open
-	// are heap-born and stay on the heap; the next reopen maps them.
-	// v1 (gob) segments and platforms without mmap fall back to heap
-	// decoding per segment. A mapped segment's pages are released when
-	// the last snapshot epoch holding its run is garbage-collected —
-	// reads that started before a compaction or Close stay safe.
+	// Mmap selects cold-serve mode for durable DBs: every raw (v2 or
+	// v2.1) segment is served from a read-only memory mapping instead of
+	// being decoded onto the heap, so reopening a directory is
+	// O(#segments) metadata work — the shard arrays are never read, only
+	// mapped — and the OS page cache, not the Go heap, holds the working
+	// set, letting a DB serve datasets well beyond RAM (and beyond
+	// GOMEMLIMIT). Every durable run of a fixed-width DB is served from
+	// its segment through one reader, whether Open reopened it or a
+	// flush, recovery or merge just wrote it, so with Mmap every such run
+	// is mapped. v1 (gob) segments and platforms without mmap fall back
+	// to heap decoding per segment. A mapped segment's pages are
+	// released when the last snapshot epoch holding its run is
+	// garbage-collected — reads that started before a compaction or
+	// Close stay safe.
 	// Ignored in memory-only mode (there are no segments to map).
 	Mmap bool
 	// Store holds the build options every run is built with — layout,
@@ -69,9 +71,9 @@ type DBConfig struct {
 
 // DB is a writable key–value store: an LSM-style composition of one
 // mutable sorted memtable (the write path) over a stack of immutable
-// leveled runs, where every run is a sharded implicit-layout Store built
-// by the same parallel sort → partition → permute pipeline as a static
-// Build. The paper's cheap parallel in-place construction is what makes
+// leveled runs, where every run is a sharded implicit-layout Store laid
+// out by the same parallel in-place permutation as a static Build. The
+// paper's cheap parallel in-place construction is what makes
 // this composition viable — (re)building a run's search layout at flush
 // and compaction time costs a parallel permutation, not a pointer-tree
 // rebuild.
@@ -79,12 +81,12 @@ type DBConfig struct {
 // Writes (Put, Delete) go to the memtable under a short mutex; when it
 // reaches the configured limit it is frozen and a background compactor
 // flushes it into a level-0 run, merging runs level to level as they
-// accumulate (tiered compaction with the configured fanout, using the
-// build pipeline's parallel pair merge). All immutable state — frozen
-// memtables and the run stack — lives in one atomically swapped
-// snapshot, so readers never block on the compactor and the compactor
-// never blocks readers; a reader that loaded the previous snapshot keeps
-// reading the runs it holds, which stay valid forever.
+// accumulate (tiered compaction with the configured fanout; flushes and
+// merges make their runs through one k-way merge). All immutable state
+// — frozen memtables and the run stack — lives in one atomically
+// swapped snapshot, so readers never block on the compactor and the
+// compactor never blocks readers; a reader that loaded the previous
+// snapshot keeps reading the runs it holds, which stay valid forever.
 //
 // Reads consult the active memtable, then frozen memtables, then runs
 // newest to oldest; the first version of a key found wins, and a
@@ -174,9 +176,8 @@ func Open[K cmp.Ordered, V any](dir string, cfg DBConfig) (*DB[K, V], error) {
 		return nil, fmt.Errorf("store: Fanout %d < 2", cfg.Fanout)
 	}
 	runOpts := append(append([]Option{}, cfg.Store...), WithDuplicates(KeepLast))
-	// Dry-run the option list through a one-record build to reject
-	// invalid layouts or capacities before any data is accepted.
-	if _, err := Build([]int{0}, []mval[struct{}]{{}}, runOpts...); err != nil {
+	// Reject invalid run options before any data is accepted.
+	if err := checkConfig(buildConfig(1, runOpts)); err != nil {
 		return nil, fmt.Errorf("store: invalid run options: %w", err)
 	}
 	db := &DB[K, V]{
@@ -310,7 +311,8 @@ func (db *DB[K, V]) openDir(dir string) error {
 
 	// Replay the logs oldest to newest into one recovery memtable —
 	// replay order is append order, so the newest version of every key
-	// wins — then flush it synchronously into a level-0 segment. After
+	// wins — then freeze it and flush it synchronously into a level-0
+	// segment, through the same flushOne as every other flush. After
 	// this the directory's segments alone carry the whole acknowledged
 	// history and every replayed log can go: clean and torn logs are
 	// deleted, a corrupt log keeps its intact-prefix recovery but is
@@ -326,7 +328,8 @@ func (db *DB[K, V]) openDir(dir string) error {
 		ends[seq] = end
 	}
 	if rec.len() > 0 {
-		if err := db.flushRecovered(rec); err != nil {
+		db.state.Store(&dbstate[K, V]{frozen: []*memtable[K, V]{rec}, runs: runs})
+		if _, err := db.flushOne(); err != nil {
 			return fail(err)
 		}
 	}
@@ -352,19 +355,6 @@ func (db *DB[K, V]) openDir(dir string) error {
 		return fail(err)
 	}
 	db.wal = w
-	return nil
-}
-
-// flushRecovered turns the WAL-replay memtable into a level-0 segment
-// and commits it to the manifest — the recovery path's synchronous
-// equivalent of flushOne.
-func (db *DB[K, V]) flushRecovered(rec *memtable[K, V]) error {
-	newRun := &run[K, V]{st: db.buildRun(rec.sorted(par.New(db.workers))), level: 0}
-	nr, err := db.persistRun(newRun, db.state.Load().runs)
-	if err != nil {
-		return err
-	}
-	db.state.Store(&dbstate[K, V]{runs: nr})
 	return nil
 }
 
@@ -804,9 +794,10 @@ type DBStats struct {
 	// (0 in memory-only mode).
 	DiskRuns int
 	// MappedRuns is the number of runs served zero-copy from a mapped
-	// segment (cold-serve mode; always ≤ DiskRuns). Runs flushed or
-	// merged since Open are heap-born, so this count decays toward 0 as
-	// compaction rewrites the mapped history.
+	// segment (cold-serve mode; always ≤ DiskRuns). Every durable run of
+	// a fixed-width DB is served from its segment, so under
+	// DBConfig.Mmap this equals DiskRuns wherever the platform can map
+	// files; it is 0 without Mmap and for gob-encoded types.
 	MappedRuns int
 	// RunRecords and RunLevels describe the run stack newest-first:
 	// run i holds RunRecords[i] records (tombstones included) at level

@@ -762,3 +762,51 @@ func TestDBCrashMidStreamingMerge(t *testing.T) {
 		}
 	}
 }
+
+// TestDBFailedFlushEndsPass checks maintain's durability gate against a
+// failing step: once a flush cannot write its segment, no later step of
+// the same pass may commit. Three frozen tables wait on the compactor
+// with a non-empty directory squatting on the second flush's segment
+// path; the first flush makes level 0 over-full, the second fails, and
+// a merge that ran anyway would commit a level-1 segment behind the
+// failure.
+func TestDBFailedFlushEndsPass(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open[uint64, uint64](dir, DBConfig{MemLimit: 4, Fanout: 2, Store: []Option{WithShards(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	put := func(lo uint64) {
+		for k := lo; k < lo+4; k++ {
+			if err := db.Put(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.compact.Lock() // hold the compactor while two more tables freeze
+	put(4)
+	put(8)
+	blocker := segmentPath(dir, db.nextSeq.Load()+1)
+	if err := os.MkdirAll(filepath.Join(blocker, "occupied"), 0o755); err != nil {
+		db.compact.Unlock()
+		t.Fatal(err)
+	}
+	db.compact.Unlock()
+	if err := db.Flush(); err == nil {
+		t.Fatal("Flush succeeded with a segment path blocked")
+	}
+	man, _, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range man.Segments {
+		if seg.Level > 0 {
+			t.Fatalf("MANIFEST names level-%d segment %s, committed after the failed flush", seg.Level, seg.File)
+		}
+	}
+}

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"math"
 	"reflect"
-
-	"implicitlayout/internal/filter"
 )
 
 // This file is the store side of the per-run key filters: a
@@ -108,17 +106,6 @@ func hashString(s string) uint64 {
 		h *= 0x100000001B3
 	}
 	return mix64(h)
-}
-
-// runBloom builds the run filter over a run's keys — live and tombstone
-// alike: a tombstone is a version a read must find, so it must pass the
-// filter.
-func runBloom[K cmp.Ordered](keys []K) *filter.Bloom {
-	b := filter.New(len(keys))
-	for _, k := range keys {
-		b.Add(keyHash(k))
-	}
-	return b
 }
 
 // Filter-check outcomes for one (run, key) pair — see run.filterCheck.

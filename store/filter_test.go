@@ -1,10 +1,23 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"testing"
+
+	"implicitlayout/internal/filter"
 )
+
+// runBloom builds a run filter sized exactly for keys, as the golden
+// v2.1 run segment was written with.
+func runBloom[K cmp.Ordered](keys []K) *filter.Bloom {
+	b := filter.New(len(keys))
+	for _, k := range keys {
+		b.Add(keyHash(k))
+	}
+	return b
+}
 
 // TestKeyHashDeterministicAcrossKinds pins the property the persisted
 // bloom filters depend on: a named type must hash exactly like its

@@ -6,7 +6,6 @@ import (
 
 	"implicitlayout/internal/par"
 	"implicitlayout/layout"
-	"implicitlayout/search"
 )
 
 // mval is the record payload inside the DB's write path: the user value
@@ -27,10 +26,11 @@ type mval[V any] struct {
 // path's critical section stays a few dozen nanoseconds no matter how
 // full the table is. Order is recovered once per memtable lifetime by
 // sortByKey (LSD radix for integer and float keys, merge for strings) —
-// at flush, whose run build then skips its sort of the sorted input, or
-// at the first ordered read of a frozen table. Ordered reads of the
-// *active* table sort their interval per call; that cost is bounded by
-// the flush threshold and carried by the reader, not by writers.
+// at flush, whose run maker then reads the sorted view through one
+// cursor, or at the first ordered read of a frozen table. Ordered reads
+// of the *active* table sort their interval per call; that cost is
+// bounded by the flush threshold and carried by the reader, not by
+// writers.
 type memtable[K cmp.Ordered, V any] struct {
 	m        map[K]mval[V]
 	sortOnce sync.Once
@@ -96,12 +96,8 @@ func (m *memtable[K, V]) sorted(r par.Runner) ([]K, []mval[V]) {
 // so a memtable's records enter the merge through the same storeCursor
 // as the runs beneath it.
 func memRun[K cmp.Ordered, V any](keys []K, vals []mval[V]) *Store[K, mval[V]] {
-	s := &Store[K, mval[V]]{n: len(keys), hasVals: true}
-	if len(keys) > 0 {
-		s.shards = []shard[K]{{idx: search.NewIndex(keys, layout.Sorted, 0)}}
-		s.svals = [][]mval[V]{vals}
-		s.fences = keys[:1]
-		s.maxKey = keys[len(keys)-1]
+	if len(keys) == 0 {
+		return newStore[K, mval[V]](Config{Layout: layout.Sorted}, nil, nil)
 	}
-	return s
+	return newStore(Config{Layout: layout.Sorted}, [][]K{keys}, [][]mval[V]{vals})
 }

@@ -637,3 +637,80 @@ func TestSegmentV2Alignment(t *testing.T) {
 		}
 	}
 }
+
+// TestDBRunsServeFromSegments checks that every durable run of a
+// fixed-width DB is served from its segment through one reader: runs
+// that flushes, a merge, a reopen and a crash recovery produced are all
+// disk runs, and all mapped under Mmap.
+func TestDBRunsServeFromSegments(t *testing.T) {
+	for _, mmap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mmap=%v", mmap), func(t *testing.T) {
+			if mmap && !mmapio.Supported {
+				t.Skip("platform cannot map files")
+			}
+			dir := t.TempDir()
+			cfg := DBConfig{MemLimit: 64, Fanout: 4, Mmap: mmap}
+			check := func(db *DB[uint64, uint64], stage string) {
+				t.Helper()
+				st := db.Stats()
+				wantMapped := 0
+				if mmap {
+					wantMapped = st.Runs()
+				}
+				if st.DiskRuns != st.Runs() || st.MappedRuns != wantMapped {
+					t.Fatalf("%s: %d runs, %d on disk, %d mapped; want %d on disk, %d mapped",
+						stage, st.Runs(), st.DiskRuns, st.MappedRuns, st.Runs(), wantMapped)
+				}
+			}
+			var next uint64
+			put := func(db *DB[uint64, uint64], n int) {
+				for i := 0; i < n; i++ {
+					if err := db.Put(next, ^next); err != nil {
+						t.Fatal(err)
+					}
+					next++
+				}
+			}
+			db, err := Open[uint64, uint64](dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Six flushes at Fanout 4: four level-0 runs merge into one
+			// level-1 run, and two level-0 runs stay above it.
+			for i := 0; i < 6; i++ {
+				put(db, 64)
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := db.Stats().RunLevels; !slices.Equal(got, []int{0, 0, 1}) {
+				t.Fatalf("run levels %v, want [0 0 1]", got)
+			}
+			check(db, "after flushes and a merge")
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			if db, err = Open[uint64, uint64](dir, cfg); err != nil {
+				t.Fatal(err)
+			}
+			check(db, "after reopen")
+			put(db, 100) // one table freezes; the rest stays in the log only
+			crashDB(db)
+			if len(listFiles(t, dir, "wal-*.log")) == 0 {
+				t.Fatal("crash left no log to recover")
+			}
+
+			if db, err = Open[uint64, uint64](dir, cfg); err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			check(db, "after crash recovery")
+			for k := uint64(0); k < next; k++ {
+				if v, ok := db.Get(k); !ok || v != ^k {
+					t.Fatalf("Get(%d) = %d, %v; want %d", k, v, ok, ^k)
+				}
+			}
+		})
+	}
+}

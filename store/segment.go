@@ -18,7 +18,6 @@ import (
 	"implicitlayout/internal/rawfmt"
 	"implicitlayout/layout"
 	"implicitlayout/perm"
-	"implicitlayout/search"
 )
 
 // The segment codec serializes a built Store so it can be reopened
@@ -573,10 +572,8 @@ func validateShardLens(lens []int, records int) error {
 
 // newSegStore assembles a reopened Store around the shard arrays a
 // reader recovered: config from the header, worker bound from the
-// options, and the routing metadata by rank arithmetic over the permuted
-// arrays — each shard's fence is its in-order rank 0, maxKey the last
-// shard's last rank — so no sorted copy of a shard ever exists on the
-// read path.
+// options, and the fence order checked, since the arrays came from a
+// file.
 func newSegStore[K cmp.Ordered, V any](hdr *segHeader, opts []Option, keys [][]K, vals [][]V) (*Store[K, V], error) {
 	var optc Config
 	for _, o := range opts {
@@ -586,36 +583,23 @@ func newSegStore[K cmp.Ordered, V any](hdr *segHeader, opts []Option, keys [][]K
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &Store[K, V]{
-		cfg: Config{
-			Shards:     len(keys),
-			Layout:     layout.Kind(hdr.Layout),
-			B:          hdr.B,
-			Workers:    workers,
-			Algorithm:  perm.Algorithm(hdr.Algorithm),
-			Duplicates: DuplicatePolicy(hdr.Duplicates),
-		},
-		n:       hdr.Records,
-		hasVals: hdr.HasVals,
-		shards:  make([]shard[K], len(keys)),
-		fences:  make([]K, len(keys)),
+	if !hdr.HasVals {
+		vals = nil
 	}
-	if hdr.HasVals {
-		s.svals = vals
-	}
-	off := 0
-	for i, k := range keys {
-		s.shards[i] = shard[K]{off: off, idx: search.NewIndex(k, s.cfg.Layout, hdr.B)}
-		s.fences[i] = s.shards[i].idx.AtRank(0)
-		off += len(k)
+	s := newStore(Config{
+		Layout:     layout.Kind(hdr.Layout),
+		B:          hdr.B,
+		Workers:    workers,
+		Algorithm:  perm.Algorithm(hdr.Algorithm),
+		Duplicates: DuplicatePolicy(hdr.Duplicates),
+	}, keys, vals)
+	for i := 1; i < len(s.fences); i++ {
 		// Equal fences are possible under KeepAll, where an equal-key
 		// run may straddle a shard boundary; descending ones never are.
-		if i > 0 && s.fences[i] < s.fences[i-1] {
+		if s.fences[i] < s.fences[i-1] {
 			return nil, fmt.Errorf("store: segment fence keys not ascending at shard %d", i)
 		}
 	}
-	last := s.shards[len(s.shards)-1].idx
-	s.maxKey = last.AtRank(last.Len() - 1)
 	return s, nil
 }
 

@@ -14,13 +14,13 @@ import (
 // segWriter is the one writer of the raw segment format: it writes v2.1
 // front to back, one shard at a time, without ever holding more than one
 // shard's records. Every fixed-width store reaches disk through it. A
-// built store (Store.WriteTo, a DB flush, the in-memory merge sink)
-// hands it each already-permuted shard in turn; the streaming compaction
-// hands AppendShard each shard's sorted records as the merged stream
-// produces them, and the writer permutes them into the run's layout in
-// place first — the reason a merge of arbitrarily many records peaks at
-// one shard of heap. Finish seals the stream with the filter frame
-// (shard lengths, record count, bloom filter) and the trailer.
+// built store (Store.WriteTo) hands it each already-permuted shard in
+// turn; the DB's run maker (newRun) hands AppendShard each shard's
+// sorted records as the merged stream produces them, and the writer
+// lays them out in place first — the reason a run of arbitrarily many
+// records peaks at one shard of heap. Finish seals the stream with the
+// filter frame (shard lengths, record count, bloom filter) and the
+// trailer.
 //
 // E is the on-disk element type: the user value for plain segments, the
 // mval wrapper for run segments. The AppendShard contract mirrors what a
@@ -45,12 +45,12 @@ type segWriter[K cmp.Ordered, E any] struct {
 	finished bool
 }
 
-// newSegWriter starts the streamed v2.1 run segment of a compaction.
-// upper is an upper bound on the record count (the sum of the merge
-// inputs), used only to size the bloom filter AppendShard fills;
-// overshooting it costs filter density, never correctness. cfg carries
-// the run build parameters (layout, B, algorithm, workers) the shards
-// are permuted with.
+// newSegWriter starts the streamed v2.1 segment of a DB run. upper is
+// an upper bound on the record count (the sum of the run's inputs),
+// used only to size the bloom filter AppendShard fills; overshooting it
+// costs filter density, never correctness. cfg carries the run build
+// parameters (layout, B, algorithm, workers) the shards are permuted
+// with.
 func newSegWriter[K cmp.Ordered, V any](w io.Writer, cfg Config, upper int) (*segWriter[K, mval[V]], error) {
 	return startSegWriter[K](w, cfg, runCodec[V]{}, true, filter.New(upper))
 }
@@ -87,20 +87,26 @@ func startSegWriter[K cmp.Ordered, E any](w io.Writer, cfg Config, codec segCode
 	return sw, err
 }
 
-// AppendShard permutes one shard's sorted records into the configured
-// layout — in place, mutating the caller's slices — and appends their
-// raw frames. Every key is also fed to the run's bloom filter here, so
-// filter construction rides the single pass the write already makes.
+// AppendShard lays one shard's sorted records out (layShard) — in
+// place, mutating the caller's slices — and appends their raw frames.
 func (sw *segWriter[K, E]) AppendShard(keys []K, vals []E) error {
 	if err := sw.checkShard(keys, vals); err != nil {
 		return err
 	}
-	for _, k := range keys {
-		sw.bloom.Add(keyHash(k))
-	}
-	perm.PermuteWith(keys, vals, sw.cfg.Layout, sw.cfg.Algorithm,
-		perm.WithWorkers(sw.cfg.Workers), perm.WithB(sw.cfg.B))
+	layShard(sw.cfg, sw.bloom, keys, vals)
 	return sw.appendPermuted(keys, vals)
+}
+
+// layShard is the layout step every DB run shard takes, whichever sink
+// receives it: each key is fed to the run's bloom filter, so filter
+// construction rides the pass the run maker already makes, and the
+// shard's sorted records are permuted in place into cfg's layout.
+func layShard[K cmp.Ordered, E any](cfg Config, bloom *filter.Bloom, keys []K, vals []E) {
+	for _, k := range keys {
+		bloom.Add(keyHash(k))
+	}
+	perm.PermuteWith(keys, vals, cfg.Layout, cfg.Algorithm,
+		perm.WithWorkers(cfg.Workers), perm.WithB(cfg.B))
 }
 
 // appendPermuted appends one shard whose arrays already sit in the

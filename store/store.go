@@ -13,8 +13,8 @@
 // shards, then a payload-carrying perm.PermuteWith of every shard
 // concurrently into the configured layout (vEB by default), so each
 // value sits at the same array position as its key.
-// Queries route through a fence-key router (the first key of each
-// shard, captured while the data is still sorted) and run the layout's
+// Queries route through a fence-key router (the smallest key of each
+// shard, read off its layout by rank) and run the layout's
 // search kernel inside the owning shard; Get returns the stored value,
 // GetBatch fans a query batch out over a bounded worker pool and returns
 // every value plus per-shard hit statistics, and Range and Scan stream
@@ -130,14 +130,15 @@ type Config struct {
 	Algorithm perm.Algorithm
 	// Duplicates selects the duplicate-key policy (default KeepLast).
 	Duplicates DuplicatePolicy
-	// Mmap asks OpenStore (and DB segment reopens) to serve raw (v2 or
-	// v2.1) segment files from a read-only memory mapping instead of
-	// decoding them onto the heap: open cost drops from O(data) to
-	// O(shards), and the OS page cache — not the Go heap — holds the
-	// working set.
-	// Ignored by Build (a built store is heap-born by construction) and
-	// silently degraded to heap decoding when the platform cannot map
-	// files or the segment is v1 (gob). See WithMmap.
+	// Mmap asks OpenStore to serve a raw (v2 or v2.1) segment file from
+	// a read-only memory mapping instead of decoding it onto the heap:
+	// open cost drops from O(data) to O(shards), and the OS page cache —
+	// not the Go heap — holds the working set. A durable DB sets it from
+	// DBConfig.Mmap for every read of a run segment, at Open and after
+	// each flush, recovery or merge writes one. Ignored by Build (a
+	// built store is heap-born by construction) and silently degraded
+	// to heap decoding when the platform cannot map files or the
+	// segment is v1 (gob). See WithMmap.
 	Mmap bool
 }
 
@@ -210,7 +211,8 @@ type shard[K cmp.Ordered] struct {
 //
 // The shard arrays are held per shard, not as one assumed-contiguous
 // allocation: a Build-born store's shards are windows into one heap
-// array, while a store opened with WithMmap serves each shard directly
+// array, a decoded segment's or a heap DB run's are one heap slice
+// each, and a store opened with WithMmap serves each shard directly
 // from its 64-byte-aligned block of a mapped segment file. Every query,
 // iteration, and export path goes through the per-shard views, so the
 // search kernels never know which backing they are reading.
@@ -258,15 +260,8 @@ func Build[K cmp.Ordered, V any](keys []K, vals []V, opts ...Option) (*Store[K, 
 		return nil, fmt.Errorf("store: %d keys but %d values", len(keys), len(vals))
 	}
 	c := buildConfig(len(keys), opts)
-	switch c.Layout {
-	case layout.Sorted, layout.BST, layout.BTree, layout.VEB, layout.Hier:
-	default:
-		return nil, fmt.Errorf("store: unknown layout %v", c.Layout)
-	}
-	switch c.Duplicates {
-	case KeepLast, KeepFirst, KeepAll, Reject:
-	default:
-		return nil, fmt.Errorf("store: unknown duplicate policy %v", c.Duplicates)
+	if err := checkConfig(c); err != nil {
+		return nil, err
 	}
 	// Stage 1: one stable parallel sort (sortByKey) straight from the
 	// caller's slices into the arrays the store will own.
@@ -298,22 +293,18 @@ func Build[K cmp.Ordered, V any](keys []K, vals []V, opts ...Option) (*Store[K, 
 
 	// Stage 3: range partition. Equal-size index ranges of the sorted
 	// array are contiguous key ranges, so the partition is by key range
-	// with near-perfect balance; fences are read off before the layout
-	// permutation destroys sorted order.
-	s := &Store[K, V]{cfg: c, n: n, hasVals: ownedV != nil}
-	s.maxKey = ownedK[n-1] // read off while still sorted, like the fences
-	s.shards = make([]shard[K], c.Shards)
-	s.fences = make([]K, c.Shards)
+	// with near-perfect balance.
+	shardKeys := make([][]K, c.Shards)
+	var shardVals [][]V
 	if ownedV != nil {
-		s.svals = make([][]V, c.Shards)
+		shardVals = make([][]V, c.Shards)
 	}
-	for i := 0; i < c.Shards; i++ {
+	for i := range shardKeys {
 		lo, hi := i*n/c.Shards, (i+1)*n/c.Shards
-		s.shards[i] = shard[K]{off: lo, idx: search.NewIndex(ownedK[lo:hi:hi], c.Layout, c.B)}
+		shardKeys[i] = ownedK[lo:hi:hi]
 		if ownedV != nil {
-			s.svals[i] = ownedV[lo:hi:hi]
+			shardVals[i] = ownedV[lo:hi:hi]
 		}
-		s.fences[i] = ownedK[lo]
 	}
 
 	// Stage 4: permute every shard into its layout concurrently, values
@@ -321,16 +312,60 @@ func Build[K cmp.Ordered, V any](keys []K, vals []V, opts ...Option) (*Store[K, 
 	// a disjoint slice of the worker budget, so total build parallelism
 	// stays bounded by c.Workers.
 	runner.Tasks(c.Shards, func(i int, sub par.Runner) {
-		lo, hi := i*n/c.Shards, (i+1)*n/c.Shards
 		if ownedV == nil {
-			perm.Permute(ownedK[lo:hi], c.Layout, c.Algorithm,
+			perm.Permute(shardKeys[i], c.Layout, c.Algorithm,
 				perm.WithWorkers(sub.P()), perm.WithB(c.B))
 		} else {
-			perm.PermuteWith(ownedK[lo:hi], ownedV[lo:hi], c.Layout, c.Algorithm,
+			perm.PermuteWith(shardKeys[i], shardVals[i], c.Layout, c.Algorithm,
 				perm.WithWorkers(sub.P()), perm.WithB(c.B))
 		}
 	})
-	return s, nil
+	return newStore(c, shardKeys, shardVals), nil
+}
+
+// checkConfig rejects the build parameters no layout or duplicate
+// policy answers to — the checks Build and Open share.
+func checkConfig(c Config) error {
+	switch c.Layout {
+	case layout.Sorted, layout.BST, layout.BTree, layout.VEB, layout.Hier:
+	default:
+		return fmt.Errorf("store: unknown layout %v", c.Layout)
+	}
+	switch c.Duplicates {
+	case KeepLast, KeepFirst, KeepAll, Reject:
+	default:
+		return fmt.Errorf("store: unknown duplicate policy %v", c.Duplicates)
+	}
+	return nil
+}
+
+// newStore assembles a Store around laid-out shard arrays — the one
+// constructor behind Build, the segment readers and the DB's runs.
+// keys[i] is shard i in cfg.Layout and vals[i] its values, position for
+// position; nil vals makes a keys-only store. The routing metadata comes
+// by rank arithmetic over the permuted arrays — each shard's fence is
+// its in-order rank 0, maxKey the last shard's last rank — so no sorted
+// copy of a shard is needed. The caller sets the backing and the bloom
+// filter, if any.
+func newStore[K cmp.Ordered, V any](cfg Config, keys [][]K, vals [][]V) *Store[K, V] {
+	cfg.Shards = len(keys)
+	s := &Store[K, V]{
+		cfg:     cfg,
+		hasVals: vals != nil,
+		shards:  make([]shard[K], len(keys)),
+		svals:   vals,
+		fences:  make([]K, len(keys)),
+	}
+	for i, k := range keys {
+		s.shards[i] = shard[K]{off: s.n, idx: search.NewIndex(k, cfg.Layout, cfg.B)}
+		s.fences[i] = s.shards[i].idx.AtRank(0)
+		s.n += len(k)
+	}
+	if len(keys) > 0 {
+		last := s.shards[len(keys)-1].idx
+		s.maxKey = last.AtRank(last.Len() - 1)
+	}
+	return s
 }
 
 // BuildSet builds a keys-only store — the PR 1 key-set pipeline. All

@@ -7,15 +7,15 @@ import (
 // This file is the DB's one k-way merge: a loser tree over storeCursors,
 // newest input first, resolving each key to its newest version. DB.Range
 // and DB.Scan run it over the memtables and runs with tombstones
-// suppressed; compaction runs it over the victim runs and feeds either
-// the shard-at-a-time segment sink below or an in-memory run build.
-// Either way the merge holds k cursors and nothing else: streamed
-// compaction keeps one output shard on the heap, and everything else
-// stays on disk (or in the page cache, for mapped victims) until the
-// moment it is read or written.
+// suppressed; the run maker (newRun) runs it over a flushed memtable or
+// the victim runs of a merge and cuts the stream into shards. Either way
+// the merge holds k cursors and nothing else: a durable fixed-width run
+// keeps one output shard on the heap, and everything else stays on disk
+// (or in the page cache, for mapped inputs) until the moment it is read
+// or written.
 
-// maxStreamShardRecs caps the streaming merge's output shard size, and
-// with it the merge's peak heap: a merge whose output would exceed
+// maxStreamShardRecs caps a run's shard size, and with it the peak heap
+// of a run written to a segment: a run whose output would exceed
 // Shards × this many records simply gets more shards. 2^19 records of
 // a 16-byte (key, payload) pair is ~8 MiB of buffer — big enough that
 // permutation and frame-write costs amortize, small enough that a
@@ -130,54 +130,13 @@ func kwayMerge[K cmp.Ordered, V any](runs []*Store[K, mval[V]], lo, hi K, all, d
 	}
 }
 
-// shardStreamer batches the merge's record stream into output shards of
-// the planned size and hands each full shard to the segment writer. Its
-// two buffers are the streaming merge's entire record memory; they are
-// reused shard after shard (AppendShard writes the permuted bytes out
-// before returning).
-type shardStreamer[K cmp.Ordered, V any] struct {
-	w      *segWriter[K, mval[V]]
-	target int
-	keys   []K
-	vals   []mval[V]
-}
-
-func newShardStreamer[K cmp.Ordered, V any](w *segWriter[K, mval[V]], target int) *shardStreamer[K, V] {
-	return &shardStreamer[K, V]{
-		w:      w,
-		target: target,
-		keys:   make([]K, 0, target),
-		vals:   make([]mval[V], 0, target),
-	}
-}
-
-func (ss *shardStreamer[K, V]) add(k K, mv mval[V]) error {
-	ss.keys = append(ss.keys, k)
-	ss.vals = append(ss.vals, mv)
-	if len(ss.keys) >= ss.target {
-		return ss.flush()
-	}
-	return nil
-}
-
-// flush appends the buffered records as one shard; a partial final
-// shard flushes on the explicit call after the merge runs dry.
-func (ss *shardStreamer[K, V]) flush() error {
-	if len(ss.keys) == 0 {
-		return nil
-	}
-	err := ss.w.AppendShard(ss.keys, ss.vals)
-	ss.keys, ss.vals = ss.keys[:0], ss.vals[:0]
-	return err
-}
-
-// streamShardPlan sizes the streaming merge's output shards for an
-// upper-bound record count: at least the configured shard count (so a
-// streamed run shards like a built run), more if the configured count
-// would push a shard over maxStreamShardRecs. Returns the target
-// records per shard. The true output count is only known when the
-// merge finishes, so the last shard may run short — readers derive
-// every length from the stream, and nothing requires balance.
+// streamShardPlan sizes a run's shards for an upper-bound record count:
+// at least the configured shard count (so a run shards like a built
+// store), more if the configured count would push a shard over
+// maxStreamShardRecs. Returns the target records per shard. The true
+// output count is only known when the merge finishes, so the last shard
+// may run short — readers derive every length from the stream, and
+// nothing requires balance.
 func streamShardPlan(cfg Config, upper int) int {
 	shards := cfg.Shards
 	if shards < 1 {
