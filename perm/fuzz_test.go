@@ -35,7 +35,9 @@ func FuzzPermuteMatchesOracle(f *testing.F) {
 }
 
 // FuzzUnpermuteRoundTrip checks the inverse transformations from fuzzed
-// parameters.
+// parameters: Unpermute on keys alone, and UnpermuteWith on keys with a
+// value slice riding the same permutation, so both entry points of the
+// shared inverse are exercised.
 func FuzzUnpermuteRoundTrip(f *testing.F) {
 	f.Add(uint16(100), uint8(0), uint8(4))
 	f.Add(uint16(4096), uint8(1), uint8(8))
@@ -53,6 +55,24 @@ func FuzzUnpermuteRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, sorted) {
 			t.Fatalf("n=%d %v b=%d: round trip failed", n, kind, b)
+		}
+		keys := make([]uint64, n)
+		copy(keys, sorted)
+		vals := make([]int32, n)
+		for i := range vals {
+			vals[i] = int32(-i)
+		}
+		PermuteWith(keys, vals, kind, CycleLeader, WithB(b), WithWorkers(2))
+		if err := UnpermuteWith(keys, vals, kind, WithB(b), WithWorkers(2)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(keys, sorted) {
+			t.Fatalf("n=%d %v b=%d: paired round trip lost key order", n, kind, b)
+		}
+		for i, v := range vals {
+			if v != int32(-i) {
+				t.Fatalf("n=%d %v b=%d: value %d of key rank %d, want %d", n, kind, b, v, i, -i)
+			}
 		}
 	})
 }

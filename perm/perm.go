@@ -131,8 +131,7 @@ func buildConfig(opts []Option) config {
 // Permute rearranges data (which must be in ascending sorted order for the
 // result to be a search tree) into layout k using algorithm a, in place.
 func Permute[T any](data []T, k layout.Kind, a Algorithm, opts ...Option) {
-	c := buildConfig(opts)
-	core.Permute[T](c.options(), vec.Of(data), k, a.core())
+	core.Permute[T](buildConfig(opts).options(), vec.Of(data), k, a.core())
 }
 
 // Unpermute restores ascending sorted order from a layout previously
@@ -146,23 +145,5 @@ func Permute[T any](data []T, k layout.Kind, a Algorithm, opts ...Option) {
 // Unpermute therefore needs only the layout kind and B — an Algorithm
 // choice would be meaningless here, so none is accepted.
 func Unpermute[T any](data []T, k layout.Kind, opts ...Option) error {
-	c := buildConfig(opts)
-	o := c.options()
-	switch k {
-	case layout.Sorted:
-		return nil
-	case layout.BST:
-		core.InvertInvolutionBST[T](o, vec.Of(data))
-		return nil
-	case layout.BTree:
-		core.InvertInvolutionBTree[T](o, vec.Of(data))
-		return nil
-	case layout.VEB:
-		core.InvertInvolutionVEB[T](o, vec.Of(data))
-		return nil
-	case layout.Hier:
-		core.InvertHier[T](o, vec.Of(data))
-		return nil
-	}
-	return fmt.Errorf("perm: unknown layout %v", k)
+	return core.Unpermute[T](buildConfig(opts).options(), vec.Of(data), k)
 }

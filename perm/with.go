@@ -26,8 +26,7 @@ func PermuteWith[K, V any](keys []K, vals []V, k layout.Kind, a Algorithm, opts 
 		panic(fmt.Sprintf("perm: PermuteWith slice lengths differ: %d keys, %d vals",
 			len(keys), len(vals)))
 	}
-	c := buildConfig(opts)
-	core.Permute[vec.KV[K, V]](c.options(), vec.ZipOf(keys, vals), k, a.core())
+	core.Permute[vec.KV[K, V]](buildConfig(opts).options(), vec.ZipOf(keys, vals), k, a.core())
 }
 
 // UnpermuteWith restores ascending sorted order from a layout previously
@@ -43,24 +42,5 @@ func UnpermuteWith[K, V any](keys []K, vals []V, k layout.Kind, opts ...Option) 
 		panic(fmt.Sprintf("perm: UnpermuteWith slice lengths differ: %d keys, %d vals",
 			len(keys), len(vals)))
 	}
-	c := buildConfig(opts)
-	o := c.options()
-	z := vec.ZipOf(keys, vals)
-	switch k {
-	case layout.Sorted:
-		return nil
-	case layout.BST:
-		core.InvertInvolutionBST[vec.KV[K, V]](o, z)
-		return nil
-	case layout.BTree:
-		core.InvertInvolutionBTree[vec.KV[K, V]](o, z)
-		return nil
-	case layout.VEB:
-		core.InvertInvolutionVEB[vec.KV[K, V]](o, z)
-		return nil
-	case layout.Hier:
-		core.InvertHier[vec.KV[K, V]](o, z)
-		return nil
-	}
-	return fmt.Errorf("perm: unknown layout %v", k)
+	return core.Unpermute[vec.KV[K, V]](buildConfig(opts).options(), vec.ZipOf(keys, vals), k)
 }

@@ -53,21 +53,16 @@ var ErrClosed = errors.New("server: closed")
 // its Hello; a peer that connects and says nothing is dropped.
 const handshakeTimeout = 10 * time.Second
 
-// Config parameterizes New; zero fields select defaults.
+// Config parameterizes New; zero fields select defaults. The rest is
+// fixed: each GetBatch runs serially, since pipelining already keeps
+// many requests in flight, and a Range response carries at most the
+// request's Limit and wire.MaxBatch records, with More=true at the cap.
 type Config struct {
 	// MaxInflight is the per-connection bound on concurrently executing
 	// requests (default 64). It is the pipelining window the server
 	// grants: past it, the read loop stops decoding until a handler
 	// finishes, and TCP backpressure does the rest.
 	MaxInflight int
-	// MaxResult caps the records one Range response carries (default
-	// wire.MaxBatch). A Range that hits the cap reports More=true and
-	// the client continues from the last key it saw.
-	MaxResult int
-	// Workers is the per-request parallelism handed to GetBatch
-	// (default 1, serial): under pipelining, concurrency comes from
-	// many requests in flight, not from splitting one.
-	Workers int
 }
 
 // Server serves one DB to any number of connections.
@@ -93,12 +88,6 @@ func New[K cmp.Ordered, V any](db *store.DB[K, V], cfg Config) (*Server[K, V], e
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 64
-	}
-	if cfg.MaxResult <= 0 || cfg.MaxResult > wire.MaxBatch {
-		cfg.MaxResult = wire.MaxBatch
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 	return &Server[K, V]{
 		db:    db,
@@ -371,11 +360,11 @@ func (s *Server[K, V]) execRead(req *wire.Request[K, V]) []byte {
 		resp.Val, resp.Found = s.db.Get(req.Key)
 	case wire.OpGetBatch:
 		v := s.db.View()
-		resp.Vals, resp.FoundAll = v.GetBatch(req.Keys, s.cfg.Workers)
+		resp.Vals, resp.FoundAll = v.GetBatch(req.Keys, 1)
 	case wire.OpRange:
 		limit := req.Limit
-		if limit <= 0 || limit > s.cfg.MaxResult {
-			limit = s.cfg.MaxResult
+		if limit <= 0 || limit > wire.MaxBatch {
+			limit = wire.MaxBatch
 		}
 		v := s.db.View()
 		v.Range(req.Lo, req.Hi, func(k K, val V) bool {

@@ -71,7 +71,7 @@ func (db *DB[K, V]) flushOne() (bool, error) {
 		return false, nil
 	}
 	m := st.frozen[len(st.frozen)-1] // oldest: flush order preserves run recency
-	fresh, err := db.newRun([]*Store[K, mval[V]]{memRun(m.sorted(par.New(db.workers)))}, 0, false)
+	fresh, err := db.newRun([]*Store[K, mval[V]]{memRun(m.sorted(par.New(db.runCfg.Workers)))}, 0, false)
 	if err != nil {
 		return false, err
 	}
@@ -200,7 +200,7 @@ func (db *DB[K, V]) newRun(inputs []*Store[K, mval[V]], level int, dropTombs boo
 	for _, in := range inputs {
 		upper += in.Len()
 	}
-	cfg := buildConfig(upper, db.runOpts)
+	cfg := db.runCfg.forRecords(upper)
 	target := streamShardPlan(cfg, upper)
 	// cut feeds the merged stream to sink one full shard at a time. A
 	// sink that keeps its shard (keep) gets fresh buffers for the next.
@@ -321,7 +321,7 @@ func (db *DB[K, V]) writeSegment(st *Store[K, mval[V]]) (string, error) {
 // zero-copy in cold-serve mode (DBConfig.Mmap), heap-decoded otherwise.
 func (db *DB[K, V]) readSegmentFile(name string) (*Store[K, mval[V]], error) {
 	return openSegFile[K, mval[V]](filepath.Join(db.dir, name), runCodec[V]{},
-		[]Option{WithWorkers(db.workers), WithMmap(db.cfg.Mmap)})
+		[]Option{WithWorkers(db.runCfg.Workers), WithMmap(db.cfg.Mmap)})
 }
 
 // commitManifest atomically rewrites the manifest to name exactly the

@@ -63,9 +63,9 @@ type DBConfig struct {
 	// Ignored in memory-only mode (there are no segments to map).
 	Mmap bool
 	// Store holds the build options every run is built with — layout,
-	// shard count, B, workers, permutation algorithm. WithDuplicates is
-	// ignored: the write path has overwrite semantics, so runs are always
-	// built KeepLast (see the duplicate-policy table in README.md).
+	// shard count, B, workers. WithDuplicates is ignored: the write path
+	// has overwrite semantics, so runs are always built KeepLast (see the
+	// duplicate-policy table in README.md).
 	Store []Option
 }
 
@@ -110,9 +110,9 @@ type DBConfig struct {
 // re-permuting anything that had reached a segment.
 type DB[K cmp.Ordered, V any] struct {
 	cfg     DBConfig
-	dir     string   // "" = memory-only
-	unlock  func()   // releases the directory flock (durable mode)
-	runOpts []Option // cfg.Store + the forced KeepLast policy
+	runCfg  Config // every run's build parameters: cfg.Store resolved, KeepLast forced
+	dir     string // "" = memory-only
+	unlock  func() // releases the directory flock (durable mode)
 	mu      sync.RWMutex
 	active  *memtable[K, V]
 	wal     *walWriter[K, V] // active memtable's log; nil when memory-only or closed (guarded by mu)
@@ -122,7 +122,6 @@ type DB[K cmp.Ordered, V any] struct {
 	state   atomic.Pointer[dbstate[K, V]]
 	compact sync.Mutex // serializes maintain(): background worker vs Flush/Close
 	worker  *par.Worker
-	workers int // parallelism for compaction-time merge, from the build config
 	errMu   sync.Mutex
 	ioErr   error // first durability failure; sticky, fails all later writes
 
@@ -175,16 +174,15 @@ func Open[K cmp.Ordered, V any](dir string, cfg DBConfig) (*DB[K, V], error) {
 	if cfg.Fanout < 2 {
 		return nil, fmt.Errorf("store: Fanout %d < 2", cfg.Fanout)
 	}
-	runOpts := append(append([]Option{}, cfg.Store...), WithDuplicates(KeepLast))
 	// Reject invalid run options before any data is accepted.
-	if err := checkConfig(buildConfig(1, runOpts)); err != nil {
+	runCfg, err := newConfig(append(slices.Clip(cfg.Store), WithDuplicates(KeepLast)))
+	if err != nil {
 		return nil, fmt.Errorf("store: invalid run options: %w", err)
 	}
 	db := &DB[K, V]{
-		cfg:     cfg,
-		runOpts: runOpts,
-		active:  newMemtable[K, V](),
-		workers: buildConfig(1, cfg.Store).Workers,
+		cfg:    cfg,
+		runCfg: runCfg,
+		active: newMemtable[K, V](),
 	}
 	db.state.Store(&dbstate[K, V]{})
 	if dir != "" {
@@ -235,7 +233,7 @@ func (db *DB[K, V]) openDir(dir string) error {
 	for _, seg := range man.Segments {
 		live[seg.File] = true
 	}
-	par.New(db.workers).Tasks(len(man.Segments), func(i int, _ par.Runner) {
+	par.New(db.runCfg.Workers).Tasks(len(man.Segments), func(i int, _ par.Runner) {
 		seg := man.Segments[i]
 		st, err := db.readSegmentFile(seg.File)
 		if err != nil {
@@ -712,11 +710,11 @@ func (db *DB[K, V]) rangeOn(act *memtable[K, V], st *dbstate[K, V], lo, hi K, al
 	keys, vals := act.collect(lo, hi, all)
 	db.mu.RUnlock()
 	sk, sv := make([]K, len(keys)), make([]mval[V], len(vals))
-	sortByKey(par.New(db.workers), keys, vals, sk, sv) // outside the lock: writers don't pay for our ordering
+	sortByKey(par.New(db.runCfg.Workers), keys, vals, sk, sv) // outside the lock: writers don't pay for our ordering
 	runs := make([]*Store[K, mval[V]], 0, 1+len(st.frozen)+len(st.runs))
 	runs = append(runs, memRun(sk, sv))
 	for _, m := range st.frozen {
-		runs = append(runs, memRun(m.sorted(par.New(db.workers))))
+		runs = append(runs, memRun(m.sorted(par.New(db.runCfg.Workers))))
 	}
 	for _, r := range st.runs {
 		runs = append(runs, r.st)

@@ -50,16 +50,10 @@ func (s *Store[K, V]) Export() (keys []K, vals []V) {
 // Rebuild constructs a new Store over the same record set with different
 // parameters (layout, shard count, B, ...), leaving the receiver intact:
 // the snapshot-swap primitive a serving process uses to migrate layouts
-// with zero reader downtime.
+// with zero reader downtime. opts apply on top of the receiver's own
+// build parameters.
 func (s *Store[K, V]) Rebuild(opts ...Option) (*Store[K, V], error) {
-	merged := append([]Option{
-		WithShards(s.cfg.Shards),
-		WithLayout(s.cfg.Layout),
-		WithB(s.cfg.B),
-		WithWorkers(s.cfg.Workers),
-		WithAlgorithm(s.cfg.Algorithm),
-		WithDuplicates(s.cfg.Duplicates),
-	}, opts...)
+	own := func(c *Config) { *c = s.cfg }
 	keys, vals := s.Export()
-	return Build(keys, vals, merged...)
+	return Build(keys, vals, append([]Option{own}, opts...)...)
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"implicitlayout/layout"
-	"implicitlayout/perm"
 	"implicitlayout/store"
 )
 
@@ -25,61 +24,58 @@ func buildKV(n int, seed int64) ([]uint64, []string) {
 }
 
 // TestKVRoundTrip is the record-store acceptance property: for every
-// layout x algorithm, Get returns the stored value for every present
-// key, misses stay misses, GetBatch returns the same values in batch
-// position, and Export recovers the sorted key–value pairs.
+// layout, Get returns the stored value for every present key, misses
+// stay misses, GetBatch returns the same values in batch position, and
+// Export recovers the sorted key–value pairs.
 func TestKVRoundTrip(t *testing.T) {
 	const n = 1 << 12
 	keys, vals := buildKV(n, 21)
 	for _, kind := range allKinds {
-		for _, alg := range perm.Algorithms() {
-			st, err := store.Build(keys, vals,
-				store.WithLayout(kind), store.WithShards(8), store.WithWorkers(4),
-				store.WithAlgorithm(alg))
-			if err != nil {
-				t.Fatalf("%v/%v: Build: %v", kind, alg, err)
-			}
-			if !st.HasValues() || st.Len() != n {
-				t.Fatalf("%v/%v: store shape wrong", kind, alg)
-			}
+		st, err := store.Build(keys, vals,
+			store.WithLayout(kind), store.WithShards(8), store.WithWorkers(4))
+		if err != nil {
+			t.Fatalf("%v: Build: %v", kind, err)
+		}
+		if !st.HasValues() || st.Len() != n {
+			t.Fatalf("%v: store shape wrong", kind)
+		}
 
-			for i := 0; i < n; i++ {
-				x := uint64(2*i + 1)
-				got, ok := st.Get(x)
-				if !ok || got != valOf(x) {
-					t.Fatalf("%v/%v: Get(%d) = %q, %v; want %q", kind, alg, x, got, ok, valOf(x))
-				}
-				if _, ok := st.Get(x - 1); ok {
-					t.Fatalf("%v/%v: Get(%d) hit", kind, alg, x-1)
-				}
+		for i := 0; i < n; i++ {
+			x := uint64(2*i + 1)
+			got, ok := st.Get(x)
+			if !ok || got != valOf(x) {
+				t.Fatalf("%v: Get(%d) = %q, %v; want %q", kind, x, got, ok, valOf(x))
 			}
+			if _, ok := st.Get(x - 1); ok {
+				t.Fatalf("%v: Get(%d) hit", kind, x-1)
+			}
+		}
 
-			queries := make([]uint64, 0, 2*n)
-			for i := 0; i < n; i++ {
-				queries = append(queries, uint64(2*i+1), uint64(2*i))
+		queries := make([]uint64, 0, 2*n)
+		for i := 0; i < n; i++ {
+			queries = append(queries, uint64(2*i+1), uint64(2*i))
+		}
+		for _, p := range []int{1, 8} {
+			res := st.GetBatch(queries, p)
+			if res.Hits != n {
+				t.Fatalf("%v p=%d: %d hits, want %d", kind, p, res.Hits, n)
 			}
-			for _, p := range []int{1, 8} {
-				res := st.GetBatch(queries, p)
-				if res.Hits != n {
-					t.Fatalf("%v/%v p=%d: %d hits, want %d", kind, alg, p, res.Hits, n)
-				}
-				for qi, q := range queries {
-					if hit := q%2 == 1; res.Found[qi] != hit {
-						t.Fatalf("%v/%v p=%d: Found[%d]=%v for %d", kind, alg, p, qi, res.Found[qi], q)
-					} else if hit && res.Vals[qi] != valOf(q) {
-						t.Fatalf("%v/%v p=%d: Vals[%d]=%q, want %q", kind, alg, p, qi, res.Vals[qi], valOf(q))
-					}
+			for qi, q := range queries {
+				if hit := q%2 == 1; res.Found[qi] != hit {
+					t.Fatalf("%v p=%d: Found[%d]=%v for %d", kind, p, qi, res.Found[qi], q)
+				} else if hit && res.Vals[qi] != valOf(q) {
+					t.Fatalf("%v p=%d: Vals[%d]=%q, want %q", kind, p, qi, res.Vals[qi], valOf(q))
 				}
 			}
+		}
 
-			outK, outV := st.Export()
-			if !slices.IsSorted(outK) || len(outK) != n || len(outV) != n {
-				t.Fatalf("%v/%v: Export shape wrong", kind, alg)
-			}
-			for i := range outK {
-				if outV[i] != valOf(outK[i]) {
-					t.Fatalf("%v/%v: exported pair (%d, %q) mismatched", kind, alg, outK[i], outV[i])
-				}
+		outK, outV := st.Export()
+		if !slices.IsSorted(outK) || len(outK) != n || len(outV) != n {
+			t.Fatalf("%v: Export shape wrong", kind)
+		}
+		for i := range outK {
+			if outV[i] != valOf(outK[i]) {
+				t.Fatalf("%v: exported pair (%d, %q) mismatched", kind, outK[i], outV[i])
 			}
 		}
 	}
@@ -218,37 +214,35 @@ func TestDuplicatePolicies(t *testing.T) {
 }
 
 // TestScanStreamsSortedRecords: Scan yields every record exactly once in
-// globally ascending key order, for every layout x algorithm, and stops
+// globally ascending key order, for every layout, and stops
 // early when asked.
 func TestScanStreamsSortedRecords(t *testing.T) {
 	const n = 1 << 11
 	keys, vals := buildKV(n, 31)
 	for _, kind := range allKinds {
-		for _, alg := range perm.Algorithms() {
-			st, err := store.Build(keys, vals,
-				store.WithLayout(kind), store.WithShards(8), store.WithAlgorithm(alg))
-			if err != nil {
-				t.Fatal(err)
+		st, err := store.Build(keys, vals,
+			store.WithLayout(kind), store.WithShards(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gotK []uint64
+		st.Scan(func(key uint64, val string) bool {
+			if val != valOf(key) {
+				t.Fatalf("%v: Scan yielded (%d, %q)", kind, key, val)
 			}
-			var gotK []uint64
-			st.Scan(func(key uint64, val string) bool {
-				if val != valOf(key) {
-					t.Fatalf("%v/%v: Scan yielded (%d, %q)", kind, alg, key, val)
-				}
-				gotK = append(gotK, key)
-				return true
-			})
-			if len(gotK) != n || !slices.IsSorted(gotK) {
-				t.Fatalf("%v/%v: Scan yielded %d keys, sorted=%v", kind, alg, len(gotK), slices.IsSorted(gotK))
-			}
-			count := 0
-			st.Scan(func(uint64, string) bool {
-				count++
-				return count < n/3
-			})
-			if count != n/3 {
-				t.Fatalf("%v/%v: early stop scanned %d", kind, alg, count)
-			}
+			gotK = append(gotK, key)
+			return true
+		})
+		if len(gotK) != n || !slices.IsSorted(gotK) {
+			t.Fatalf("%v: Scan yielded %d keys, sorted=%v", kind, len(gotK), slices.IsSorted(gotK))
+		}
+		count := 0
+		st.Scan(func(uint64, string) bool {
+			count++
+			return count < n/3
+		})
+		if count != n/3 {
+			t.Fatalf("%v: early stop scanned %d", kind, count)
 		}
 	}
 }
@@ -256,7 +250,7 @@ func TestScanStreamsSortedRecords(t *testing.T) {
 // TestRangeAgainstSortedReference is the cross-shard Range acceptance
 // property: random intervals — empty ones, shard-boundary-straddling
 // ones, and whole-store ones — yield exactly the records the sorted
-// reference slice contains, in order, for every layout x algorithm.
+// reference slice contains, in order, for every layout.
 func TestRangeAgainstSortedReference(t *testing.T) {
 	const n = 1 << 11
 	keys, vals := buildKV(n, 37)
@@ -264,66 +258,64 @@ func TestRangeAgainstSortedReference(t *testing.T) {
 	slices.Sort(sortedK)
 	rng := rand.New(rand.NewSource(41))
 	for _, kind := range allKinds {
-		for _, alg := range perm.Algorithms() {
-			st, err := store.Build(keys, vals,
-				store.WithLayout(kind), store.WithShards(8), store.WithAlgorithm(alg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fences := st.Fences()
+		st, err := store.Build(keys, vals,
+			store.WithLayout(kind), store.WithShards(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fences := st.Fences()
 
-			intervals := [][2]uint64{
-				{0, uint64(2*n + 10)},            // whole store, bounds outside key range
-				{1, uint64(2*n - 1)},             // whole store, exact bounds
-				{17, 3},                          // inverted: empty
-				{4, 4},                           // between keys: empty
-				{0, 0},                           // below every key: empty
-				{uint64(2*n + 1), uint64(4 * n)}, // above every key: empty
-			}
-			// Intervals straddling every shard boundary, including ones
-			// starting/ending exactly on a fence key.
-			for i := 1; i < len(fences); i++ {
-				f := fences[i]
-				intervals = append(intervals,
-					[2]uint64{f - 2, f + 2}, [2]uint64{f, f}, [2]uint64{f - 3, f})
-			}
-			for trial := 0; trial < 40; trial++ {
-				lo := uint64(rng.Intn(2*n + 2))
-				intervals = append(intervals, [2]uint64{lo, lo + uint64(rng.Intn(n))})
-			}
+		intervals := [][2]uint64{
+			{0, uint64(2*n + 10)},            // whole store, bounds outside key range
+			{1, uint64(2*n - 1)},             // whole store, exact bounds
+			{17, 3},                          // inverted: empty
+			{4, 4},                           // between keys: empty
+			{0, 0},                           // below every key: empty
+			{uint64(2*n + 1), uint64(4 * n)}, // above every key: empty
+		}
+		// Intervals straddling every shard boundary, including ones
+		// starting/ending exactly on a fence key.
+		for i := 1; i < len(fences); i++ {
+			f := fences[i]
+			intervals = append(intervals,
+				[2]uint64{f - 2, f + 2}, [2]uint64{f, f}, [2]uint64{f - 3, f})
+		}
+		for trial := 0; trial < 40; trial++ {
+			lo := uint64(rng.Intn(2*n + 2))
+			intervals = append(intervals, [2]uint64{lo, lo + uint64(rng.Intn(n))})
+		}
 
-			for _, iv := range intervals {
-				lo, hi := iv[0], iv[1]
-				var want []uint64
-				for _, k := range sortedK {
-					if k >= lo && k <= hi {
-						want = append(want, k)
-					}
-				}
-				var got []uint64
-				st.Range(lo, hi, func(key uint64, val string) bool {
-					if val != valOf(key) {
-						t.Fatalf("%v/%v [%d,%d]: Range yielded (%d, %q)", kind, alg, lo, hi, key, val)
-					}
-					got = append(got, key)
-					return true
-				})
-				if !slices.Equal(got, want) {
-					t.Fatalf("%v/%v [%d,%d]:\n got %v\nwant %v", kind, alg, lo, hi, got, want)
+		for _, iv := range intervals {
+			lo, hi := iv[0], iv[1]
+			var want []uint64
+			for _, k := range sortedK {
+				if k >= lo && k <= hi {
+					want = append(want, k)
 				}
 			}
-
-			// Early stop crosses a shard boundary: ask for more records
-			// than one shard holds, stop after shardLen+3.
-			limit := st.ShardLen(0) + 3
-			count := 0
-			st.Range(0, uint64(2*n), func(uint64, string) bool {
-				count++
-				return count < limit
+			var got []uint64
+			st.Range(lo, hi, func(key uint64, val string) bool {
+				if val != valOf(key) {
+					t.Fatalf("%v [%d,%d]: Range yielded (%d, %q)", kind, lo, hi, key, val)
+				}
+				got = append(got, key)
+				return true
 			})
-			if count != limit {
-				t.Fatalf("%v/%v: cross-shard early stop yielded %d, want %d", kind, alg, count, limit)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v [%d,%d]:\n got %v\nwant %v", kind, lo, hi, got, want)
 			}
+		}
+
+		// Early stop crosses a shard boundary: ask for more records
+		// than one shard holds, stop after shardLen+3.
+		limit := st.ShardLen(0) + 3
+		count := 0
+		st.Range(0, uint64(2*n), func(uint64, string) bool {
+			count++
+			return count < limit
+		})
+		if count != limit {
+			t.Fatalf("%v: cross-shard early stop yielded %d, want %d", kind, count, limit)
 		}
 	}
 }

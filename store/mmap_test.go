@@ -481,35 +481,6 @@ func TestSegmentPlatformMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reframe := func(mutate func(h *segHeader)) []byte {
-		var out bytes.Buffer
-		out.WriteString(segMagic)
-		bw := blockio.NewWriter(&out)
-		off := len(segMagic)
-		for {
-			tag, payload, next, err := blockio.Frame(buf.Bytes(), off, true)
-			if err != nil {
-				break
-			}
-			if tag == tagSegHeader {
-				var hdr segHeader
-				if err := readGobFrame(blockio.NewReader(bytes.NewReader(buf.Bytes()[off:])), tagSegHeader, &hdr); err != nil {
-					t.Fatal(err)
-				}
-				mutate(&hdr)
-				if err := writeGobFrame(bw, tagSegHeader, hdr); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				if err := bw.WriteBlock(tag, payload); err != nil {
-					t.Fatal(err)
-				}
-			}
-			off = next
-		}
-		return out.Bytes()
-	}
-
 	cases := []struct {
 		name   string
 		field  string // the words the error must contain
@@ -530,7 +501,7 @@ func TestSegmentPlatformMismatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			enc := reframe(tc.mutate)
+			enc := reframeHeader(t, buf.Bytes(), tc.mutate)
 			_, err := ReadStore[int64, uint64](bytes.NewReader(enc))
 			if err == nil {
 				t.Fatal("heap reader served a platform-mismatched segment")

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"reflect"
-	"runtime"
 	"slices"
 
 	"implicitlayout/internal/blockio"
@@ -17,7 +16,6 @@ import (
 	"implicitlayout/internal/mmapio"
 	"implicitlayout/internal/rawfmt"
 	"implicitlayout/layout"
-	"implicitlayout/perm"
 )
 
 // The segment codec serializes a built Store so it can be reopened
@@ -183,7 +181,7 @@ type segHeader struct {
 	HasVals    bool  // false for key-set stores (no value frames at all)
 	Layout     int   // layout.Kind the shards are permuted into
 	B          int   // B-tree node capacity the shards were built with
-	Algorithm  int   // perm.Algorithm, kept for Rebuild fidelity
+	Algorithm  int   // written as 1 (cycle-leader, the one family builds use); ignored on read
 	Duplicates int   // DuplicatePolicy the store was built with
 	ShardLens  []int // per-shard record counts, in fence order
 
@@ -445,7 +443,7 @@ func newSegHeader(version, payload int, hasVals bool, cfg Config) segHeader {
 		HasVals:    hasVals,
 		Layout:     int(cfg.Layout),
 		B:          cfg.B,
-		Algorithm:  int(cfg.Algorithm),
+		Algorithm:  1,
 		Duplicates: int(cfg.Duplicates),
 	}
 }
@@ -504,10 +502,17 @@ func writeSegV1[K cmp.Ordered, V any](w io.Writer, s *Store[K, V], codec segCode
 	return base + bw.Offset(), err
 }
 
+// config maps the header's build parameters to the Config the shards
+// were built with.
+func (h *segHeader) config() Config {
+	return Config{Layout: layout.Kind(h.Layout), B: h.B, Duplicates: DuplicatePolicy(h.Duplicates)}
+}
+
 // validateSegHeader runs the structural checks shared by every reader:
-// known version and layout, consistent record and shard counts, and —
-// for raw segments — the platform contract, which must match this
-// build's on this machine, or the raw arrays would be served as garbage.
+// known version, build parameters checkConfig accepts, consistent record
+// and shard counts, and — for raw segments — the platform contract,
+// which must match this build's on this machine, or the raw arrays would
+// be served as garbage.
 func validateSegHeader[K cmp.Ordered, V any](hdr *segHeader, codec segCodec[V]) error {
 	if !knownSegVersion(hdr.Version) {
 		return fmt.Errorf("%w: version %d, this build reads v%d (gob), v%d (raw), and v%d (raw streamable) — written by a newer build?",
@@ -517,13 +522,8 @@ func validateSegHeader[K cmp.Ordered, V any](hdr *segHeader, codec segCodec[V]) 
 		return fmt.Errorf("store: segment payload kind %d where %d expected (a DB run segment and a plain Store segment are not interchangeable)",
 			hdr.Payload, codec.kind())
 	}
-	switch layout.Kind(hdr.Layout) {
-	case layout.Sorted, layout.BST, layout.BTree, layout.VEB, layout.Hier:
-	default:
-		return fmt.Errorf("store: segment names unknown layout %d", hdr.Layout)
-	}
-	if hdr.B < 1 {
-		return fmt.Errorf("store: segment header malformed (b=%d)", hdr.B)
+	if err := checkConfig(hdr.config()); err != nil {
+		return fmt.Errorf("store: segment header: %w", err)
 	}
 	if hdr.Version == segV21 {
 		// The streamable format learns its lengths from the shard frames
@@ -572,27 +572,19 @@ func validateShardLens(lens []int, records int) error {
 
 // newSegStore assembles a reopened Store around the shard arrays a
 // reader recovered: config from the header, worker bound from the
-// options, and the fence order checked, since the arrays came from a
-// file.
+// options (below 1 selects GOMAXPROCS, as in par.New), and the fence
+// order checked, since the arrays came from a file.
 func newSegStore[K cmp.Ordered, V any](hdr *segHeader, opts []Option, keys [][]K, vals [][]V) (*Store[K, V], error) {
 	var optc Config
 	for _, o := range opts {
 		o(&optc)
 	}
-	workers := optc.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	cfg := hdr.config()
+	cfg.Workers = optc.Workers
 	if !hdr.HasVals {
 		vals = nil
 	}
-	s := newStore(Config{
-		Layout:     layout.Kind(hdr.Layout),
-		B:          hdr.B,
-		Workers:    workers,
-		Algorithm:  perm.Algorithm(hdr.Algorithm),
-		Duplicates: DuplicatePolicy(hdr.Duplicates),
-	}, keys, vals)
+	s := newStore(cfg, keys, vals)
 	for i := 1; i < len(s.fences); i++ {
 		// Equal fences are possible under KeepAll, where an equal-key
 		// run may straddle a shard boundary; descending ones never are.
@@ -603,26 +595,36 @@ func newSegStore[K cmp.Ordered, V any](hdr *segHeader, opts []Option, keys [][]K
 	return s, nil
 }
 
-func readSegStream[K cmp.Ordered, V any](r io.Reader, codec segCodec[V], opts []Option) (*Store[K, V], error) {
+// readSegHead reads a segment's magic and header frame from r. It
+// returns the header and the frame reader positioned after it.
+func readSegHead(r io.Reader) (*segHeader, *blockio.Reader, error) {
 	magic := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("store: reading segment magic: %w", err)
+		return nil, nil, fmt.Errorf("store: reading segment magic: %w", err)
 	}
 	if string(magic) != segMagic {
-		return nil, fmt.Errorf("store: not a segment file (magic %q)", magic)
+		return nil, nil, fmt.Errorf("store: not a segment file (magic %q)", magic)
 	}
 	br := blockio.NewReader(r)
 	var hdr segHeader
 	if err := readGobFrame(br, tagSegHeader, &hdr); err != nil {
+		return nil, nil, err
+	}
+	return &hdr, br, nil
+}
+
+func readSegStream[K cmp.Ordered, V any](r io.Reader, codec segCodec[V], opts []Option) (*Store[K, V], error) {
+	hdr, br, err := readSegHead(r)
+	if err != nil {
 		return nil, err
 	}
-	if err := validateSegHeader[K](&hdr, codec); err != nil {
+	if err := validateSegHeader[K](hdr, codec); err != nil {
 		return nil, err
 	}
 	if hdr.Version != segV1 {
 		// blockio.Reader hands every payload a fresh allocation, so the
 		// parser may keep each array frame as the shard array itself.
-		return parseRawSeg[K](br.Next, &hdr, codec, opts)
+		return parseRawSeg[K](br.Next, hdr, codec, opts)
 	}
 
 	// v1: one contiguous heap array per record column, shards windowed
@@ -656,7 +658,7 @@ func readSegStream[K cmp.Ordered, V any](r io.Reader, codec segCodec[V], opts []
 	if tr.Records != hdr.Records {
 		return nil, fmt.Errorf("store: segment trailer says %d records, header %d", tr.Records, hdr.Records)
 	}
-	return newSegStore(&hdr, opts, shardKeys, shardVals)
+	return newSegStore(hdr, opts, shardKeys, shardVals)
 }
 
 // parseRawSeg is the one parser of the raw formats, v2 and v2.1, run on
@@ -788,15 +790,8 @@ func probeSegmentVersion(path string) (int, error) {
 		return 0, err
 	}
 	defer f.Close()
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return 0, fmt.Errorf("store: reading segment magic: %w", err)
-	}
-	if string(magic) != segMagic {
-		return 0, fmt.Errorf("store: not a segment file (magic %q)", magic)
-	}
-	var hdr segHeader
-	if err := readGobFrame(blockio.NewReader(f), tagSegHeader, &hdr); err != nil {
+	hdr, _, err := readSegHead(f)
+	if err != nil {
 		return 0, err
 	}
 	return hdr.Version, nil

@@ -7,8 +7,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
+	"implicitlayout/internal/blockio"
 	"implicitlayout/internal/mmapio"
 	"implicitlayout/internal/rawfmt"
 	"implicitlayout/layout"
@@ -244,5 +246,101 @@ func TestReadStoreStopsAtTrailer(t *testing.T) {
 	}
 	if r.Len() != 0 {
 		t.Fatalf("%d bytes left after both segments", r.Len())
+	}
+}
+
+// reframeHeader returns seg, a complete segment, with its header frame
+// decoded, passed to mutate and re-encoded. Every other frame is copied
+// verbatim, so only the header can make a reader refuse the result.
+func reframeHeader(t *testing.T, seg []byte, mutate func(h *segHeader)) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	out.WriteString(segMagic)
+	bw := blockio.NewWriter(&out)
+	for off := len(segMagic); off < len(seg); {
+		tag, payload, next, err := blockio.Frame(seg, off, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tag == tagSegHeader {
+			var hdr segHeader
+			if err := decodeGob(payload, tagSegHeader, &hdr); err != nil {
+				t.Fatal(err)
+			}
+			mutate(&hdr)
+			err = writeGobFrame(bw, tagSegHeader, hdr)
+		} else {
+			err = bw.WriteBlock(tag, payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		off = next
+	}
+	return out.Bytes()
+}
+
+// TestSegmentIgnoresAlgorithm: every build permutes with one family, so
+// the header's algorithm field is written but never read. A segment
+// naming a family no build knows opens, heap and mapped, and Rebuild of
+// it answers like the store that wrote it.
+func TestSegmentIgnoresAlgorithm(t *testing.T) {
+	orig := buildFixedRandom(t, 1000, WithShards(4))
+	var buf bytes.Buffer
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "algorithm.seg")
+	seg := reframeHeader(t, buf.Bytes(), func(h *segHeader) { h.Algorithm = 9 })
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		st, err := OpenStore[int64, uint64](path, WithMmap(mmap))
+		if err != nil {
+			t.Fatalf("mmap=%v: %v", mmap, err)
+		}
+		rb, err := st.Rebuild()
+		if err != nil {
+			t.Fatalf("mmap=%v: Rebuild: %v", mmap, err)
+		}
+		if rb.Shards() != orig.Shards() {
+			t.Fatalf("mmap=%v: Rebuild made %d shards, want %d", mmap, rb.Shards(), orig.Shards())
+		}
+		assertStoreParity(t, orig, rb, orig.Len())
+		if err := st.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSegmentRefusesUnknownDuplicatePolicy: a header naming a duplicate
+// policy no build knows is refused when the segment is read — by
+// ReadStore and by both OpenStore paths — not left to fail at Rebuild.
+func TestSegmentRefusesUnknownDuplicatePolicy(t *testing.T) {
+	orig := buildFixedRandom(t, 1000, WithShards(4))
+	var buf bytes.Buffer
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	seg := reframeHeader(t, buf.Bytes(), func(h *segHeader) { h.Duplicates = 9 })
+	path := filepath.Join(t.TempDir(), "duplicates.seg")
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s served a segment naming duplicate policy 9", what)
+		}
+		if !strings.Contains(err.Error(), "duplicate policy") {
+			t.Fatalf("%s refusal %q does not name the duplicate policy", what, err)
+		}
+	}
+	_, err := ReadStore[int64, uint64](bytes.NewReader(seg))
+	refused("ReadStore", err)
+	for _, mmap := range []bool{false, true} {
+		_, err := OpenStore[int64, uint64](path, WithMmap(mmap))
+		refused(fmt.Sprintf("OpenStore(mmap=%v)", mmap), err)
 	}
 }

@@ -49,8 +49,7 @@ type segWriter[K cmp.Ordered, E any] struct {
 // an upper bound on the record count (the sum of the run's inputs),
 // used only to size the bloom filter AppendShard fills; overshooting it
 // costs filter density, never correctness. cfg carries the run build
-// parameters (layout, B, algorithm, workers) the shards are permuted
-// with.
+// parameters (layout, B, workers) the shards are permuted with.
 func newSegWriter[K cmp.Ordered, V any](w io.Writer, cfg Config, upper int) (*segWriter[K, mval[V]], error) {
 	return startSegWriter[K](w, cfg, runCodec[V]{}, true, filter.New(upper))
 }
@@ -105,7 +104,7 @@ func layShard[K cmp.Ordered, E any](cfg Config, bloom *filter.Bloom, keys []K, v
 	for _, k := range keys {
 		bloom.Add(keyHash(k))
 	}
-	perm.PermuteWith(keys, vals, cfg.Layout, cfg.Algorithm,
+	perm.PermuteWith(keys, vals, cfg.Layout, perm.CycleLeader,
 		perm.WithWorkers(cfg.Workers), perm.WithB(cfg.B))
 }
 

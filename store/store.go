@@ -125,9 +125,6 @@ type Config struct {
 	// Workers bounds the build pipeline's parallelism (values below 1
 	// select GOMAXPROCS).
 	Workers int
-	// Algorithm selects the permutation family (default perm.CycleLeader,
-	// the fastest on CPUs in the paper's measurements).
-	Algorithm perm.Algorithm
 	// Duplicates selects the duplicate-key policy (default KeepLast).
 	Duplicates DuplicatePolicy
 	// Mmap asks OpenStore to serve a raw (v2 or v2.1) segment file from
@@ -158,9 +155,6 @@ func WithB(b int) Option { return func(c *Config) { c.B = b } }
 // GOMAXPROCS).
 func WithWorkers(p int) Option { return func(c *Config) { c.Workers = p } }
 
-// WithAlgorithm selects the permutation family used by the build.
-func WithAlgorithm(a perm.Algorithm) Option { return func(c *Config) { c.Algorithm = a } }
-
 // WithDuplicates selects the duplicate-key policy (default KeepLast).
 func WithDuplicates(d DuplicatePolicy) Option { return func(c *Config) { c.Duplicates = d } }
 
@@ -171,19 +165,17 @@ func WithDuplicates(d DuplicatePolicy) Option { return func(c *Config) { c.Dupli
 // Store.Release for the mapping lifecycle.
 func WithMmap(on bool) Option { return func(c *Config) { c.Mmap = on } }
 
-func buildConfig(n int, opts []Option) Config {
-	c := Config{Layout: layout.VEB, B: perm.DefaultB, Algorithm: perm.CycleLeader}
+// newConfig applies opts over the defaults, fills every zero field with
+// its default and checks the result: the one resolution behind Build,
+// Rebuild and Open. Each build clamps the shard count to its record
+// count (forRecords).
+func newConfig(opts []Option) (Config, error) {
+	c := Config{Layout: layout.VEB}
 	for _, o := range opts {
 		o(&c)
 	}
 	if c.Shards < 1 {
 		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.Shards > n {
-		c.Shards = n
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
 	}
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -191,6 +183,12 @@ func buildConfig(n int, opts []Option) Config {
 	if c.B < 1 {
 		c.B = perm.DefaultB
 	}
+	return c, checkConfig(c)
+}
+
+// forRecords clamps the shard count to n records, so no shard is empty.
+func (c Config) forRecords(n int) Config {
+	c.Shards = max(1, min(c.Shards, n))
 	return c
 }
 
@@ -259,10 +257,11 @@ func Build[K cmp.Ordered, V any](keys []K, vals []V, opts ...Option) (*Store[K, 
 	if vals != nil && len(vals) != len(keys) {
 		return nil, fmt.Errorf("store: %d keys but %d values", len(keys), len(vals))
 	}
-	c := buildConfig(len(keys), opts)
-	if err := checkConfig(c); err != nil {
+	c, err := newConfig(opts)
+	if err != nil {
 		return nil, err
 	}
+	c = c.forRecords(len(keys))
 	// Stage 1: one stable parallel sort (sortByKey) straight from the
 	// caller's slices into the arrays the store will own.
 	ownedK := make([]K, len(keys))
@@ -287,9 +286,7 @@ func Build[K cmp.Ordered, V any](keys []K, vals []V, opts ...Option) (*Store[K, 
 		ownedK, ownedV = dedupe(ownedK, ownedV, c.Duplicates == KeepLast)
 	}
 	n := len(ownedK)
-	if c.Shards > n {
-		c.Shards = n // dedupe may have shrunk below the requested count
-	}
+	c = c.forRecords(n) // dedupe may have shrunk below the shard count
 
 	// Stage 3: range partition. Equal-size index ranges of the sorted
 	// array are contiguous key ranges, so the partition is by key range
@@ -310,22 +307,28 @@ func Build[K cmp.Ordered, V any](keys []K, vals []V, opts ...Option) (*Store[K, 
 	// Stage 4: permute every shard into its layout concurrently, values
 	// riding the same permutation as their keys. Each shard task inherits
 	// a disjoint slice of the worker budget, so total build parallelism
-	// stays bounded by c.Workers.
+	// stays bounded by c.Workers. Both of the paper's families realize
+	// the same layout; the cycle-leader one is used because it builds
+	// every layout faster on CPUs.
 	runner.Tasks(c.Shards, func(i int, sub par.Runner) {
 		if ownedV == nil {
-			perm.Permute(shardKeys[i], c.Layout, c.Algorithm,
+			perm.Permute(shardKeys[i], c.Layout, perm.CycleLeader,
 				perm.WithWorkers(sub.P()), perm.WithB(c.B))
 		} else {
-			perm.PermuteWith(shardKeys[i], shardVals[i], c.Layout, c.Algorithm,
+			perm.PermuteWith(shardKeys[i], shardVals[i], c.Layout, perm.CycleLeader,
 				perm.WithWorkers(sub.P()), perm.WithB(c.B))
 		}
 	})
 	return newStore(c, shardKeys, shardVals), nil
 }
 
-// checkConfig rejects the build parameters no layout or duplicate
-// policy answers to — the checks Build and Open share.
+// checkConfig rejects the build parameters no layout, node capacity or
+// duplicate policy answers to — the one check behind every resolved
+// Config and every segment header.
 func checkConfig(c Config) error {
+	if c.B < 1 {
+		return fmt.Errorf("store: B-tree node capacity %d < 1", c.B)
+	}
 	switch c.Layout {
 	case layout.Sorted, layout.BST, layout.BTree, layout.VEB, layout.Hier:
 	default:

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"implicitlayout/layout"
-	"implicitlayout/perm"
 	"implicitlayout/store"
 )
 
@@ -291,29 +290,5 @@ func TestBuildDoesNotMutateInput(t *testing.T) {
 	}
 	if !slices.Equal(vals, savedVals) {
 		t.Fatal("Build mutated its vals slice")
-	}
-}
-
-// TestAlgorithmFamiliesAgree: both permutation families produce stores
-// that answer identically.
-func TestAlgorithmFamiliesAgree(t *testing.T) {
-	const n = 2048
-	keys := shuffledOdd(n, 17)
-	for _, kind := range []layout.Kind{layout.BST, layout.BTree, layout.VEB, layout.Hier} {
-		a, err := store.BuildSet(keys, store.WithLayout(kind), store.WithShards(4),
-			store.WithAlgorithm(perm.Involution))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := store.BuildSet(keys, store.WithLayout(kind), store.WithShards(4),
-			store.WithAlgorithm(perm.CycleLeader))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := uint64(0); q < uint64(2*n+2); q++ {
-			if a.Contains(q) != b.Contains(q) {
-				t.Fatalf("%v: families disagree at %d", kind, q)
-			}
-		}
 	}
 }

@@ -17,6 +17,16 @@ import (
 	"implicitlayout/layout"
 )
 
+// buildConfig resolves opts over the defaults for a build of n records,
+// as Build does: the run parameters the segment writer tests start from.
+func buildConfig(n int, opts []Option) Config {
+	c, err := newConfig(opts)
+	if err != nil {
+		panic(err)
+	}
+	return c.forRecords(n)
+}
+
 // mrec is one oracle record: a key with its payload.
 type mrec[K cmp.Ordered, V any] struct {
 	key K
