@@ -2,26 +2,18 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"implicitlayout/internal/core"
-	"implicitlayout/internal/par"
 	"implicitlayout/internal/pem"
 	"implicitlayout/internal/vec"
 	"implicitlayout/internal/workload"
 	"implicitlayout/layout"
 )
 
-// AblationConfig parameterizes the gather-variant ablation.
-type AblationConfig struct {
-	// MinLog and MaxLog bound the size sweep.
-	MinLog, MaxLog int
-	// Trials per timed cell.
-	Trials int
-	// Batch is the batched-gather cycle group size.
-	Batch int
-	// PEM sizes the cache simulation for the I/O columns.
-	PEM pem.Config
-}
+// ablationBatch is the batched variant's cycle group: 8 cycles of 64-bit
+// keys span one 64-byte line.
+const ablationBatch = 8
 
 // GatherAblation compares the three phase-1 strategies of the vEB
 // cycle-leader algorithm from Section 4.2 — direct strided cycles,
@@ -30,58 +22,35 @@ type AblationConfig struct {
 // block transfers. It substantiates that section's design-choice
 // discussion: batching wins on real caches; transposition wins on large
 // blocks but pays constant-factor passes.
-func GatherAblation(cfg AblationConfig) Table {
-	if cfg.PEM.B == 0 {
-		cfg.PEM = pem.DefaultConfig()
-	}
-	if cfg.Batch == 0 {
-		cfg.Batch = 8
-	}
+func GatherAblation(cfg Config) Table {
 	t := Table{
 		Title: fmt.Sprintf("ablation: vEB cycle-leader gather variants (batch=%d, pem M=%d B=%d)",
-			cfg.Batch, cfg.PEM.M, cfg.PEM.B),
+			ablationBatch, cfg.PEM.M, cfg.PEM.B),
 		Note:   "time columns in seconds (P=1); io columns are total simulated block transfers / N",
 		Header: []string{"N", "t-plain", "t-batched", "t-transposed", "io-plain", "io-batched", "io-transposed"},
 	}
-	variants := []core.Options{
-		{},
-		{GatherBatch: cfg.Batch},
-		{TransposedGather: true},
-	}
+	plain := cfg.options(1)
+	batched, transposed := plain, plain
+	batched.GatherBatch = ablationBatch
+	transposed.TransposedGather = true
 	for lg := cfg.MinLog; lg <= cfg.MaxLog; lg++ {
 		n := 1<<uint(lg) - 1 // perfect sizes isolate the gather phases
-		row := []string{fmt.Sprintf("2^%d-1", lg)}
+		want := layout.Build(layout.VEB, workload.Sorted(n), 0)
 		data := make([]uint64, n)
-		for _, opt := range variants {
-			opt := opt
-			opt.Runner = par.New(1)
-			d := timeIt(cfg.Trials,
+		times, ios := []string{fmt.Sprintf("2^%d-1", lg)}, []string(nil)
+		for _, o := range []core.Options{plain, batched, transposed} {
+			times = append(times, secs(timeIt(cfg.Trials,
 				func() { workload.Refill(data) },
-				func() { core.CycleVEB[uint64](opt, vec.Of(data)) })
-			row = append(row, secs(d))
-		}
-		for _, opt := range variants {
-			opt := opt
-			opt.Runner = par.New(1)
-			opt.Runner.MinFor = 1
-			v := pem.New(workload.Sorted(n), 1, cfg.PEM)
-			core.CycleVEB[uint64](opt, v)
-			row = append(row, fmt.Sprintf("%.3f", float64(v.TotalIO())/float64(n)))
-		}
-		// correctness guard: all variants must produce the vEB layout
-		for _, opt := range variants {
-			opt := opt
-			opt.Runner = par.New(1)
-			check := workload.Sorted(n)
-			core.CycleVEB[uint64](opt, vec.Of(check))
-			want := layout.Build(layout.VEB, workload.Sorted(n), 0)
-			for i := range check {
-				if check[i] != want[i] {
-					panic("gather ablation variant produced a wrong layout")
-				}
+				func() { core.CycleVEB[uint64](o, vec.Of(data)) })))
+			// correctness guard: every variant must produce the vEB layout
+			if !slices.Equal(data, want) {
+				panic("gather ablation variant produced a wrong layout")
 			}
+			v := pem.New(workload.Sorted(n), 1, cfg.PEM)
+			core.CycleVEB[uint64](o, v)
+			ios = append(ios, fmt.Sprintf("%.3f", float64(v.TotalIO())/float64(n)))
 		}
-		t.AddRow(row...)
+		t.AddRow(append(times, ios...)...)
 	}
 	return t
 }

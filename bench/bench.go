@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: one runner per table and
-// figure of the paper's evaluation (Chapter 6 and Table 1.1). Each runner
-// executes the corresponding workload on this machine (or on the PEM/GPU
-// simulators) and returns a Table whose rows mirror the series the paper
-// plots; cmd/* print them.
+// figure of the paper's evaluation (Chapter 6 and Table 1.1), all driven
+// by one Config. Each runner executes the corresponding workload on this
+// machine (or on the PEM/GPU simulators) and returns a Table whose rows
+// mirror the series the paper plots; Experiments names them, and
+// cmd/paperbench prints them.
 package bench
 
 import (
@@ -10,7 +11,42 @@ import (
 	"io"
 	"strings"
 	"time"
+
+	"implicitlayout/internal/pem"
 )
+
+// Config parameterizes every experiment; each runner reads the fields it
+// needs and ignores the rest.
+type Config struct {
+	// MinLog and MaxLog bound the size sweeps N = 2^MinLog .. 2^MaxLog.
+	// The fixed-size experiments (Figures 6.3, 6.4, 6.6/6.7 and 6.9) run
+	// at N = 2^MaxLog.
+	MinLog, MaxLog int
+	// P is the worker count of the parallel runs, and the simulated
+	// processor count of Table 1.1's PEM run.
+	P int
+	// MaxP bounds the worker sweeps P = 1 .. MaxP (Figures 6.3 and 6.4).
+	MaxP int
+	// B is the B-tree node capacity on the CPU (the paper uses 8); the
+	// GPU experiments use the paper's 32.
+	B int
+	// Trials is the number of timed repetitions averaged per cell.
+	Trials int
+	// SoftwareRev models a CPU without a hardware bit-reversal
+	// instruction, the paper's CPU T_REV2 model, in every CPU permutation.
+	SoftwareRev bool
+	// Q is the number of queries per measurement (Figure 6.5; the paper
+	// uses 10^6), and the batch on which the break-even experiments
+	// measure the cost per query.
+	Q int
+	// MinLogQ and MaxLogQ bound the break-even sweeps Q = 2^MinLogQ ..
+	// 2^MaxLogQ.
+	MinLogQ, MaxLogQ int
+	// Seed drives query generation.
+	Seed int64
+	// PEM sizes the cache simulation of Table 1.1 and the gather ablation.
+	PEM pem.Config
+}
 
 // Table is a rectangular result set with a title and column headers.
 type Table struct {

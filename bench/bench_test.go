@@ -5,11 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"implicitlayout/internal/bits"
 	"implicitlayout/internal/pem"
 )
 
 // Tiny configurations: these tests validate that every experiment runner
-// produces well-formed tables with sane values; the cmd/* tools run them
+// produces well-formed tables with sane values; cmd/paperbench runs them
 // at paper scale.
 
 func TestTableFormatting(t *testing.T) {
@@ -42,15 +43,26 @@ func TestTimeIt(t *testing.T) {
 	}
 }
 
+// tiny is a configuration every runner finishes quickly on.
+func tiny() Config {
+	return Config{
+		MinLog: 10, MaxLog: 11, P: 2, MaxP: 2, B: 4, Trials: 1,
+		Q: 1000, MinLogQ: 10, MaxLogQ: 12, Seed: 1,
+		PEM: pem.Config{M: 256, B: 4},
+	}
+}
+
 func TestPermuteTimesShape(t *testing.T) {
-	tb := PermuteTimes(PermuteConfig{MinLog: 10, MaxLog: 11, P: 2, B: 4, Trials: 1})
+	tb := PermuteTimes(tiny())
 	if len(tb.Rows) != 2 || len(tb.Header) != 7 {
 		t.Fatalf("unexpected shape: %dx%d", len(tb.Rows), len(tb.Header))
 	}
 }
 
 func TestSpeedupShape(t *testing.T) {
-	tb := Speedup(SpeedupConfig{LogN: 12, MaxP: 2, B: 4, Trials: 1})
+	cfg := tiny()
+	cfg.MaxLog = 12
+	tb := Speedup(cfg)
 	if len(tb.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(tb.Rows))
 	}
@@ -60,24 +72,25 @@ func TestSpeedupShape(t *testing.T) {
 }
 
 func TestGatherThroughputShape(t *testing.T) {
-	tb := GatherThroughput(ThroughputConfig{LogN: 14, MaxP: 2, B: 4, Trials: 1})
+	cfg := tiny()
+	cfg.MaxLog = 14
+	tb := GatherThroughput(cfg)
 	if len(tb.Rows) != 2 || len(tb.Header) != 3 {
 		t.Fatal("unexpected shape")
 	}
 }
 
 func TestQueryTimesShape(t *testing.T) {
-	tb := QueryTimes(QueryConfig{MinLog: 10, MaxLog: 11, Q: 1000, B: 4, Trials: 1, Seed: 1})
+	tb := QueryTimes(tiny())
 	if len(tb.Rows) != 2 || len(tb.Header) != 5 {
 		t.Fatal("unexpected shape")
 	}
 }
 
 func TestBreakEvenProducesCrossovers(t *testing.T) {
-	res := BreakEven(BreakEvenConfig{
-		LogN: 14, P: 1, B: 4, Trials: 1, QBase: 1 << 12,
-		MinLogQ: 10, MaxLogQ: 12, Seed: 1,
-	})
+	cfg := tiny()
+	cfg.MaxLog, cfg.P, cfg.Q = 14, 1, 1<<12
+	res := BreakEven(cfg)
 	if len(res.Combined.Rows) != 3 {
 		t.Fatalf("want 3 combined rows, got %d", len(res.Combined.Rows))
 	}
@@ -87,7 +100,8 @@ func TestBreakEvenProducesCrossovers(t *testing.T) {
 }
 
 func TestGPUTablesShape(t *testing.T) {
-	cfg := GPUConfig{MinLog: 10, MaxLog: 11, LogN: 11, B: 8, QBase: 1 << 10, MinLogQ: 8, MaxLogQ: 10, Seed: 1}
+	cfg := tiny()
+	cfg.Q, cfg.MinLogQ, cfg.MaxLogQ = 1<<10, 8, 10
 	tb := GPUPermuteTimes(cfg)
 	if len(tb.Rows) != 2 || len(tb.Header) != 7 {
 		t.Fatal("unexpected GPU permute shape")
@@ -98,19 +112,51 @@ func TestGPUTablesShape(t *testing.T) {
 	}
 }
 
+// checkRatios fails on a cell that is not a positive finite number.
+func checkRatios(t *testing.T, tb Table) {
+	t.Helper()
+	for _, row := range tb.Rows {
+		for _, cell := range row[1:] {
+			if strings.Contains(cell, "NaN") || strings.Contains(cell, "Inf") || strings.HasPrefix(cell, "-") {
+				t.Fatalf("%s: bad cell %q", tb.Title, cell)
+			}
+		}
+	}
+}
+
 func TestTable11Runners(t *testing.T) {
-	cfg := Table11Config{MinLog: 8, MaxLog: 10, B: 2, P: 2, PEM: pem.Config{M: 256, B: 4}}
+	cfg := tiny()
+	cfg.MinLog, cfg.MaxLog, cfg.B = 8, 10, 2
 	work := WorkScaling(cfg)
 	ios := IOScaling(cfg)
 	if len(work.Rows) != 3 || len(ios.Rows) != 3 {
 		t.Fatal("unexpected table 1.1 shapes")
 	}
-	// ratios must be positive and finite
-	for _, row := range ios.Rows {
-		for _, cell := range row[1:] {
-			if strings.Contains(cell, "NaN") || strings.Contains(cell, "Inf") || strings.HasPrefix(cell, "-") {
-				t.Fatalf("bad I/O ratio cell %q", cell)
-			}
-		}
+	checkRatios(t, ios)
+}
+
+// TestGatherAblationShape runs the Section 4.2 ablation, whose built-in
+// guard checks all three vEB gather variants against the oracle layout.
+func TestGatherAblationShape(t *testing.T) {
+	cfg := tiny()
+	cfg.MinLog, cfg.MaxLog = 8, 9
+	tb := GatherAblation(cfg)
+	if len(tb.Rows) != 2 || len(tb.Header) != 7 {
+		t.Fatalf("unexpected shape: %dx%d", len(tb.Rows), len(tb.Header))
+	}
+	checkRatios(t, tb)
+}
+
+// TestConfigOptionsSoftwareRev: Config.options, through which every
+// runner builds its CPU permutations, carries SoftwareRev, so one run
+// never mixes two T_REV2 models.
+func TestConfigOptionsSoftwareRev(t *testing.T) {
+	cfg := tiny()
+	if _, ok := cfg.options(1).Rev.(bits.Software); ok {
+		t.Fatal("default config uses software bit reversal")
+	}
+	cfg.SoftwareRev = true
+	if _, ok := cfg.options(1).Rev.(bits.Software); !ok {
+		t.Fatal("SoftwareRev not applied to the permutation options")
 	}
 }

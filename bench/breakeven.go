@@ -2,34 +2,15 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"implicitlayout/internal/workload"
 	"implicitlayout/layout"
 	"implicitlayout/search"
 )
 
-// BreakEvenConfig parameterizes the Figure 6.6 / 6.7 experiment.
-type BreakEvenConfig struct {
-	// LogN fixes the array size N = 2^LogN (the paper uses 2^29).
-	LogN int
-	// P is the worker count for permutation and batch queries (1
-	// reproduces Figure 6.6, NumCPU Figure 6.7).
-	P int
-	// B is the B-tree node capacity.
-	B int
-	// Trials per measurement.
-	Trials int
-	// QBase is the batch size used to measure per-query cost.
-	QBase int
-	// MinLogQ and MaxLogQ bound the reported sweep Q = 2^MinLogQ...
-	MinLogQ, MaxLogQ int
-	// Seed drives query generation.
-	Seed int64
-}
-
-// BreakEvenResult carries the Figure 6.6/6.7 table plus the headline
-// crossover points (the paper's central practical claim).
+// BreakEvenResult carries a break-even experiment's tables: the combined
+// permute+query time versus Q, and the headline crossover points (the
+// paper's central practical claim).
 type BreakEvenResult struct {
 	// Combined is the permute+query time table versus Q.
 	Combined Table
@@ -38,86 +19,77 @@ type BreakEvenResult struct {
 	Crossovers Table
 }
 
-// BreakEven reproduces Figures 6.6 and 6.7: the combined time of permuting
-// an N-key sorted array into each layout (with the fastest algorithm for
-// that layout, as measured) and answering Q uniformly random queries,
-// versus Q, against the binary-search-only baseline. Per-query costs are
-// measured on a QBase-sized batch and scaled — query cost is linear in Q
-// for uniform random queries. The crossover Q for each layout is
-// permuteTime / (binaryRate - layoutRate).
-func BreakEven(cfg BreakEvenConfig) BreakEvenResult {
-	n := 1 << uint(cfg.LogN)
-	sorted := workload.Sorted(n)
-	queries := workload.Queries(cfg.QBase, n, 0.5, cfg.Seed)
+func (r BreakEvenResult) tables() []Table { return []Table{r.Combined, r.Crossovers} }
 
-	// Permutation times: fastest family per layout.
-	permTime := map[layout.Kind]time.Duration{}
-	permName := map[layout.Kind]string{}
-	data := make([]uint64, n)
-	for _, spec := range Algos() {
-		spec := spec
-		d := timeIt(cfg.Trials,
-			func() { workload.Refill(data) },
-			func() { RunPermute(spec, data, cfg.P, cfg.B, false) })
-		if cur, ok := permTime[spec.Kind]; !ok || d < cur {
-			permTime[spec.Kind] = d
-			permName[spec.Kind] = spec.Name
-		}
-	}
+// breakEven holds one break-even experiment's measurements in one time
+// unit: the fastest permutation per layout, and the cost per query per
+// layout (layout.Sorted is binary search on the un-permuted array).
+type breakEven struct {
+	n    int
+	perm map[layout.Kind]pick
+	rate map[layout.Kind]float64
+}
 
-	// Per-query rates (seconds per query) per layout, and the baseline.
-	rate := map[layout.Kind]float64{}
-	kinds := []layout.Kind{layout.Sorted, layout.BST, layout.BTree, layout.VEB}
-	for _, k := range kinds {
-		arr := sorted
-		if k != layout.Sorted {
-			arr = layoutCopy(sorted, k, cfg.B)
-		}
-		ix := search.NewIndex(arr, k, cfg.B)
-		d := timeIt(cfg.Trials, func() {}, func() {
-			querySink += ix.FindBatch(queries, cfg.P)
-		})
-		rate[k] = d.Seconds() / float64(len(queries))
-	}
-
-	combined := Table{
-		Title: fmt.Sprintf("fig6.6/6.7: permute+query time [s] vs Q (N=2^%d, P=%d, B=%d)", cfg.LogN, cfg.P, cfg.B),
-		Note: fmt.Sprintf("permute algorithms: bst=%s (%.3gs) btree=%s (%.3gs) veb=%s (%.3gs); rates measured on Q=%d",
-			permName[layout.BST], permTime[layout.BST].Seconds(),
-			permName[layout.BTree], permTime[layout.BTree].Seconds(),
-			permName[layout.VEB], permTime[layout.VEB].Seconds(), cfg.QBase),
-		Header: []string{"Q", "binary", "bst", "btree", "veb"},
-	}
+// tables fills combined (over Q = 2^MinLogQ .. 2^MaxLogQ) and cross,
+// which arrive with their titles, notes and headers set. costFmt formats
+// a time in the measurement unit; perQuery scales a rate to the crossover
+// table's per-query unit, formatted with queryFmt. The crossover Q for
+// each layout is permute / (binary_rate - layout_rate).
+func (b breakEven) tables(cfg Config, combined, cross Table, costFmt string, perQuery float64, queryFmt string) BreakEvenResult {
+	base := b.rate[layout.Sorted]
 	for lq := cfg.MinLogQ; lq <= cfg.MaxLogQ; lq++ {
 		q := float64(int(1) << uint(lq))
-		row := []string{fmt.Sprintf("2^%d", lq)}
-		row = append(row, fmt.Sprintf("%.4g", q*rate[layout.Sorted]))
+		row := []string{fmt.Sprintf("2^%d", lq), fmt.Sprintf(costFmt, q*base)}
 		for _, k := range paperKinds() {
-			row = append(row, fmt.Sprintf("%.4g", permTime[k].Seconds()+q*rate[k]))
+			row = append(row, fmt.Sprintf(costFmt, b.perm[k].cost+q*b.rate[k]))
 		}
 		combined.AddRow(row...)
 	}
-
-	cross := Table{
-		Title:  fmt.Sprintf("break-even queries vs binary search (N=2^%d, P=%d)", cfg.LogN, cfg.P),
-		Note:   "Q* = permute / (binary_rate - layout_rate); paper: <= 12% of N sequential, <= 6% parallel",
-		Header: []string{"layout", "permute[s]", "ns/query", "binary ns/query", "Q*", "Q*/N"},
-	}
 	for _, k := range paperKinds() {
-		var qstar string
-		var frac string
-		if rate[k] < rate[layout.Sorted] {
-			q := permTime[k].Seconds() / (rate[layout.Sorted] - rate[k])
+		qstar, frac := "never", "-"
+		if b.rate[k] < base {
+			q := b.perm[k].cost / (base - b.rate[k])
 			qstar = fmt.Sprintf("%.3g", q)
-			frac = fmt.Sprintf("%.2f%%", 100*q/float64(n))
-		} else {
-			qstar, frac = "never", "-"
+			frac = fmt.Sprintf("%.2f%%", 100*q/float64(b.n))
 		}
 		cross.AddRow(k.String(),
-			fmt.Sprintf("%.4g", permTime[k].Seconds()),
-			fmt.Sprintf("%.1f", rate[k]*1e9),
-			fmt.Sprintf("%.1f", rate[layout.Sorted]*1e9),
+			fmt.Sprintf(costFmt, b.perm[k].cost),
+			fmt.Sprintf(queryFmt, b.rate[k]*perQuery),
+			fmt.Sprintf(queryFmt, base*perQuery),
 			qstar, frac)
 	}
 	return BreakEvenResult{Combined: combined, Crossovers: cross}
+}
+
+// BreakEven reproduces Figures 6.6 and 6.7: the combined time of permuting
+// an N = 2^MaxLog sorted array into each layout (with the fastest
+// algorithm for that layout, as measured, on P workers) and answering Q
+// uniformly random queries, versus Q, against the binary-search-only
+// baseline. Per-query costs are measured on a Q-sized batch, answered by
+// P workers, and scaled — query cost is linear in Q for uniform random
+// queries.
+func BreakEven(cfg Config) BreakEvenResult {
+	n := 1 << uint(cfg.MaxLog)
+	sorted := workload.Sorted(n)
+	queries := workload.Queries(cfg.Q, n, 0.5, cfg.Seed)
+	data := make([]uint64, n)
+	b := breakEven{n: n, rate: map[layout.Kind]float64{}}
+	b.perm = fastest(func(s algoSpec) float64 { return cfg.timePermute(s, data, cfg.P).Seconds() })
+	for _, k := range queryKinds() {
+		ix := search.NewIndex(laidOut(sorted, k, cfg.B), k, cfg.B)
+		d := timeIt(cfg.Trials, func() {}, func() {
+			querySink += ix.FindBatch(queries, cfg.P)
+		})
+		b.rate[k] = d.Seconds() / float64(len(queries))
+	}
+	return b.tables(cfg, Table{
+		Title: fmt.Sprintf("fig6.6/6.7: permute+query time [s] vs Q (N=2^%d, P=%d, B=%d)", cfg.MaxLog, cfg.P, cfg.B),
+		Note: fmt.Sprintf("permute algorithms: %s; rates measured on Q=%d",
+			describe(b.perm, "%.3gs"), cfg.Q),
+		Header: []string{"Q", "binary", "bst", "btree", "veb"},
+	}, Table{
+		Title:  fmt.Sprintf("break-even queries vs binary search (N=2^%d, P=%d)", cfg.MaxLog, cfg.P),
+		Note:   "Q* = permute / (binary_rate - layout_rate); paper: <= 12% of N sequential, <= 6% parallel",
+		Header: []string{"layout", "permute[s]", "ns/query", "binary ns/query", "Q*", "Q*/N"},
+	}, "%.4g", 1e9, "%.1f")
 }

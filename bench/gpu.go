@@ -9,55 +9,35 @@ import (
 	"implicitlayout/layout"
 )
 
-// GPUConfig parameterizes the simulated-GPU experiments (Figures 6.8 and
-// 6.9). The device stands in for the paper's Tesla K40 — see package gpu
-// for the substitution rationale.
-type GPUConfig struct {
-	// MinLog and MaxLog bound the size sweep for Figure 6.8.
-	MinLog, MaxLog int
-	// LogN fixes the size for the Figure 6.9 break-even run.
-	LogN int
-	// B is the B-tree node capacity (the paper uses 32 on the GPU: 128
-	// byte cache lines).
-	B int
-	// QBase is the batch used to measure per-query cost.
-	QBase int
-	// MinLogQ and MaxLogQ bound the Figure 6.9 sweep.
-	MinLogQ, MaxLogQ int
-	// Device is the simulated accelerator (zero value: Tesla K40).
-	Device gpu.Device
-	// Seed drives query generation.
-	Seed int64
-}
+// gpuB is the B-tree node capacity of the GPU experiments: the paper uses
+// 32 on its GPU (128-byte cache lines).
+const gpuB = 32
 
-func (c GPUConfig) device() gpu.Device {
-	if c.Device.Name == "" {
-		return gpu.TeslaK40()
-	}
-	return c.Device
+// gpuPermuteMS returns the modelled time of permuting data, refilled with
+// sorted keys first, with spec on the simulated device.
+func gpuPermuteMS(dev gpu.Device, spec algoSpec, data []uint64) float64 {
+	workload.Refill(data)
+	return dev.TimeMS(gpu.RunPermute(dev, data, spec.kind, spec.algo, gpuB, runtime.GOMAXPROCS(0)))
 }
 
 // GPUPermuteTimes reproduces Figure 6.8: the modelled time of each
-// permutation algorithm on the simulated GPU versus N. The expected shape
+// permutation algorithm on the simulated GPU (a Tesla K40, see package
+// gpu for the substitution rationale) versus N. The expected shape
 // (paper): B-tree cycle-leader fastest; BST involution close behind
 // (hardware bit reversal); B-tree involution poor (modular inverses);
 // both vEB ports poor (per-subtree kernel launches).
-func GPUPermuteTimes(cfg GPUConfig) Table {
-	dev := cfg.device()
+func GPUPermuteTimes(cfg Config) Table {
+	dev := gpu.TeslaK40()
 	t := Table{
-		Title:  fmt.Sprintf("fig6.8: simulated GPU permute time [ms] vs N (B=%d, %s)", cfg.B, dev.Name),
+		Title:  fmt.Sprintf("fig6.8: simulated GPU permute time [ms] vs N (B=%d, %s)", gpuB, dev.Name),
 		Note:   "cost model: kernel launches + memory transactions + instructions (see internal/gpu)",
-		Header: append([]string{"N"}, names(Algos())...),
+		Header: append([]string{"N"}, algoNames()...),
 	}
-	p := runtime.GOMAXPROCS(0)
 	for lg := cfg.MinLog; lg <= cfg.MaxLog; lg++ {
-		n := 1 << uint(lg)
-		data := make([]uint64, n)
+		data := make([]uint64, 1<<uint(lg))
 		row := []string{fmt.Sprintf("2^%d", lg)}
-		for _, spec := range Algos() {
-			workload.Refill(data)
-			c := gpu.RunPermute(dev, data, spec.Kind, spec.Algo, cfg.B, p)
-			row = append(row, fmt.Sprintf("%.3f", dev.TimeMS(c)))
+		for _, spec := range algos() {
+			row = append(row, fmt.Sprintf("%.3f", gpuPermuteMS(dev, spec, data)))
 		}
 		t.AddRow(row...)
 	}
@@ -65,78 +45,29 @@ func GPUPermuteTimes(cfg GPUConfig) Table {
 }
 
 // GPUBreakEven reproduces Figure 6.9: modelled combined permute+query GPU
-// time versus Q, with binary search on the un-permuted array as baseline.
-// The paper omits vEB from this figure because its permutation is far
-// slower; it is included here with that caveat visible in the numbers.
-func GPUBreakEven(cfg GPUConfig) BreakEvenResult {
-	dev := cfg.device()
-	p := runtime.GOMAXPROCS(0)
-	n := 1 << uint(cfg.LogN)
+// time versus Q at N = 2^MaxLog, with binary search on the un-permuted
+// array as baseline. The paper omits vEB from this figure because its
+// permutation is far slower; it is included here with that caveat
+// visible in the numbers.
+func GPUBreakEven(cfg Config) BreakEvenResult {
+	dev := gpu.TeslaK40()
+	n := 1 << uint(cfg.MaxLog)
 	sorted := workload.Sorted(n)
-	queries := workload.Queries(cfg.QBase, n, 0.5, cfg.Seed)
-
-	// Permute cost per layout: fastest algorithm under the model.
-	permMS := map[layout.Kind]float64{}
-	permName := map[layout.Kind]string{}
+	queries := workload.Queries(cfg.Q, n, 0.5, cfg.Seed)
 	data := make([]uint64, n)
-	for _, spec := range Algos() {
-		workload.Refill(data)
-		c := gpu.RunPermute(dev, data, spec.Kind, spec.Algo, cfg.B, p)
-		ms := dev.TimeMS(c)
-		if cur, ok := permMS[spec.Kind]; !ok || ms < cur {
-			permMS[spec.Kind] = ms
-			permName[spec.Kind] = spec.Name
-		}
+	b := breakEven{n: n, rate: map[layout.Kind]float64{}}
+	b.perm = fastest(func(s algoSpec) float64 { return gpuPermuteMS(dev, s, data) })
+	for _, k := range queryKinds() {
+		c := gpu.RunQueries(dev, laidOut(sorted, k, gpuB), k, gpuB, queries, runtime.GOMAXPROCS(0))
+		b.rate[k] = dev.TimeMS(c) / float64(len(queries))
 	}
-
-	// Query cost per layout, per query, under the model.
-	rateMS := map[layout.Kind]float64{}
-	for _, k := range []layout.Kind{layout.Sorted, layout.BST, layout.BTree, layout.VEB} {
-		arr := sorted
-		if k != layout.Sorted {
-			arr = layoutCopy(sorted, k, cfg.B)
-		}
-		c := gpu.RunQueries(dev, arr, k, cfg.B, queries, p)
-		rateMS[k] = dev.TimeMS(c) / float64(len(queries))
-	}
-
-	combined := Table{
-		Title: fmt.Sprintf("fig6.9: simulated GPU permute+query [ms] vs Q (N=2^%d, B=%d)", cfg.LogN, cfg.B),
-		Note: fmt.Sprintf("permute: bst=%s (%.2fms) btree=%s (%.2fms) veb=%s (%.2fms)",
-			permName[layout.BST], permMS[layout.BST],
-			permName[layout.BTree], permMS[layout.BTree],
-			permName[layout.VEB], permMS[layout.VEB]),
+	return b.tables(cfg, Table{
+		Title:  fmt.Sprintf("fig6.9: simulated GPU permute+query [ms] vs Q (N=2^%d, B=%d)", cfg.MaxLog, gpuB),
+		Note:   "permute: " + describe(b.perm, "%.2fms"),
 		Header: []string{"Q", "binary", "bst", "btree", "veb"},
-	}
-	for lq := cfg.MinLogQ; lq <= cfg.MaxLogQ; lq++ {
-		q := float64(int(1) << uint(lq))
-		row := []string{fmt.Sprintf("2^%d", lq)}
-		row = append(row, fmt.Sprintf("%.2f", q*rateMS[layout.Sorted]))
-		for _, k := range paperKinds() {
-			row = append(row, fmt.Sprintf("%.2f", permMS[k]+q*rateMS[k]))
-		}
-		combined.AddRow(row...)
-	}
-
-	cross := Table{
-		Title:  fmt.Sprintf("simulated GPU break-even vs binary search (N=2^%d)", cfg.LogN),
+	}, Table{
+		Title:  fmt.Sprintf("simulated GPU break-even vs binary search (N=2^%d)", cfg.MaxLog),
 		Note:   "paper: BST >= 12.7% of N, B-tree >= 5.6% of N",
 		Header: []string{"layout", "permute[ms]", "us/query", "binary us/query", "Q*", "Q*/N"},
-	}
-	for _, k := range paperKinds() {
-		var qstar, frac string
-		if rateMS[k] < rateMS[layout.Sorted] {
-			q := permMS[k] / (rateMS[layout.Sorted] - rateMS[k])
-			qstar = fmt.Sprintf("%.3g", q)
-			frac = fmt.Sprintf("%.2f%%", 100*q/float64(n))
-		} else {
-			qstar, frac = "never", "-"
-		}
-		cross.AddRow(k.String(),
-			fmt.Sprintf("%.2f", permMS[k]),
-			fmt.Sprintf("%.3f", rateMS[k]*1e3),
-			fmt.Sprintf("%.3f", rateMS[layout.Sorted]*1e3),
-			qstar, frac)
-	}
-	return BreakEvenResult{Combined: combined, Crossovers: cross}
+	}, "%.2f", 1e3, "%.3f")
 }

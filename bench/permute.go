@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"implicitlayout/internal/bits"
@@ -15,169 +16,151 @@ import (
 	"implicitlayout/layout"
 )
 
-// AlgoSpec identifies one of the six permutation algorithms.
-type AlgoSpec struct {
-	// Name is the short label used in table headers.
-	Name string
-	// Kind is the layout the algorithm builds.
-	Kind layout.Kind
-	// Algo is the family.
-	Algo core.Algorithm
+// algoSpec identifies one of the six permutation algorithms.
+type algoSpec struct {
+	kind layout.Kind
+	algo core.Algorithm
+}
+
+// name is the short label used in table headers, e.g. "cyc-veb".
+func (s algoSpec) name() string {
+	if s.algo == core.Involution {
+		return "inv-" + s.kind.String()
+	}
+	return "cyc-" + s.kind.String()
 }
 
 // paperKinds lists the three layouts the paper's figures compare. The
-// hier layout is this repo's extension and gets its own experiment
-// (HierLookup); the figure reproductions stay pinned to the paper.
+// hier layout is this repo's extension; the figure reproductions stay
+// pinned to the paper.
 func paperKinds() []layout.Kind {
 	return []layout.Kind{layout.BST, layout.BTree, layout.VEB}
 }
 
-// Algos lists the six algorithms in the order the paper's figures use.
-func Algos() []AlgoSpec {
-	return []AlgoSpec{
-		{"inv-bst", layout.BST, core.Involution},
-		{"cyc-bst", layout.BST, core.CycleLeader},
-		{"inv-btree", layout.BTree, core.Involution},
-		{"cyc-btree", layout.BTree, core.CycleLeader},
-		{"inv-veb", layout.VEB, core.Involution},
-		{"cyc-veb", layout.VEB, core.CycleLeader},
+// queryKinds is paperKinds after binary search on the sorted array, the
+// baseline of every query figure.
+func queryKinds() []layout.Kind { return append([]layout.Kind{layout.Sorted}, paperKinds()...) }
+
+// algos lists the six algorithms in the order the paper's figures use.
+func algos() []algoSpec {
+	var specs []algoSpec
+	for _, k := range paperKinds() {
+		for _, a := range core.Algorithms() {
+			specs = append(specs, algoSpec{k, a})
+		}
 	}
+	return specs
 }
 
-// options assembles core options for a measurement run.
-func options(p, b int, softwareRev bool) core.Options {
-	o := core.Options{Runner: par.New(p), B: b}
-	if softwareRev {
+func algoNames() []string {
+	var out []string
+	for _, s := range algos() {
+		out = append(out, s.name())
+	}
+	return out
+}
+
+// options assembles the core options of a CPU permutation with p workers.
+func (c Config) options(p int) core.Options {
+	o := core.Options{Runner: par.New(p), B: c.B}
+	if c.SoftwareRev {
 		o.Rev = bits.Software{}
 	}
 	return o
 }
 
-// RunPermute executes one permutation on data in place.
-func RunPermute(spec AlgoSpec, data []uint64, p, b int, softwareRev bool) {
-	core.Permute[uint64](options(p, b, softwareRev), vec.Of(data), spec.Kind, spec.Algo)
+// timePermute returns the mean time of permuting data, refilled with
+// sorted keys before every trial, with spec and p workers.
+func (c Config) timePermute(spec algoSpec, data []uint64, p int) time.Duration {
+	return timeIt(c.Trials,
+		func() { workload.Refill(data) },
+		func() { core.Permute[uint64](c.options(p), vec.Of(data), spec.kind, spec.algo) })
 }
 
-// PermuteConfig parameterizes the Figure 6.1 / 6.2 sweeps.
-type PermuteConfig struct {
-	// MinLog and MaxLog bound the sweep N = 2^MinLog .. 2^MaxLog.
-	MinLog, MaxLog int
-	// P is the worker count (1 reproduces Figure 6.1, NumCPU Figure 6.2).
-	P int
-	// B is the B-tree node capacity (the paper uses 8 on CPUs).
-	B int
-	// Trials is the number of timed repetitions averaged per cell.
-	Trials int
-	// SoftwareRev models a CPU without a hardware bit-reversal
-	// instruction, as in the paper's CPU platform.
-	SoftwareRev bool
+// pick is the fastest algorithm for one layout and its cost.
+type pick struct {
+	spec algoSpec
+	cost float64
+}
+
+// fastest returns, per paper layout, the algorithm with the lowest cost.
+func fastest(cost func(algoSpec) float64) map[layout.Kind]pick {
+	best := map[layout.Kind]pick{}
+	for _, spec := range algos() {
+		c := cost(spec)
+		if cur, ok := best[spec.kind]; !ok || c < cur.cost {
+			best[spec.kind] = pick{spec, c}
+		}
+	}
+	return best
+}
+
+// describe lists each layout's pick as "bst=cyc-bst", followed by its
+// cost in costFmt when costFmt is not empty.
+func describe(best map[layout.Kind]pick, costFmt string) string {
+	var parts []string
+	for _, k := range paperKinds() {
+		s := k.String() + "=" + best[k].spec.name()
+		if costFmt != "" {
+			s += " (" + fmt.Sprintf(costFmt, best[k].cost) + ")"
+		}
+		parts = append(parts, s)
+	}
+	return strings.Join(parts, " ")
 }
 
 // PermuteTimes reproduces Figures 6.1 and 6.2: the average time to permute
-// a sorted array with each of the six algorithms, versus N.
-func PermuteTimes(cfg PermuteConfig) Table {
+// a sorted array with each of the six algorithms, versus N, with P
+// workers (1 reproduces Figure 6.1).
+func PermuteTimes(cfg Config) Table {
 	t := Table{
-		Title: fmt.Sprintf("fig6.1/6.2: permute time [s] vs N (P=%d, B=%d)", cfg.P, cfg.B),
-		Note:  fmt.Sprintf("%d trials per cell; 64-bit keys; softwareRev=%v", cfg.Trials, cfg.SoftwareRev),
+		Title:  fmt.Sprintf("fig6.1/6.2: permute time [s] vs N (P=%d, B=%d)", cfg.P, cfg.B),
+		Note:   fmt.Sprintf("%d trials per cell; 64-bit keys; softwareRev=%v", cfg.Trials, cfg.SoftwareRev),
+		Header: append([]string{"N"}, algoNames()...),
 	}
-	t.Header = append([]string{"N"}, names(Algos())...)
 	for lg := cfg.MinLog; lg <= cfg.MaxLog; lg++ {
-		n := 1 << uint(lg)
-		data := make([]uint64, n)
+		data := make([]uint64, 1<<uint(lg))
 		row := []string{fmt.Sprintf("2^%d", lg)}
-		for _, spec := range Algos() {
-			spec := spec
-			d := timeIt(cfg.Trials,
-				func() { workload.Refill(data) },
-				func() { RunPermute(spec, data, cfg.P, cfg.B, cfg.SoftwareRev) })
-			row = append(row, secs(d))
+		for _, spec := range algos() {
+			row = append(row, secs(cfg.timePermute(spec, data, cfg.P)))
 		}
 		t.AddRow(row...)
 	}
 	return t
 }
 
-func names(specs []AlgoSpec) []string {
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
-	}
-	return out
-}
-
-// SpeedupConfig parameterizes the Figure 6.3 sweep.
-type SpeedupConfig struct {
-	// LogN fixes the input size N = 2^LogN.
-	LogN int
-	// MaxP bounds the worker sweep 1..MaxP.
-	MaxP int
-	// B is the B-tree node capacity.
-	B int
-	// Trials per cell.
-	Trials int
-}
-
 // Speedup reproduces Figure 6.3: the speedup over P = 1 of the fastest
 // permutation algorithm for each layout (determined by measurement at
-// P = 1, as in the paper), versus the number of workers. Note that this
-// host has runtime.NumCPU() hardware threads; speedups beyond that count
-// measure scheduling overhead, not parallelism.
-func Speedup(cfg SpeedupConfig) Table {
-	n := 1 << uint(cfg.LogN)
-	data := make([]uint64, n)
-	// Pick the fastest family per layout at P = 1.
-	fastest := map[layout.Kind]AlgoSpec{}
-	base := map[layout.Kind]time.Duration{}
-	for _, spec := range Algos() {
-		spec := spec
-		d := timeIt(cfg.Trials,
-			func() { workload.Refill(data) },
-			func() { RunPermute(spec, data, 1, cfg.B, false) })
-		if cur, ok := base[spec.Kind]; !ok || d < cur {
-			base[spec.Kind] = d
-			fastest[spec.Kind] = spec
-		}
-	}
+// P = 1, as in the paper), versus the number of workers, at N = 2^MaxLog.
+// Note that this host has runtime.NumCPU() hardware threads; speedups
+// beyond that count measure scheduling overhead, not parallelism.
+func Speedup(cfg Config) Table {
+	data := make([]uint64, 1<<uint(cfg.MaxLog))
+	best := fastest(func(s algoSpec) float64 { return cfg.timePermute(s, data, 1).Seconds() })
 	t := Table{
-		Title: fmt.Sprintf("fig6.3: speedup vs P (N=2^%d, B=%d, host has %d CPUs)", cfg.LogN, cfg.B, runtime.NumCPU()),
-		Note: fmt.Sprintf("fastest per layout at P=1: bst=%s btree=%s veb=%s",
-			fastest[layout.BST].Name, fastest[layout.BTree].Name, fastest[layout.VEB].Name),
+		Title:  fmt.Sprintf("fig6.3: speedup vs P (N=2^%d, B=%d, host has %d CPUs)", cfg.MaxLog, cfg.B, runtime.NumCPU()),
+		Note:   "fastest per layout at P=1: " + describe(best, ""),
 		Header: []string{"P", "bst", "btree", "veb"},
 	}
 	for p := 1; p <= cfg.MaxP; p++ {
 		row := []string{fmt.Sprintf("%d", p)}
 		for _, k := range paperKinds() {
-			spec := fastest[k]
-			d := timeIt(cfg.Trials,
-				func() { workload.Refill(data) },
-				func() { RunPermute(spec, data, p, cfg.B, false) })
-			row = append(row, ratio(base[k].Seconds()/d.Seconds()))
+			row = append(row, ratio(best[k].cost/cfg.timePermute(best[k].spec, data, p).Seconds()))
 		}
 		t.AddRow(row...)
 	}
 	return t
 }
 
-// ThroughputConfig parameterizes the Figure 6.4 comparison.
-type ThroughputConfig struct {
-	// LogN sets the approximate array size.
-	LogN int
-	// MaxP bounds the worker sweep.
-	MaxP int
-	// B sets the gather shape r = l = B.
-	B int
-	// Trials per cell.
-	Trials int
-}
-
 // GatherThroughput reproduces Figure 6.4: the memory throughput of a
 // single round of the equidistant gather on chunks of elements (the inner
 // operation of the B-tree cycle-leader algorithm) versus the simplest
-// analog, swapping the first half of the array with the second half.
-// Throughput counts each element as 16 moved bytes (read + write).
-func GatherThroughput(cfg ThroughputConfig) Table {
+// analog, swapping the first half of the array with the second half, at
+// about 2^MaxLog elements. Throughput counts each element as 16 moved
+// bytes (read + write).
+func GatherThroughput(cfg Config) Table {
 	units := cfg.B + (cfg.B+1)*cfg.B // shape-a unit count for r = l = B
-	c := (1 << uint(cfg.LogN)) / units
+	c := (1 << uint(cfg.MaxLog)) / units
 	n := units * c
 	data := make([]uint64, n)
 	t := Table{

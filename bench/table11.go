@@ -9,28 +9,7 @@ import (
 	"implicitlayout/internal/trace"
 	"implicitlayout/internal/workload"
 	"implicitlayout/layout"
-
-	"implicitlayout/internal/par"
 )
-
-// Table11Config parameterizes the empirical validation of Table 1.1.
-type Table11Config struct {
-	// MinLog and MaxLog bound the size sweep.
-	MinLog, MaxLog int
-	// B is the B-tree node capacity.
-	B int
-	// P is the simulated processor count for the PEM run.
-	P int
-	// PEM sizes the simulated caches (zero value: pem.DefaultConfig).
-	PEM pem.Config
-}
-
-func (c Table11Config) pemConfig() pem.Config {
-	if c.PEM.B == 0 {
-		return pem.DefaultConfig()
-	}
-	return c.PEM
-}
 
 // perfectSize returns the largest perfect-tree size for the layout that
 // does not exceed 2^lg: Table 1.1 is stated (Chapters 2-4) for perfect
@@ -49,19 +28,18 @@ func perfectSize(k layout.Kind, b, lg int) int {
 // growth of each column with N must match the closed form — constant for
 // the involution BST (O(N) work), log_{B+1} N for the B-tree algorithms,
 // log log N for the vEB cycle-leader, log N for the vEB involution.
-func WorkScaling(cfg Table11Config) Table {
+func WorkScaling(cfg Config) Table {
 	t := Table{
 		Title:  fmt.Sprintf("table1.1 (work): element swaps per key vs N (B=%d)", cfg.B),
 		Note:   "perfect-tree sizes per layout; growth must track: inv-bst O(1); btree O(log_{B+1}N); inv-veb O(logN); cyc-veb O(loglogN)",
-		Header: append([]string{"N"}, names(Algos())...),
+		Header: append([]string{"N"}, algoNames()...),
 	}
 	for lg := cfg.MinLog; lg <= cfg.MaxLog; lg++ {
 		row := []string{fmt.Sprintf("~2^%d", lg)}
-		for _, spec := range Algos() {
-			n := perfectSize(spec.Kind, cfg.B, lg)
-			data := workload.Sorted(n)
-			v := trace.New(data, 1)
-			core.Permute[uint64](core.Options{Runner: par.New(1), B: cfg.B}, v, spec.Kind, spec.Algo)
+		for _, spec := range algos() {
+			n := perfectSize(spec.kind, cfg.B, lg)
+			v := trace.New(workload.Sorted(n), 1)
+			core.Permute[uint64](cfg.options(1), v, spec.kind, spec.algo)
 			row = append(row, fmt.Sprintf("%.2f", float64(v.Swaps())/float64(n)))
 		}
 		t.AddRow(row...)
@@ -71,25 +49,25 @@ func WorkScaling(cfg Table11Config) Table {
 
 // ioBound evaluates the Table 1.1 I/O bound (without constants) for one
 // algorithm at the given parameters; K = min(N/P, M).
-func ioBound(spec AlgoSpec, n, p, btreeB int, cfg pem.Config) float64 {
+func ioBound(spec algoSpec, n, p, btreeB int, cfg pem.Config) float64 {
 	N, P := float64(n), float64(p)
 	B := float64(cfg.B)
 	K := math.Min(N/P, float64(cfg.M))
 	logBp1 := func(x float64) float64 { return math.Log(x) / math.Log(float64(btreeB)+1) }
 	log2 := func(x float64) float64 { return math.Log2(x) }
 	pos := func(x float64) float64 { return math.Max(x, 1) }
-	switch {
-	case spec.Kind == layout.BST && spec.Algo == core.Involution:
+	switch spec {
+	case algoSpec{layout.BST, core.Involution}:
 		return N / P
-	case spec.Kind == layout.BST && spec.Algo == core.CycleLeader:
+	case algoSpec{layout.BST, core.CycleLeader}:
 		return (N/(P*B) + pos(log2(N/K))) * pos(log2(N/K))
-	case spec.Kind == layout.BTree && spec.Algo == core.Involution:
+	case algoSpec{layout.BTree, core.Involution}:
 		return N/P + float64(btreeB)*pos(logBp1(N/K))
-	case spec.Kind == layout.BTree && spec.Algo == core.CycleLeader:
+	case algoSpec{layout.BTree, core.CycleLeader}:
 		return (N/(P*B) + pos(logBp1(N/K))) * pos(logBp1(N/K))
-	case spec.Kind == layout.VEB && spec.Algo == core.Involution:
+	case algoSpec{layout.VEB, core.Involution}:
 		return N / P * pos(math.Log2(pos(log2(N))/pos(log2(K))+1)+1)
-	case spec.Kind == layout.VEB && spec.Algo == core.CycleLeader:
+	case algoSpec{layout.VEB, core.CycleLeader}:
 		return N / (P * B) * pos(math.Log2(pos(log2(N))/pos(log2(K))+1)+1)
 	}
 	return math.NaN()
@@ -100,22 +78,22 @@ func ioBound(spec AlgoSpec, n, p, btreeB int, cfg pem.Config) float64 {
 // maximum block transfers of any processor — is divided by the Table 1.1
 // bound. A ratio that stays (roughly) flat as N grows confirms the
 // asymptotic; its value is the constant factor.
-func IOScaling(cfg Table11Config) Table {
-	pc := cfg.pemConfig()
+func IOScaling(cfg Config) Table {
+	pc := cfg.PEM
+	o := cfg.options(cfg.P)
+	o.Runner.MinFor = 1
 	t := Table{
 		Title: fmt.Sprintf("table1.1 (I/O): measured Q(N,P)/bound vs N (P=%d, M=%d, B=%d words, btreeB=%d)",
 			cfg.P, pc.M, pc.B, cfg.B),
 		Note:   "flat columns confirm the Table 1.1 I/O bounds; the value is the constant factor",
-		Header: append([]string{"N"}, names(Algos())...),
+		Header: append([]string{"N"}, algoNames()...),
 	}
 	for lg := cfg.MinLog; lg <= cfg.MaxLog; lg++ {
 		row := []string{fmt.Sprintf("~2^%d", lg)}
-		for _, spec := range Algos() {
-			n := perfectSize(spec.Kind, cfg.B, lg)
-			data := workload.Sorted(n)
-			v := pem.New(data, cfg.P, pc)
-			rn := par.Runner{Lo: 0, Hi: cfg.P, MinFor: 1}
-			core.Permute[uint64](core.Options{Runner: rn, B: cfg.B}, v, spec.Kind, spec.Algo)
+		for _, spec := range algos() {
+			n := perfectSize(spec.kind, cfg.B, lg)
+			v := pem.New(workload.Sorted(n), cfg.P, pc)
+			core.Permute[uint64](o, v, spec.kind, spec.algo)
 			bound := ioBound(spec, n, cfg.P, cfg.B, pc)
 			row = append(row, fmt.Sprintf("%.3f", float64(v.MaxIO())/bound))
 		}

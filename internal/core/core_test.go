@@ -43,6 +43,10 @@ func allAlgos() []algo {
 			o.TransposedGather = true
 			CycleVEB[int](o, v)
 		}},
+		algo{"cycle-veb-batched", layout.VEB, 0, func(o Options, v vec.Slice[int]) {
+			o.GatherBatch = 8
+			CycleVEB[int](o, v)
+		}},
 	)
 	for _, b := range []int{1, 2, 3, 4, 7, 8} {
 		b := b

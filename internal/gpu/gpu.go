@@ -19,7 +19,7 @@
 //
 // The absolute numbers are a model; the shape — who wins and by roughly
 // what factor — is what to compare against the paper's Figures 6.8 and
-// 6.9 (cmd/gpubench prints both).
+// 6.9 (cmd/paperbench's fig6.8 and fig6.9 experiments print them).
 package gpu
 
 import (

@@ -6,7 +6,8 @@
 // probes, and cache misses are counted as block transfers (I/Os) per
 // processor. The parallel I/O complexity Q(N, P) — the maximum number of
 // transfers by any one processor — is the quantity bounded in Table 1.1,
-// and cmd/iobench compares the measured values against those bounds.
+// and cmd/paperbench's table1.1 experiment compares the measured values
+// against those bounds.
 package pem
 
 import "sync/atomic"

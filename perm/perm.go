@@ -28,7 +28,6 @@ package perm
 import (
 	"fmt"
 
-	"implicitlayout/internal/bits"
 	"implicitlayout/internal/core"
 	"implicitlayout/internal/par"
 	"implicitlayout/internal/vec"
@@ -70,11 +69,8 @@ func Algorithms() []Algorithm { return []Algorithm{Involution, CycleLeader} }
 const DefaultB = 8
 
 type config struct {
-	workers     int
-	b           int
-	softwareRev bool
-	transposed  bool
-	gatherBatch int
+	workers int
+	b       int
 }
 
 // Option configures Permute and Unpermute.
@@ -88,36 +84,10 @@ func WithWorkers(p int) Option { return func(c *config) { c.workers = p } }
 // BST and vEB layouts.
 func WithB(b int) Option { return func(c *config) { c.b = b } }
 
-// WithSoftwareBitReversal makes the BST involution algorithm reverse bits
-// with an O(log N) software loop instead of the O(1) hardware-style
-// primitive, reproducing the paper's T_REV2 distinction between its CPU
-// (software) and GPU (hardware) platforms.
-func WithSoftwareBitReversal() Option { return func(c *config) { c.softwareRev = true } }
-
-// WithTransposedGather enables the matrix-transposition I/O optimization
-// of Section 4.2 in the vEB cycle-leader algorithm.
-func WithTransposedGather() Option { return func(c *config) { c.transposed = true } }
-
-// WithBatchedGather makes the vEB cycle-leader algorithm process gather
-// cycles in batches of the given size per worker — the lighter-weight I/O
-// optimization of Section 4.2 ("assign each processor a group of O(B)
-// cycles"). Sensible values match the cache line size in elements (8 for
-// 64-bit keys on 64-byte lines).
-func WithBatchedGather(batch int) Option { return func(c *config) { c.gatherBatch = batch } }
-
 func (c config) options() core.Options {
 	// par.New already maps workers < 1 to runtime.GOMAXPROCS(0), so the
 	// runner is built exactly once.
-	o := core.Options{
-		Runner:           par.New(c.workers),
-		B:                c.b,
-		TransposedGather: c.transposed,
-		GatherBatch:      c.gatherBatch,
-	}
-	if c.softwareRev {
-		o.Rev = bits.Software{}
-	}
-	return o
+	return core.Options{Runner: par.New(c.workers), B: c.b}
 }
 
 func buildConfig(opts []Option) config {

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # check_links.sh [file.md ...] — fail if any internal markdown link in
 # the given files (default: README.md ARCHITECTURE.md) points at a file
-# that does not exist or an anchor with no matching heading. External
-# links (http/https/mailto) and anything inside fenced code blocks or
-# inline code spans are ignored; run from the repository root.
+# that does not exist or an anchor with no matching heading, or if a
+# `go run ./<dir>` command names a directory that does not exist. Links
+# are read from prose only: external links (http/https/mailto) and
+# anything inside fenced code blocks or inline code spans are ignored.
+# `go run` commands are read everywhere, code included. Run from the
+# repository root.
 set -u
 
 files=("$@")
@@ -64,6 +67,14 @@ for f in "${files[@]}"; do
         ;;
     esac
   done < <(prose "$f" 1 | grep -oE '\]\([^)]+\)' | sed -E 's/^\]\(//; s/\)$//; s/ .*$//')
+  # Every `go run ./<dir>`, in a code block or a code span, must name a
+  # directory that exists.
+  while IFS= read -r dir; do
+    if [ ! -d "$dir" ]; then
+      echo "$f: stale command: go run $dir — no such directory" >&2
+      fail=1
+    fi
+  done < <(grep -oE 'go run \./[A-Za-z0-9_./-]*' "$f" | sed -E 's/^go run //')
 done
 
 if [ "$fail" -ne 0 ]; then
