@@ -48,6 +48,10 @@ type Config struct {
 	PEM pem.Config
 }
 
+// DefaultPEM is paperbench's simulated cache: 4096 words per processor
+// in blocks of 8 words.
+var DefaultPEM = pem.Config{M: 1 << 12, B: 8}
+
 // Table is a rectangular result set with a title and column headers.
 type Table struct {
 	// Title names the experiment, e.g. "fig6.1 permute time, P=1".

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -145,6 +146,32 @@ func TestGatherAblationShape(t *testing.T) {
 		t.Fatalf("unexpected shape: %dx%d", len(tb.Rows), len(tb.Header))
 	}
 	checkRatios(t, tb)
+}
+
+// TestGatherAblationBatchingSavesIO holds sec4.2's default sweep to the
+// Section 4.2 claim it reports: at its largest size, 2^20-1, under the
+// default simulated cache, the batched gather moves fewer blocks than
+// the plain strided cycles.
+func TestGatherAblationBatchingSavesIO(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates three gathers at N = 2^20-1")
+	}
+	var sec42 Experiment
+	for _, e := range Experiments() {
+		if e.Name == "sec4.2" {
+			sec42 = e
+		}
+	}
+	cfg := Config{MinLog: sec42.MaxLog, MaxLog: sec42.MaxLog, Trials: 1, PEM: DefaultPEM}
+	row := GatherAblation(cfg).Rows[0]
+	plain, err1 := strconv.ParseFloat(row[4], 64)
+	batched, err2 := strconv.ParseFloat(row[5], 64)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("unparsable io cells in %q", row)
+	}
+	if batched >= plain {
+		t.Fatalf("N=%s: io-batched %v >= io-plain %v", row[0], batched, plain)
+	}
 }
 
 // TestConfigOptionsSoftwareRev: Config.options, through which every

@@ -54,6 +54,6 @@ func Experiments() []Experiment {
 			func(c Config) []Table { return GPUBreakEven(c).tables() }},
 		{"table1.1", "swaps per key and PEM I/O over the bound vs N", 12, 18,
 			func(c Config) []Table { return []Table{WorkScaling(c), IOScaling(c)} }},
-		{"sec4.2", "vEB cycle-leader gather variants, time and PEM I/O", 12, 18, one(GatherAblation)},
+		{"sec4.2", "vEB cycle-leader gather variants, time and PEM I/O", 12, 20, one(GatherAblation)},
 	}
 }

@@ -41,8 +41,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.MinLogQ, "minlogq", 16, "smallest query count exponent of the break-even tables")
 	fs.IntVar(&cfg.MaxLogQ, "maxlogq", 26, "largest query count exponent of the break-even tables")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "query generator seed")
-	fs.IntVar(&cfg.PEM.M, "m", 1<<12, "simulated PEM cache size per processor, in words")
-	fs.IntVar(&cfg.PEM.B, "blk", 8, "simulated PEM block size, in words")
+	fs.IntVar(&cfg.PEM.M, "m", bench.DefaultPEM.M, "simulated PEM cache size per processor, in words")
+	fs.IntVar(&cfg.PEM.B, "blk", bench.DefaultPEM.B, "simulated PEM block size, in words")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 
 	usage := func() {

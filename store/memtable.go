@@ -25,7 +25,8 @@ type mval[V any] struct {
 // array: Put, Delete, and Get are O(1) under the DB's lock, so the write
 // path's critical section stays a few dozen nanoseconds no matter how
 // full the table is. Order is recovered once per memtable lifetime by
-// sortByKey (LSD radix for integer and float keys, merge for strings) —
+// sortByKey (radix for integer and float keys — a table under the leaf
+// size of about 1 MiB is one in-cache LSD sort — merge for strings) —
 // at flush, whose run maker then reads the sorted view through one
 // cursor, or at the first ordered read of a frozen table. Ordered reads
 // of the *active* table sort their interval per call; that cost is

@@ -15,6 +15,12 @@ import (
 // worth the goroutine overhead.
 const sortSerialBelow = 1 << 13
 
+// radixLeafBytes is the largest bucket, in key and value bytes, that the
+// radix engine finishes with LSD passes: with its ping-pong buffer it
+// stays in a core's L2, so those passes run at cache speed. A constant,
+// not an option.
+const radixLeafBytes = 1 << 20
+
 // sortByKey is the store's one key sort (stage 1 of Build, and the
 // memtables' ordered views). It writes the records (srcK[i], srcV[i]) to
 // dstK/dstV in cmp.Compare order — NaNs first, -0 equal to +0 — stably,
@@ -22,9 +28,19 @@ const sortSerialBelow = 1 << 13
 // meaning. srcV and dstV are nil for a keys-only sort; src is only read
 // and must not overlap dst. Sorted input (every flush and compaction) is
 // copied, since a stable sort of it is the identity; otherwise integer
-// and float keys, named types included, take the LSD radix engine and
+// and float keys, named types included, take the radix engine and
 // strings the merge engine.
 func sortByKey[K cmp.Ordered, V any](r par.Runner, srcK []K, srcV []V, dstK []K, dstV []V) {
+	rec := reflect.TypeFor[K]().Size()
+	if srcV != nil {
+		rec += reflect.TypeFor[V]().Size()
+	}
+	sortByKeyLeaf(r, srcK, srcV, dstK, dstV, max(1, radixLeafBytes/int(rec)))
+}
+
+// sortByKeyLeaf is sortByKey with the radix engine's leaf size, in
+// records, as a parameter; sortByKey fixes it to radixLeafBytes' worth.
+func sortByKeyLeaf[K cmp.Ordered, V any](r par.Runner, srcK []K, srcV []V, dstK []K, dstV []V, leaf int) {
 	if slices.IsSorted(srcK) {
 		copy(dstK, srcK)
 		copy(dstV, srcV)
@@ -38,13 +54,13 @@ func sortByKey[K cmp.Ordered, V any](r par.Runner, srcK []K, srcV []V, dstK []K,
 	}
 	switch kt.Size() {
 	case 1:
-		radixAs[uint8](r, kind, srcK, srcV, dstK, dstV)
+		radixAs[uint8](r, kind, srcK, srcV, dstK, dstV, leaf)
 	case 2:
-		radixAs[uint16](r, kind, srcK, srcV, dstK, dstV)
+		radixAs[uint16](r, kind, srcK, srcV, dstK, dstV, leaf)
 	case 4:
-		radixAs[uint32](r, kind, srcK, srcV, dstK, dstV)
+		radixAs[uint32](r, kind, srcK, srcV, dstK, dstV, leaf)
 	default:
-		radixAs[uint64](r, kind, srcK, srcV, dstK, dstV)
+		radixAs[uint64](r, kind, srcK, srcV, dstK, dstV, leaf)
 	}
 }
 
@@ -80,10 +96,10 @@ type unsigned interface {
 
 // radixAs radix-sorts fixed-width keys of kind as their U bit patterns,
 // viewed in place. U has K's width, so the checked views cannot fail.
-func radixAs[U unsigned, K, V any](r par.Runner, kind reflect.Kind, srcK []K, srcV []V, dstK []K, dstV []V) {
+func radixAs[U unsigned, K, V any](r par.Runner, kind reflect.Kind, srcK []K, srcV []V, dstK []K, dstV []V, leaf int) {
 	src, _ := mmapio.View[U](mmapio.Bytes(srcK))
 	dst, _ := mmapio.View[U](mmapio.Bytes(dstK))
-	radixSort(r, orderOf[U](kind), src, srcV, dst, dstV)
+	radixSort(r, orderOf[U](kind), src, srcV, dst, dstV, leaf)
 }
 
 // keyOrder maps a key's bits to an unsigned image whose order is the
@@ -126,74 +142,301 @@ func (o keyOrder[U]) image(u U) U {
 	return x
 }
 
-// radixSort is the fixed-width engine: a stable parallel LSD radix sort
-// of the key bits src, values srcV riding along, into dst — one 8-bit
-// digit of the keyOrder image per pass, skipping digits all keys agree
-// on. Each worker's histogram of its contiguous block becomes bucket
-// offsets after every earlier block's, so the scatter is stable. The
-// first pass reads src and the last writes dst, through one scratch
-// buffer in between.
-func radixSort[U unsigned, V any](r par.Runner, o keyOrder[U], src []U, srcV []V, dst []U, dstV []V) {
-	n := len(src)
-	p := r.P()
-	if n < sortSerialBelow {
-		p = 1
+// radixSort is the fixed-width engine: a stable radix sort of the key
+// bits src, values srcV riding along, into dst by the keyOrder image,
+// one 8-bit digit at a time, skipping digits all keys agree on. Input of
+// at most leaf records is sorted by lsd alone. Larger input takes one
+// parallel MSD scatter on its highest differing digit straight from src
+// into dst — its one pass through DRAM — after which each of the 256
+// buckets, ≈ n/256 records, is finished in place by lsd while it sits
+// in cache. Buckets go to workers weighted by size; a bucket over leaf
+// records (skewed keys) takes another MSD step on its own differing
+// digits, on every worker.
+func radixSort[U unsigned, V any](r par.Runner, o keyOrder[U], src []U, srcV []V, dst []U, dstV []V, leaf int) {
+	from, to := block[U, V]{src, srcV}, block[U, V]{dst, dstV}
+	if len(src) > leaf {
+		msdSort(r, o, from, to, to, false, leaf)
+		return
 	}
-	and, or := ^U(0), U(0) // differ = and^or: the image bits keys differ in
-	for _, u := range src {
+	var sc lsdScratch[U, V]
+	lsd(o, from, to, differing(par.Serial(r.Lo), o, src), &sc)
+}
+
+// block is a run of records: key bit patterns and, unless the sort is
+// keys-only, their values.
+type block[U unsigned, V any] struct {
+	k []U
+	v []V
+}
+
+func (b block[U, V]) slice(lo, hi int) block[U, V] {
+	if b.v == nil {
+		return block[U, V]{k: b.k[lo:hi]}
+	}
+	return block[U, V]{b.k[lo:hi], b.v[lo:hi]}
+}
+
+// same reports whether b and c are the same non-empty records.
+func (b block[U, V]) same(c block[U, V]) bool { return &b.k[0] == &c.k[0] }
+
+// copyTo copies b to dst on r's workers.
+func (b block[U, V]) copyTo(r par.Runner, dst block[U, V]) {
+	r.For(len(b.k), func(_, lo, hi int) {
+		copy(dst.k[lo:hi], b.k[lo:hi])
+		if b.v != nil {
+			copy(dst.v[lo:hi], b.v[lo:hi])
+		}
+	})
+}
+
+// differing returns the image bits on which the keys of a do not all
+// agree.
+func differing[U unsigned](r par.Runner, o keyOrder[U], a []U) U {
+	if r.IsSerial() {
+		and, or := span(o, a)
+		return and ^ or
+	}
+	p, n := r.P(), len(a)
+	parts := make([][2]U, p)
+	r.Tasks(p, func(w int, _ par.Runner) {
+		parts[w][0], parts[w][1] = span(o, a[w*n/p:(w+1)*n/p])
+	})
+	and, or := ^U(0), U(0)
+	for _, pt := range parts {
+		and, or = and&pt[0], or|pt[1]
+	}
+	return and ^ or
+}
+
+// span returns the AND and the OR of the images of a.
+func span[U unsigned](o keyOrder[U], a []U) (and, or U) {
+	and = ^U(0)
+	for _, u := range a {
 		x := o.image(u)
 		and, or = and&x, or|x
 	}
-	var shifts []int
-	for s := 0; (and^or)>>s != 0; s += 8 {
-		if uint8((and^or)>>s) != 0 {
-			shifts = append(shifts, s)
+	return and, or
+}
+
+// msdSort is radixSort's MSD step, for more than leaf records. Each
+// worker histograms the top differing digit of its contiguous block of
+// src, and the histograms become bucket offsets after every earlier
+// block's, so the scatter into mid is stable. mid is dst, or a free
+// area as long as src; lsd then finishes each bucket from mid into dst,
+// and a bucket over leaf records recurses with the memory at hand: the
+// bucket's range of src once src is free (not the caller's input) to
+// scatter into, or else one allocation the size of the largest such
+// bucket.
+func msdSort[U unsigned, V any](r par.Runner, o keyOrder[U], src, mid, dst block[U, V], srcFree bool, leaf int) {
+	n := len(src.k)
+	if n < sortSerialBelow {
+		r = par.Serial(r.Lo)
+	}
+	differ := differing(r, o, src.k)
+	if differ == 0 { // one key image: a stable sort is a copy
+		if !src.same(dst) {
+			src.copyTo(r, dst)
 		}
+		return
 	}
-	if len(shifts) == 0 {
-		shifts = []int{0} // all keys equal: one pass is a stable copy
-	}
-	var scratch []U
-	var scratchV []V
-	if len(shifts) > 1 {
-		scratch, scratchV = make([]U, n), make([]V, len(srcV))
+	p := r.P()
+	shift := uint(0)
+	for differ>>shift > 0xff {
+		shift += 8
 	}
 	hist := make([][256]int, p)
-	in, inV := src, srcV
-	for i, shift := range shifts {
-		out, outV := dst, dstV
-		if (len(shifts)-i)%2 == 0 {
-			out, outV = scratch, scratchV
+	r.Tasks(p, func(w int, _ par.Runner) {
+		h := &hist[w]
+		for _, u := range src.k[w*n/p : (w+1)*n/p] {
+			h[uint8(o.image(u)>>shift)]++
 		}
-		r.Tasks(p, func(w int, _ par.Runner) {
-			lo, hi := w*n/p, (w+1)*n/p
-			h := &hist[w]
-			*h = [256]int{}
-			for _, u := range in[lo:hi] {
-				h[uint8(o.image(u)>>shift)]++
+	})
+	var bounds [257]int // bucket b is mid[bounds[b]:bounds[b+1]]
+	off := 0
+	for b := range 256 {
+		bounds[b] = off
+		for w := range p {
+			hist[w][b], off = off, off+hist[w][b]
+		}
+	}
+	bounds[256] = n
+	r.Tasks(p, func(w int, _ par.Runner) {
+		scatter(o, shift, &hist[w], src.slice(w*n/p, (w+1)*n/p), mid)
+	})
+	inPlace := mid.same(dst)
+	rest := differ & (U(1)<<shift - 1)
+	if rest == 0 { // every bucket is one key image
+		if !inPlace {
+			mid.copyTo(r, dst)
+		}
+		return
+	}
+
+	// Buckets of at most leaf records, spread over the workers by size.
+	var cum [257]int
+	big := 0 // the largest bucket over leaf records
+	for b := range 256 {
+		m := bounds[b+1] - bounds[b]
+		cum[b+1] = cum[b]
+		if m <= leaf {
+			cum[b+1] += m
+		} else {
+			big = max(big, m)
+		}
+	}
+	r.ForWeighted(256, func(i int) int { return cum[i] }, func(_, lo, hi int) {
+		var sc lsdScratch[U, V]
+		sc.grow(min(leaf, cum[hi]-cum[lo]), dst.v != nil)
+		for b := lo; b < hi; b++ {
+			blo, bhi := bounds[b], bounds[b+1]
+			if m := bhi - blo; m <= leaf && (m > 1 || m == 1 && !inPlace) {
+				lsd(o, mid.slice(blo, bhi), dst.slice(blo, bhi), rest, &sc)
 			}
-		})
+		}
+	})
+
+	// Larger buckets one at a time, each on every worker.
+	spare := src
+	if inPlace && !srcFree && big > 0 {
+		spare.k = make([]U, big)
+		if dst.v != nil {
+			spare.v = make([]V, big)
+		}
+	}
+	for b := range 256 {
+		blo, bhi := bounds[b], bounds[b+1]
+		if bhi-blo <= leaf {
+			continue
+		}
+		if !inPlace {
+			msdSort(r, o, mid.slice(blo, bhi), dst.slice(blo, bhi), dst.slice(blo, bhi), true, leaf)
+			continue
+		}
+		into := spare.slice(0, bhi-blo)
+		if srcFree {
+			into = spare.slice(blo, bhi)
+		}
+		msdSort(r, o, dst.slice(blo, bhi), into, dst.slice(blo, bhi), true, leaf)
+	}
+}
+
+// lsdScratch is one worker's LSD state: a histogram per digit and the
+// ping-pong buffer, large enough for every bucket the worker finishes.
+type lsdScratch[U unsigned, V any] struct {
+	hist [8][256]int
+	buf  block[U, V]
+}
+
+// grow makes the buffer hold at least n records.
+func (sc *lsdScratch[U, V]) grow(n int, vals bool) {
+	if cap(sc.buf.k) < n {
+		sc.buf.k = make([]U, n)
+		if vals {
+			sc.buf.v = make([]V, n)
+		}
+	}
+}
+
+// lsd sorts src into dst stably by the image digits set in differ, least
+// significant first. One read pass histograms every digit; the digits
+// on which all of src agrees are skipped, and the passes ping-pong
+// between dst and sc's buffer so the last one lands in dst. src is
+// either dst itself (a bucket finished in place) or only read, and not
+// empty.
+func lsd[U unsigned, V any](o keyOrder[U], src, dst block[U, V], differ U, sc *lsdScratch[U, V]) {
+	n := len(src.k)
+	h := &sc.hist
+	histogram(o, src.k, h)
+	first := o.image(src.k[0])
+	var shifts [8]uint
+	passes := 0
+	for s := uint(0); differ>>s != 0; s += 8 {
+		row := &h[s/8]
+		if uint8(differ>>s) == 0 || row[uint8(first>>s)] == n {
+			continue // a digit every record shares
+		}
 		off := 0
 		for b := range 256 {
-			for w := range p {
-				hist[w][b], off = off, off+hist[w][b]
-			}
+			h[passes][b], off = off, off+row[b]
 		}
-		r.Tasks(p, func(w int, _ par.Runner) {
-			lo, hi := w*n/p, (w+1)*n/p
-			h := &hist[w]
-			for j := lo; j < hi; j++ {
-				u := in[j]
-				b := uint8(o.image(u) >> shift)
-				k := h[b]
-				out[k] = u
-				if len(inV) > 0 {
-					outV[k] = inV[j]
-				}
-				h[b] = k + 1
-			}
-		})
-		in, inV = out, outV
+		shifts[passes] = s
+		passes++
+	}
+	inPlace := src.same(dst)
+	if passes == 0 {
+		if !inPlace {
+			copy(dst.k, src.k)
+			copy(dst.v, src.v)
+		}
+		return
+	}
+	var buf block[U, V]
+	if passes > 1 || inPlace {
+		sc.grow(n, src.v != nil)
+		buf = sc.buf.slice(0, n)
+	}
+	in := src
+	if inPlace && passes%2 == 1 {
+		copy(buf.k, src.k)
+		copy(buf.v, src.v)
+		in = buf
+	}
+	for i := range passes {
+		out := dst
+		if (passes-i)%2 == 0 {
+			out = buf
+		}
+		scatter(o, shifts[i], &h[i], in, out)
+		in = out
+	}
+}
+
+// histogram sets h[d] to the histogram of digit d of the images of a,
+// for every digit of U: a fixed sequence of independent counts per key,
+// several times faster than a loop over a digit list.
+func histogram[U unsigned](o keyOrder[U], a []U, h *[8][256]int) {
+	if uint64(^U(0))>>32 == 0 { // at most four digits
+		*(*[4][256]int)(h[:4]) = [4][256]int{}
+		for _, u := range a {
+			x := uint32(o.image(u))
+			h[0][uint8(x)]++
+			h[1][uint8(x>>8)]++
+			h[2][uint8(x>>16)]++
+			h[3][uint8(x>>24)]++
+		}
+		return
+	}
+	*h = [8][256]int{}
+	for _, u := range a {
+		x := uint64(o.image(u))
+		h[0][uint8(x)]++
+		h[1][uint8(x>>8)]++
+		h[2][uint8(x>>16)]++
+		h[3][uint8(x>>24)]++
+		h[4][uint8(x>>32)]++
+		h[5][uint8(x>>40)]++
+		h[6][uint8(x>>48)]++
+		h[7][uint8(x>>56)]++
+	}
+}
+
+// scatter moves each record of in to out at the next offset h holds for
+// its image digit at shift, advancing that offset.
+func scatter[U unsigned, V any](o keyOrder[U], shift uint, h *[256]int, in, out block[U, V]) {
+	if in.v == nil {
+		for _, u := range in.k {
+			b := uint8(o.image(u) >> shift)
+			out.k[h[b]] = u
+			h[b]++
+		}
+		return
+	}
+	inV, outK, outV := in.v[:len(in.k)], out.k, out.v
+	for j, u := range in.k {
+		b := uint8(o.image(u) >> shift)
+		k := h[b]
+		outK[k], outV[k] = u, inV[j]
+		h[b] = k + 1
 	}
 }
 

@@ -204,9 +204,19 @@ func stableOracle[K cmp.Ordered](keys []K) ([]K, []int) {
 
 // checkSortByKey runs sortByKey on keys on 1..maxP workers with input
 // positions as values, and keys-only on maxP workers, and holds both to
-// the stable oracle bit for bit; src must come back untouched.
-func checkSortByKey[K cmp.Ordered](t *testing.T, name string, keys []K, maxP int) {
+// the stable oracle bit for bit; src must come back untouched. A leaf
+// above zero replaces the radix engine's production leaf size, in
+// records, so small inputs reach its MSD step.
+func checkSortByKey[K cmp.Ordered](t *testing.T, name string, keys []K, maxP, leaf int) {
 	t.Helper()
+	sortKV, sortK := sortByKey[K, int], sortByKey[K, struct{}]
+	if leaf > 0 {
+		name = fmt.Sprintf("%s/leaf=%d", name, leaf)
+		sortKV = func(r par.Runner, sk []K, sv []int, dk []K, dv []int) { sortByKeyLeaf(r, sk, sv, dk, dv, leaf) }
+		sortK = func(r par.Runner, sk []K, sv []struct{}, dk []K, dv []struct{}) {
+			sortByKeyLeaf(r, sk, sv, dk, dv, leaf)
+		}
+	}
 	wantK, wantV := stableOracle(keys)
 	src := slices.Clone(keys)
 	seq := make([]int, len(keys))
@@ -215,11 +225,11 @@ func checkSortByKey[K cmp.Ordered](t *testing.T, name string, keys []K, maxP int
 	}
 	gotK, gotV, setK := make([]K, len(keys)), make([]int, len(keys)), make([]K, len(keys))
 	for p := 1; p <= maxP; p++ {
-		sortByKey(par.New(p), keys, seq, gotK, gotV)
+		sortKV(par.New(p), keys, seq, gotK, gotV)
 		copy(setK, wantK)
 		if p == maxP {
 			clear(setK)
-			sortByKey[K, struct{}](par.New(p), keys, nil, setK, nil)
+			sortK(par.New(p), keys, nil, setK, nil)
 		}
 		for i := range keys {
 			if !sameKey(gotK[i], wantK[i]) || gotV[i] != wantV[i] {
@@ -236,39 +246,67 @@ func checkSortByKey[K cmp.Ordered](t *testing.T, name string, keys []K, maxP int
 	}
 }
 
-// sortByKeyCase checks one key kind at every size around the parallel
-// cutoff. Keys are conv of a bit pattern: full-width random patterns,
-// small ones (high digits constant, so the radix skips them) and the
-// kind's special values — each input with half its keys repeating an
-// earlier one.
+// sortKeys draws n keys as conv of a bit pattern, each with probability
+// 1/2 repeating an earlier key. dist picks the patterns: "random"
+// (full width), "small" (high digits constant, so the radix skips them),
+// "special" (the kind's special values), "alphabet" (every byte one of
+// 0x00, 0x7f, 0x80, 0xff: a few fat buckets per digit, so the MSD step
+// recurses level after level and leaves buckets with odd and even digit
+// counts) and "onebyte" (keys sharing every byte but one).
+func sortKeys[K cmp.Ordered](rng *rand.Rand, n int, dist string, conv func(uint64) K, specials ...K) []K {
+	keys := make([]K, n)
+	base, at := rng.Uint64(), 8*uint(rng.Intn(8))
+	for i := range keys {
+		switch {
+		case i > 0 && rng.Intn(2) == 0:
+			keys[i] = keys[rng.Intn(i)]
+		case dist == "random":
+			keys[i] = conv(rng.Uint64())
+		case dist == "small":
+			keys[i] = conv(uint64(rng.Intn(300)))
+		case dist == "special":
+			keys[i] = specials[rng.Intn(len(specials))]
+		case dist == "alphabet":
+			var x uint64
+			for range 8 {
+				x = x<<8 | uint64([]byte{0x00, 0x7f, 0x80, 0xff}[rng.Intn(4)])
+			}
+			keys[i] = conv(x)
+		default: // onebyte
+			keys[i] = conv(base&^(0xff<<at) | uint64(rng.Intn(256))<<at)
+		}
+	}
+	return keys
+}
+
+// sortByKeyCase checks one key kind: at the production leaf, at every
+// size around the parallel cutoff; at leaves of a few records, around
+// the leaf (n = leaf-1, leaf, leaf+1), through multi-level MSD recursion
+// and, past the parallel cutoff, with the MSD steps on every worker.
 func sortByKeyCase[K cmp.Ordered](t *testing.T, rng *rand.Rand, name string, conv func(uint64) K, specials ...K) {
+	dists := []string{"random", "small", "special", "alphabet", "onebyte"}
 	for _, n := range []int{0, 1, 2, sortSerialBelow - 1, sortSerialBelow, sortSerialBelow + 1, 1 << 16} {
-		for _, dist := range []string{"random", "small", "special"} {
+		for _, dist := range dists {
 			if n == 1<<16 && dist != "random" {
 				continue // the cutoffs already cover these shapes; keep -race affordable
 			}
-			keys := make([]K, n)
-			for i := range keys {
-				switch {
-				case i > 0 && rng.Intn(2) == 0:
-					keys[i] = keys[rng.Intn(i)]
-				case dist == "random":
-					keys[i] = conv(rng.Uint64())
-				case dist == "small":
-					keys[i] = conv(uint64(rng.Intn(300)))
-				default:
-					keys[i] = specials[rng.Intn(len(specials))]
-				}
-			}
-			checkSortByKey(t, name+"/"+dist, keys, 4)
+			checkSortByKey(t, name+"/"+dist, sortKeys(rng, n, dist, conv, specials...), 4, 0)
 		}
 	}
+	for _, leaf := range []int{3, 4} {
+		for _, n := range []int{leaf - 1, leaf, leaf + 1, 40, 600} {
+			for _, dist := range dists {
+				checkSortByKey(t, name+"/"+dist, sortKeys(rng, n, dist, conv, specials...), 4, leaf)
+			}
+		}
+	}
+	checkSortByKey(t, name+"/alphabet", sortKeys(rng, 2*sortSerialBelow, "alphabet", conv, specials...), 3, 64)
 }
 
 // TestSortByKeyMatchesStable: sortByKey — radix for every fixed-width
 // kind, merge for strings — equals the stable comparison sort bit for
 // bit, NaN payloads and signed zeros included, across the parallel
-// cutoffs and worker counts.
+// cutoffs, the radix leaf size and worker counts.
 func TestSortByKeyMatchesStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sortByKeyCase(t, rng, "int8", func(x uint64) int8 { return int8(x) }, math.MinInt8, -1, 0, 1, math.MaxInt8)
@@ -296,13 +334,56 @@ func TestSortByKeyMatchesStable(t *testing.T) {
 	sortByKeyCase(t, rng, "string", func(x uint64) string { return fmt.Sprint(x) }, "", "a", "aa", "b", "\xff")
 }
 
+// TestSortByKeyBucketEdges: a radix bucket boundary falls between keys
+// that the image makes equal or orders across raw sign bits — -0 and
+// +0, NaNs of either sign and any payload, -1 and 1 — and between
+// duplicates; the leaf of two records makes every bucket of three or more
+// records an MSD bucket of its own.
+func TestSortByKeyBucketEdges(t *testing.T) {
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	keys := []float64{1, negZero, nan, 0, -1, -nan, negZero, 1, 0, math.Float64frombits(0xfff8000000000123),
+		-1, nan, 0, negZero, 2, -2, math.Inf(-1), math.Inf(1), nan, 0}
+	for _, leaf := range []int{1, 2, 3, len(keys) - 1, len(keys), len(keys) + 1} {
+		checkSortByKey(t, "float64", keys, 3, leaf)
+		f32 := make([]float32, len(keys))
+		for i, k := range keys {
+			f32[i] = float32(k)
+		}
+		checkSortByKey(t, "float32", f32, 3, leaf)
+	}
+}
+
+// TestSortByKeySmallAllocs pins the allocations of a sort of at most 64
+// unsorted pairs: DB.Range sorts the active memtable's interval on
+// every call. The LSD-only engine this one replaced allocated 26 times
+// per sort (per-pass closures, a digit list, two scratch slices and the
+// histograms); now only the ping-pong buffer, keys and values, is
+// allocated — the histograms live on the stack.
+func TestSortByKeySmallAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{3, 8, 16, 33, 64} {
+		keys, vals := make([]uint64, n), make([]uint64, n)
+		for i := range keys {
+			keys[i], vals[i] = rng.Uint64(), rng.Uint64()
+		}
+		keys[0], keys[1] = max(keys[0], keys[1]), min(keys[0], keys[1]) // unsorted
+		dk, dv := make([]uint64, n), make([]uint64, n)
+		if a := testing.AllocsPerRun(20, func() { sortByKey(par.New(2), keys, vals, dk, dv) }); a > 2 {
+			t.Errorf("n=%d: sortByKey allocates %v times per call, want at most 2", n, a)
+		}
+	}
+}
+
 // FuzzSortByKey holds sortByKey to the stable oracle on fuzzed key bytes,
-// cycled out to n keys (so large n is duplicate-heavy) and sorted on p
-// up to p workers, read as float64 (NaN payloads), float32, int16 and string keys.
+// cycled out to n keys (so large n is duplicate-heavy) and sorted on
+// up to p workers, read as float64 (NaN payloads), float32, int16 and
+// string keys — at the production leaf size and at a leaf of 1 + leaf%32
+// records, so the MSD step and its recursion run at every fuzzed n.
 func FuzzSortByKey(f *testing.F) {
-	f.Add(uint16(10), uint8(1), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(uint16(3*sortSerialBelow), uint8(3), []byte{0xff, 0xf8, 1, 2, 3, 4, 5, 6, 0x7f, 0xf0, 0, 0, 0, 0, 0, 1, 0x80, 0})
-	f.Fuzz(func(t *testing.T, n uint16, p uint8, data []byte) {
+	f.Add(uint16(10), uint8(1), uint8(2), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint16(3*sortSerialBelow), uint8(3), uint8(7), []byte{0xff, 0xf8, 1, 2, 3, 4, 5, 6, 0x7f, 0xf0, 0, 0, 0, 0, 0, 1, 0x80, 0})
+	f.Add(uint16(300), uint8(2), uint8(3), []byte{0, 0x7f, 0x80, 0xff, 0, 0, 0x80, 0x80, 0xff, 0x7f, 0, 0x80, 0, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, n uint16, p, leaf uint8, data []byte) {
 		if len(data) == 0 {
 			return
 		}
@@ -325,34 +406,48 @@ func FuzzSortByKey(f *testing.F) {
 			str[i] = string(at(i, 1+i%3))
 		}
 		maxP := 1 + int(p%4)
-		checkSortByKey(t, "float64", f64, maxP)
-		checkSortByKey(t, "float32", f32, maxP)
-		checkSortByKey(t, "int16", i16, maxP)
-		checkSortByKey(t, "string", str, maxP)
+		for _, lf := range []int{0, 1 + int(leaf%32)} {
+			checkSortByKey(t, "float64", f64, maxP, lf)
+			checkSortByKey(t, "float32", f32, maxP, lf)
+			checkSortByKey(t, "int16", i16, maxP, lf)
+			checkSortByKey(t, "string", str, maxP, lf)
+		}
 	})
 }
 
 // BenchmarkSortByKey times stage 1 of Build on uniform random keys with
 // uint64 values: sortByKey (radix for fixed-width keys) against the
-// merge engine it replaced for them, and the merge engine strings keep.
+// merge engine, which strings keep, up to 2^20 records; then sortByKey
+// alone at the build workload's 2^22 records, on uniform keys and on
+// skewed ones whose top byte is 0 or 1, so both top-level buckets are
+// far over the leaf and take a second MSD level.
 //
-//	go test -run '^$' -bench BenchmarkSortByKey ./store
+//	go test -run '^$' -bench SortByKey ./store
 func BenchmarkSortByKey(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 20} {
-		benchSortByKey(b, "uint64", n, func(x uint64) uint64 { return x })
-		benchSortByKey(b, "int32", n, func(x uint64) int32 { return int32(x) })
-		benchSortByKey(b, "float64", n, func(x uint64) float64 { return math.Float64frombits(x) })
-		benchSortByKey(b, "string", n, func(x uint64) string { return fmt.Sprint(x) })
+		benchSortByKey(b, "uint64", n, func(x uint64) uint64 { return x }, true)
+		benchSortByKey(b, "int32", n, func(x uint64) int32 { return int32(x) }, true)
+		benchSortByKey(b, "float64", n, func(x uint64) float64 { return math.Float64frombits(x) }, true)
+		benchSortByKey(b, "string", n, func(x uint64) string { return fmt.Sprint(x) }, true)
 	}
+	benchSortByKey(b, "uint64", 1<<22, func(x uint64) uint64 { return x }, false)
+	benchSortByKey(b, "skewed", 1<<22, func(x uint64) uint64 { return x >> 7 }, false)
 }
 
-func benchSortByKey[K cmp.Ordered](b *testing.B, name string, n int, conv func(uint64) K) {
-	rng := rand.New(rand.NewSource(1))
-	keys, vals := make([]K, n), make([]uint64, n)
-	for i := range keys {
-		keys[i], vals[i] = conv(rng.Uint64()), rng.Uint64()
+func benchSortByKey[K cmp.Ordered](b *testing.B, name string, n int, conv func(uint64) K, withMerge bool) {
+	var keys, dstK []K
+	var vals, dstV []uint64
+	input := func() { // on first use, so filtered-out cases cost nothing
+		if keys != nil {
+			return
+		}
+		rng := rand.New(rand.NewSource(1))
+		keys, vals = make([]K, n), make([]uint64, n)
+		for i := range keys {
+			keys[i], vals[i] = conv(rng.Uint64()), rng.Uint64()
+		}
+		dstK, dstV = make([]K, n), make([]uint64, n)
 	}
-	dstK, dstV := make([]K, n), make([]uint64, n)
 	r := par.New(0)
 	engines := []struct {
 		name string
@@ -360,9 +455,13 @@ func benchSortByKey[K cmp.Ordered](b *testing.B, name string, n int, conv func(u
 	}{{"sortByKey", sortByKey[K, uint64]}, {"merge", mergeSortByKey[K, uint64]}}
 	if _, fixed := rawfmt.Kind(reflect.TypeFor[K]()); !fixed {
 		engines = engines[1:] // sortByKey is the merge engine
+	} else if !withMerge {
+		engines = engines[:1]
 	}
 	for _, e := range engines {
 		b.Run(fmt.Sprintf("%s/n=%d/%s", name, n, e.name), func(b *testing.B) {
+			input()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.sort(r, keys, vals, dstK, dstV)
 			}

@@ -8,8 +8,9 @@
 //
 // A Store owns its records end to end. Build ingests unsorted key–value
 // pairs and runs the parallel build pipeline — one stable parallel sort
-// by key (LSD radix for integer and float keys, merge for strings, none
-// for sorted input), duplicate-key resolution, range partition into
+// by key (radix for integer and float keys: one MSD scatter, then LSD
+// passes per cache-sized bucket; merge for strings; none for sorted
+// input), duplicate-key resolution, range partition into
 // shards, then a payload-carrying perm.PermuteWith of every shard
 // concurrently into the configured layout (vEB by default), so each
 // value sits at the same array position as its key.
