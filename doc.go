@@ -11,13 +11,17 @@
 // permutation as its keys, search iterates records in sorted order
 // directly over any layout, and store serves key–value records — as
 // immutable sharded snapshots (Store) and as a writable LSM-style store
-// (DB) whose flushes and compactions are the paper's parallel
-// construction run again and again.
+// (DB) whose flushes and compactions build a search layout again and
+// again. The serving path writes each layout with layout.Writer, which
+// places every record at its final position and yields the arrays the
+// paper's permutations do, far faster; perm stays as the paper's
+// operation, the one the experiments measure.
 //
 // Public API:
 //
 //   - layout: layout definitions, index arithmetic (including in-order
-//     rank -> array position), reference builders;
+//     rank -> array position), reference builders, and Writer, the
+//     in-place layout writer (sorted -> layout) and reader behind store;
 //   - perm:   the in-place parallel permutations (the paper's
 //     contribution), keys-only (Permute/Unpermute) and payload-carrying
 //     (PermuteWith/UnpermuteWith);
@@ -27,7 +31,7 @@
 //     snapshot — parallel build pipeline (stable sort: MSD-then-LSD
 //     radix for integer and float keys, merge sort for strings, none for
 //     sorted input; duplicate-key resolution, range partition, concurrent
-//     payload-carrying permute)
+//     payload-carrying layout write)
 //     plus a concurrent, batched query engine with value-returning
 //     Get/GetBatch and cross-shard ordered Range/Scan streaming (Set is
 //     the keys-only alias). DB is the writable store on top: memtable

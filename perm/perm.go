@@ -20,9 +20,13 @@
 // Unpermute and UnpermuteWith invert the layouts back to sorted order,
 // also in place. Every permutation uses O(P log N) auxiliary space (the
 // paper's Definition 1 of parallel in-place), works for any array length
-// (Chapter 5), and is deterministic for every worker count. The store
-// package's build pipeline — including every flush and compaction of its
-// writable DB — is a client of exactly these entry points.
+// (Chapter 5), and is deterministic for every worker count.
+//
+// This package is the paper's operation, kept as the thing its
+// experiments measure (cmd/paperbench, perfbench's build workload). The
+// store package builds the same arrays with layout.Writer, which writes
+// every record straight to its final position instead of permuting in
+// place; the store's tests pin the two to identical output.
 package perm
 
 import (

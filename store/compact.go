@@ -12,6 +12,7 @@ import (
 	"implicitlayout/internal/blockio"
 	"implicitlayout/internal/filter"
 	"implicitlayout/internal/par"
+	"implicitlayout/layout"
 )
 
 // maintain drains all pending background work: flush every frozen
@@ -183,7 +184,7 @@ var errSegEmpty = errors.New("store: merge compacted to nothing")
 // merge. It runs kwayMerge over inputs (newest first; dropTombs drops
 // winning tombstones), cuts the survivors into shards of
 // streamShardPlan's size, lays each shard out (layShard: bloom-filled
-// and permuted), and hands it to one of two sinks:
+// and written into the layout), and hands it to one of two sinks:
 //   - a durable DB with fixed-width types streams the shards into a v2.1
 //     segment inside one atomic file write, then reopens the segment
 //     through readSegmentFile — so every durable run is served from its
@@ -261,8 +262,9 @@ func (db *DB[K, V]) newRun(inputs []*Store[K, mval[V]], level int, dropTombs boo
 	bloom := filter.New(upper)
 	var shardKeys [][]K
 	var shardVals [][]mval[V]
+	var lw layout.Writer[K, mval[V]]
 	cut(true, func(keys []K, vals []mval[V]) error { // the heap sink cannot fail
-		layShard(cfg, bloom, keys, vals)
+		layShard(cfg, bloom, &lw, keys, vals)
 		shardKeys, shardVals = append(shardKeys, keys), append(shardVals, vals)
 		return nil
 	})

@@ -72,10 +72,10 @@ type DBConfig struct {
 // DB is a writable key–value store: an LSM-style composition of one
 // mutable sorted memtable (the write path) over a stack of immutable
 // leveled runs, where every run is a sharded implicit-layout Store laid
-// out by the same parallel in-place permutation as a static Build. The
-// paper's cheap parallel in-place construction is what makes
+// out by the same in-place layout writer as a static Build. Cheap
+// in-place construction, the paper's theme, is what makes
 // this composition viable — (re)building a run's search layout at flush
-// and compaction time costs a parallel permutation, not a pointer-tree
+// and compaction time costs one in-order write, not a pointer-tree
 // rebuild.
 //
 // Writes (Put, Delete) go to the memtable under a short mutex; when it
@@ -104,10 +104,10 @@ type DBConfig struct {
 // memory-only: nothing survives the process. A DB opened with Open on a
 // directory is durable — every Put and Delete is appended to a
 // write-ahead log before it is acknowledged, flushed runs are written as
-// checksummed segment files holding the permuted arrays verbatim, and an
+// checksummed segment files holding the laid-out arrays verbatim, and an
 // atomically rewritten manifest names the live segments, so a reopened
 // directory serves every acknowledged write without re-sorting or
-// re-permuting anything that had reached a segment.
+// re-laying-out anything that had reached a segment.
 type DB[K cmp.Ordered, V any] struct {
 	cfg     DBConfig
 	runCfg  Config // every run's build parameters: cfg.Store resolved, KeepLast forced
@@ -145,8 +145,8 @@ func NewDB[K cmp.Ordered, V any](cfg DBConfig) (*DB[K, V], error) {
 // Open opens a writable store backed by dir, creating the directory if
 // needed. An empty dir selects memory-only mode (NewDB). Otherwise the
 // directory's manifest names the live segment files, each of which is
-// reopened by reading its permuted shard arrays straight into memory —
-// no re-sort, no re-permute — and any write-ahead logs left by a crash
+// reopened by reading its laid-out shard arrays straight into memory —
+// no re-sort, no re-layout — and any write-ahead logs left by a crash
 // or unclean shutdown are replayed, flushed into a fresh level-0
 // segment, and deleted, so the acknowledged history is intact before
 // Open returns. (A log damaged beyond its tail is preserved under a
@@ -225,7 +225,7 @@ func (db *DB[K, V]) openDir(dir string) error {
 		return fail(err)
 	}
 	// Reopen every named segment concurrently — each is an independent
-	// straight read of its permuted arrays, so recovery time is bounded
+	// straight read of its laid-out arrays, so recovery time is bounded
 	// by the largest segment, not the segment count.
 	runs := make([]*run[K, V], len(man.Segments))
 	live := make(map[string]bool, len(man.Segments))

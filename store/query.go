@@ -13,7 +13,7 @@ type Ref struct {
 
 // valAt returns the value stored at ref (the zero V for keys-only
 // stores). Values occupy the same per-shard positions as their keys —
-// PermuteWith moved both arrays by one permutation, and the segment
+// the layout write moved both arrays together, and the segment
 // codec preserves the pairing — so the lookup is one slice index,
 // whether the shard's arrays live on the heap or in a mapped segment.
 func (s *Store[K, V]) valAt(ref Ref) V {

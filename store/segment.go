@@ -19,10 +19,10 @@ import (
 )
 
 // The segment codec serializes a built Store so it can be reopened
-// without re-sorting or re-permuting: the per-shard key and value arrays
-// are written exactly as they sit in memory — already permuted into
-// their layout — so reading a segment back is index reconstruction over
-// the stored arrays, never a rebuild. The permuted array IS the on-disk
+// without re-sorting or re-laying-out: the per-shard key and value arrays
+// are written exactly as they sit in memory — already in their
+// layout — so reading a segment back is index reconstruction over
+// the stored arrays, never a rebuild. The laid-out array IS the on-disk
 // format, which is the external-memory payoff of an implicit
 // (pointer-free) layout: there is nothing to deserialize.
 //
@@ -38,7 +38,7 @@ import (
 //	"ILSEG\x01"
 //	frame 'h': gob(segHeader)      version, structure, shard lengths
 //	per shard, in fence order:
-//	  frame 'k': gob([]K)          the shard's permuted key array
+//	  frame 'k': gob([]K)          the shard's laid-out key array
 //	  frame 'v': gob([]V)          plain payloads (omitted for key sets)
 //	  — or, for DB run segments —
 //	  frame 'w': gob([]V)          raw values, tombstone slots zeroed
@@ -55,7 +55,7 @@ import (
 //	per shard, in fence order:
 //	  frame 'p': zero padding      sized so the NEXT payload starts at a
 //	                               64-byte-aligned file offset
-//	  frame 'k': raw key array     the permuted keys, native byte order
+//	  frame 'k': raw key array     the laid-out keys, native byte order
 //	  frame 'p': zero padding      (value frames only when HasVals)
 //	  frame 'v': raw value array   plain payloads — or, for DB runs,
 //	  frame 'w': raw mval array    value + tombstone flag per element
@@ -179,9 +179,9 @@ type segHeader struct {
 	Payload    int   // segPayloadPlain or segPayloadRun
 	Records    int   // total records across shards
 	HasVals    bool  // false for key-set stores (no value frames at all)
-	Layout     int   // layout.Kind the shards are permuted into
+	Layout     int   // layout.Kind the shards are laid out in
 	B          int   // B-tree node capacity the shards were built with
-	Algorithm  int   // written as 1 (cycle-leader, the one family builds use); ignored on read
+	Algorithm  int   // written as 1 (cycle-leader builds the same arrays); ignored on read
 	Duplicates int   // DuplicatePolicy the store was built with
 	ShardLens  []int // per-shard record counts, in fence order
 
@@ -372,7 +372,7 @@ func readGobSlice[T any](br *blockio.Reader, tag byte, n int, dst []T) error {
 }
 
 // WriteTo serializes the store to w in the segment format, returning the
-// byte count written. The shards' permuted arrays go out verbatim, so a
+// byte count written. The shards' laid-out arrays go out verbatim, so a
 // later ReadStore serves queries with zero rebuild work. When K — and V,
 // if the store has values — are fixed-width primitives, the raw v2.1
 // format is written: the shard arrays become 64-byte-aligned memory
@@ -449,7 +449,7 @@ func newSegHeader(version, payload int, hasVals bool, cfg Config) segHeader {
 }
 
 // writeSegStream writes a built store: as v2.1 through segWriter, one
-// already-permuted shard at a time, when every array is a fixed-width
+// already laid-out shard at a time, when every array is a fixed-width
 // memory dump, and as v1 (gob) otherwise.
 func writeSegStream[K cmp.Ordered, V any](w io.Writer, s *Store[K, V], codec segCodec[V]) (int64, error) {
 	if _, err := segContract[K](codec, s.hasVals); err != nil {
@@ -463,7 +463,7 @@ func writeSegStream[K cmp.Ordered, V any](w io.Writer, s *Store[K, V], codec seg
 		if s.hasVals {
 			vals = s.svals[i]
 		}
-		err = sw.appendPermuted(s.shards[i].idx.Data(), vals)
+		err = sw.appendLaidOut(s.shards[i].idx.Data(), vals)
 	}
 	if err == nil {
 		err = sw.Finish()

@@ -8,13 +8,13 @@ import (
 	"implicitlayout/internal/blockio"
 	"implicitlayout/internal/filter"
 	"implicitlayout/internal/mmapio"
-	"implicitlayout/perm"
+	"implicitlayout/layout"
 )
 
 // segWriter is the one writer of the raw segment format: it writes v2.1
 // front to back, one shard at a time, without ever holding more than one
 // shard's records. Every fixed-width store reaches disk through it. A
-// built store (Store.WriteTo) hands it each already-permuted shard in
+// built store (Store.WriteTo) hands it each already laid-out shard in
 // turn; the DB's run maker (newRun) hands AppendShard each shard's
 // sorted records as the merged stream produces them, and the writer
 // lays them out in place first — the reason a run of arbitrarily many
@@ -26,8 +26,8 @@ import (
 // mval wrapper for run segments. The AppendShard contract mirrors what a
 // Build would have produced: each shard's keys strictly ascend (the run
 // codec is KeepLast — no duplicates), successive shards ascend across
-// the boundary, and no shard is empty. AppendShard permutes the caller's
-// slices in place, so the caller may reuse them for the next shard once
+// the boundary, and no shard is empty. AppendShard lays the caller's
+// slices out in place, so the caller may reuse them for the next shard once
 // the call returns. A segWriter abandoned without Finish leaves a stream
 // with no trailer, which every reader refuses — the crash-mid-merge
 // story needs no writer-side cleanup.
@@ -43,13 +43,14 @@ type segWriter[K cmp.Ordered, E any] struct {
 	lens     []int
 	records  int
 	finished bool
+	lw       layout.Writer[K, E] // AppendShard's layout scratch
 }
 
 // newSegWriter starts the streamed v2.1 segment of a DB run. upper is
 // an upper bound on the record count (the sum of the run's inputs),
 // used only to size the bloom filter AppendShard fills; overshooting it
 // costs filter density, never correctness. cfg carries the run build
-// parameters (layout, B, workers) the shards are permuted with.
+// parameters (layout, B, workers) the shards are laid out with.
 func newSegWriter[K cmp.Ordered, V any](w io.Writer, cfg Config, upper int) (*segWriter[K, mval[V]], error) {
 	return startSegWriter[K](w, cfg, runCodec[V]{}, true, filter.New(upper))
 }
@@ -92,27 +93,27 @@ func (sw *segWriter[K, E]) AppendShard(keys []K, vals []E) error {
 	if err := sw.checkShard(keys, vals); err != nil {
 		return err
 	}
-	layShard(sw.cfg, sw.bloom, keys, vals)
-	return sw.appendPermuted(keys, vals)
+	layShard(sw.cfg, sw.bloom, &sw.lw, keys, vals)
+	return sw.appendLaidOut(keys, vals)
 }
 
 // layShard is the layout step every DB run shard takes, whichever sink
 // receives it: each key is fed to the run's bloom filter, so filter
 // construction rides the pass the run maker already makes, and the
-// shard's sorted records are permuted in place into cfg's layout.
-func layShard[K cmp.Ordered, E any](cfg Config, bloom *filter.Bloom, keys []K, vals []E) {
+// shard's sorted records are written in place into cfg's layout by lw,
+// whose scratch the run's later shards reuse.
+func layShard[K cmp.Ordered, E any](cfg Config, bloom *filter.Bloom, lw *layout.Writer[K, E], keys []K, vals []E) {
 	for _, k := range keys {
 		bloom.Add(keyHash(k))
 	}
-	perm.PermuteWith(keys, vals, cfg.Layout, perm.CycleLeader,
-		perm.WithWorkers(cfg.Workers), perm.WithB(cfg.B))
+	lw.Write(cfg.Layout, keys, vals, cfg.B, cfg.Workers)
 }
 
-// appendPermuted appends one shard whose arrays already sit in the
+// appendLaidOut appends one shard whose arrays already sit in the
 // segment's layout: a pad frame and the raw array for the keys, then for
 // the values when the segment has them. A shard's raw array is one
 // frame, and must be: a mapped shard is served as one contiguous region.
-func (sw *segWriter[K, E]) appendPermuted(keys []K, vals []E) error {
+func (sw *segWriter[K, E]) appendLaidOut(keys []K, vals []E) error {
 	if err := sw.checkShard(keys, vals); err != nil {
 		return err
 	}

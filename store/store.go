@@ -1,5 +1,5 @@
-// Package store is the serving layer built on the paper's in-place
-// layout permutations. It offers two data structures: the immutable
+// Package store is the serving layer built on the paper's implicit
+// search-tree layouts. It offers two data structures: the immutable
 // sharded Store, and the writable DB that stacks an LSM-style write path
 // on top of it. See ARCHITECTURE.md at the repository root for the layer
 // diagram and data flows.
@@ -11,9 +11,9 @@
 // by key (radix for integer and float keys: one MSD scatter, then LSD
 // passes per cache-sized bucket; merge for strings; none for sorted
 // input), duplicate-key resolution, range partition into
-// shards, then a payload-carrying perm.PermuteWith of every shard
-// concurrently into the configured layout (vEB by default), so each
-// value sits at the same array position as its key.
+// shards, then an in-place layout.Writer write of every shard
+// concurrently into the configured layout (vEB by default), values
+// moving with their keys, so each value sits at its key's position.
 // Queries route through a fence-key router (the smallest key of each
 // shard, read off its layout by rank) and run the layout's
 // search kernel inside the owning shard; Get returns the stored value,
@@ -25,7 +25,7 @@
 // Keys-only use is the Set alias (a Store with struct{} values) built by
 // BuildSet. A built Store is immutable — snapshot semantics. Any number
 // of reader goroutines may share one Store with no synchronization, and
-// Export recovers the sorted records via perm.UnpermuteWith without
+// Export recovers the sorted records via layout.Writer.Read without
 // disturbing the servable shards.
 //
 // # DB: the writable store
@@ -47,9 +47,9 @@
 // Open backs a DB with a directory and makes the write path crash-safe:
 // Put and Delete are appended to a write-ahead log before they are
 // acknowledged, flushed runs are persisted as checksummed segment files
-// holding the permuted shard arrays verbatim (an implicit layout is a
-// pointer-free array, so the permuted array is the on-disk format and
-// reopening never re-sorts or re-permutes), and an atomically rewritten
+// holding the laid-out shard arrays verbatim (an implicit layout is a
+// pointer-free array, so the laid-out array is the on-disk format and
+// reopening never re-sorts or re-lays-out), and an atomically rewritten
 // manifest names the live segments. Reopening the directory replays any
 // logs a crash left behind and serves the whole acknowledged history.
 // The same codec is public on the static store as Store.WriteTo and
@@ -59,7 +59,7 @@
 // Fixed-width records (ints, uints, floats) are written in a raw
 // 64-byte-aligned segment format that can be served without decoding:
 // OpenStore with WithMmap — or DBConfig.Mmap for a durable DB — maps
-// segment files read-only and serves the permuted arrays in place from
+// segment files read-only and serves the laid-out arrays in place from
 // the OS page cache, so cold opens are O(shards) metadata work and the
 // servable dataset is not bounded by the heap. See "Zero-copy serving"
 // in ARCHITECTURE.md.
@@ -196,8 +196,8 @@ func (c Config) forRecords(n int) Config {
 // shard is one range partition: a laid-out slice of the store's backing
 // key array plus its offset in sorted order. Values are not stored here —
 // the value of the key at shard-local position p lives at the same
-// backing-array position, vals[off+p], because PermuteWith moved both
-// arrays by the same permutation.
+// backing-array position, vals[off+p], because the layout write moved
+// both arrays together.
 type shard[K cmp.Ordered] struct {
 	idx *search.Index[K]
 	off int // global sorted rank of the shard's first key
@@ -292,11 +292,7 @@ func Build[K cmp.Ordered, V any](keys []K, vals []V, opts ...Option) (*Store[K, 
 	// Stage 3: range partition. Equal-size index ranges of the sorted
 	// array are contiguous key ranges, so the partition is by key range
 	// with near-perfect balance.
-	shardKeys := make([][]K, c.Shards)
-	var shardVals [][]V
-	if ownedV != nil {
-		shardVals = make([][]V, c.Shards)
-	}
+	shardKeys, shardVals := make([][]K, c.Shards), make([][]V, c.Shards)
 	for i := range shardKeys {
 		lo, hi := i*n/c.Shards, (i+1)*n/c.Shards
 		shardKeys[i] = ownedK[lo:hi:hi]
@@ -305,21 +301,17 @@ func Build[K cmp.Ordered, V any](keys []K, vals []V, opts ...Option) (*Store[K, 
 		}
 	}
 
-	// Stage 4: permute every shard into its layout concurrently, values
-	// riding the same permutation as their keys. Each shard task inherits
-	// a disjoint slice of the worker budget, so total build parallelism
-	// stays bounded by c.Workers. Both of the paper's families realize
-	// the same layout; the cycle-leader one is used because it builds
-	// every layout faster on CPUs.
+	// Stage 4: write every shard's layout concurrently, values moving
+	// with their keys. Each shard task inherits a disjoint slice of the
+	// worker budget, so total build parallelism stays bounded by
+	// c.Workers, and each worker reuses one layout.Writer's scratch.
+	ws := make([]layout.Writer[K, V], runner.P())
 	runner.Tasks(c.Shards, func(i int, sub par.Runner) {
-		if ownedV == nil {
-			perm.Permute(shardKeys[i], c.Layout, perm.CycleLeader,
-				perm.WithWorkers(sub.P()), perm.WithB(c.B))
-		} else {
-			perm.PermuteWith(shardKeys[i], shardVals[i], c.Layout, perm.CycleLeader,
-				perm.WithWorkers(sub.P()), perm.WithB(c.B))
-		}
+		ws[sub.Lo].Write(c.Layout, shardKeys[i], shardVals[i], c.B, sub.P())
 	})
+	if ownedV == nil {
+		shardVals = nil
+	}
 	return newStore(c, shardKeys, shardVals), nil
 }
 
@@ -347,7 +339,7 @@ func checkConfig(c Config) error {
 // constructor behind Build, the segment readers and the DB's runs.
 // keys[i] is shard i in cfg.Layout and vals[i] its values, position for
 // position; nil vals makes a keys-only store. The routing metadata comes
-// by rank arithmetic over the permuted arrays — each shard's fence is
+// by rank arithmetic over the laid-out arrays — each shard's fence is
 // its in-order rank 0, maxKey the last shard's last rank — so no sorted
 // copy of a shard is needed. The caller sets the backing and the bloom
 // filter, if any.
