@@ -12,7 +12,7 @@
 // directly over any layout, and store serves key–value records — as
 // immutable sharded snapshots (Store) and as a writable LSM-style store
 // (DB) whose flushes and compactions build a search layout again and
-// again. The serving path writes each layout with layout.Writer, which
+// again. The serving path writes each layout with layout.Write, which
 // places every record at its final position and yields the arrays the
 // paper's permutations do, far faster; perm stays as the paper's
 // operation, the one the experiments measure.
@@ -20,7 +20,7 @@
 // Public API:
 //
 //   - layout: layout definitions, index arithmetic (including in-order
-//     rank -> array position), reference builders, and Writer, the
+//     rank -> array position), reference builders, and Write/Read, the
 //     in-place layout writer (sorted -> layout) and reader behind store;
 //   - perm:   the in-place parallel permutations (the paper's
 //     contribution), keys-only (Permute/Unpermute) and payload-carrying

@@ -5,8 +5,9 @@
 // built for mmap-backed serving, together with the index arithmetic
 // needed to navigate them, reference (out-of-place) constructors that
 // serve as correctness oracles for the in-place parallel permutation
-// algorithms in package perm, and Writer (write.go), the in-place
-// layout writer and reader every store build and DB run goes through.
+// algorithms in package perm, and Write and Read (write.go), the
+// in-place layout writer and reader every store build and DB run goes
+// through.
 //
 // All trees are *complete*: every level except possibly the last is full
 // and the last level is filled left to right. A layout assigns each node of

@@ -2,63 +2,53 @@ package layout
 
 import (
 	"fmt"
-	mbits "math/bits"
+	"slices"
 	"sync"
 
 	"implicitlayout/internal/bits"
-	"implicitlayout/internal/par"
 )
 
-// Writer moves arrays between ascending sorted order and an implicit
-// layout, in place: Write lays a sorted array out, Read restores sorted
-// order from a laid-out one. Both move an optional value slice by the
-// same permutation as the keys, so vals[i] stays the payload of keys[i].
-// They write the layout directly — an in-order pass that places every
-// record at its final position — where package perm's in-place
-// permutations (the paper's operation) reach the same array by cycles or
-// swap rounds; the resulting arrays are identical.
+// Write lays the ascending keys out in layout k in place, moving vals
+// (nil for keys only) alongside, so vals[i] stays the payload of keys[i].
+// b is the node capacity of BTree and Hier and is ignored by the other
+// layouts; Read is the inverse. Both write the layout directly — every
+// record goes straight to its final position — where package perm's
+// in-place permutations (the paper's operation) reach the same array by
+// cycles or swap rounds; the resulting arrays are identical.
 //
 //   - VEB runs the layout's own recursion in place: gather the top
 //     tree's keys into a buffer, move the bottom subtrees to their final
 //     offsets, write the top back, and recurse. Subtrees of at most
 //     vebLeaf records are written through their rank table. Scratch is
-//     one O(√n) buffer per worker.
-//   - BST, BTree and Hier walk the tree in order and copy each record
-//     between its rank and its position; the walk reads from (Write) or
-//     writes to (Read) one array of scratch the size of the input, which
-//     the Writer keeps for its next call.
+//     one O(√n) buffer.
+//   - BST, BTree and Hier move each level's inner keys, in order, in
+//     front of the tree's last level and go on with them, through a
+//     buffer of at most n/8 records; Hier then lays every page block
+//     out through its in-page slot map.
 //   - Sorted is the identity.
 //
-// A Writer's zero value is ready to use. A Writer is not safe for
-// concurrent calls; keep one per concurrent caller to reuse its scratch.
-type Writer[K, V any] struct {
-	keys []K // BST, BTree, Hier: the walk's other array
-	vals []V
-	bufs []vebBuf[K, V] // VEB: one buffer per worker
-	leaf int            // VEB table-leaf size; 0 is vebLeaf
+// Write and Read run on the calling goroutine; callers lay out
+// independent arrays (a store's shards) concurrently. Write panics if
+// vals is non-nil and its length differs from len(keys).
+func Write[K, V any](k Kind, keys []K, vals []V, b int) {
+	write(k, keys, vals, b, vebLeaf)
 }
 
-type vebBuf[K, V any] struct {
-	keys []K
-	vals []V
+// Read writes the ascending order of srcK, laid out in layout k with the
+// same b, into dstK, and moves srcV into dstV alongside (both nil for
+// keys only): it copies the source and restores sorted order in the
+// copy in place. The source is never written — it may be a read-only
+// mapping — and may be the destination itself but must not otherwise
+// overlap it. Read panics if the lengths differ.
+func Read[K, V any](k Kind, dstK []K, dstV []V, srcK []K, srcV []V, b int) {
+	read(k, dstK, dstV, srcK, srcV, b, vebLeaf)
 }
 
-// Write lays the ascending keys out in layout k in place, moving vals
-// (nil for keys only) alongside. b is the node capacity of BTree and
-// Hier and is ignored by the other layouts. workers bounds the
-// parallelism; values below 2 write serially. Write panics if vals is
-// non-nil and its length differs from len(keys).
-func (w *Writer[K, V]) Write(k Kind, keys []K, vals []V, b, workers int) {
-	w.move(k, keys, vals, b, workers, false)
-}
-
-// Read restores ascending order, in place, from keys laid out in layout
-// k (with the same b), moving vals alongside: the inverse of Write.
-func (w *Writer[K, V]) Read(k Kind, keys []K, vals []V, b, workers int) {
-	w.move(k, keys, vals, b, workers, true)
-}
-
-func (w *Writer[K, V]) move(k Kind, keys []K, vals []V, b, workers int, read bool) {
+// write and read are Write and Read with the vEB table-leaf size, which
+// also floors the B-tree layouts' buffer, as a parameter, so tests reach
+// every step of the vEB recursion and the chunked B-tree moves at small
+// sizes.
+func write[K, V any](k Kind, keys []K, vals []V, b, leaf int) {
 	if vals != nil && len(vals) != len(keys) {
 		panic(fmt.Sprintf("layout: %d keys but %d values", len(keys), len(vals)))
 	}
@@ -68,15 +58,35 @@ func (w *Writer[K, V]) move(k Kind, keys []K, vals []V, b, workers int, read boo
 	switch k {
 	case Sorted:
 	case VEB:
-		w.veb(keys, vals, workers, read)
-	case BST:
-		w.walk(keys, vals, 1, nil, workers, read)
-	case BTree:
-		w.walk(keys, vals, b, nil, workers, read)
-	case Hier:
-		w.walk(keys, vals, b, hierSlots(len(keys), b), workers, read)
+		newVEBStep[K, V](len(keys), leaf, vals != nil).write(keys, vals)
 	default:
-		panic("layout: unknown kind")
+		treeLayout(k, keys, b, leaf, false)
+		if vals != nil {
+			treeLayout(k, vals, b, leaf, false)
+		}
+	}
+}
+
+func read[K, V any](k Kind, dstK []K, dstV []V, srcK []K, srcV []V, b, leaf int) {
+	n := len(srcK)
+	if len(dstK) != n || len(srcV) != len(dstV) || (srcV != nil && len(srcV) != n) || (srcV == nil) != (dstV == nil) {
+		panic(fmt.Sprintf("layout: Read of %d keys and %d values into %d keys and %d values",
+			n, len(srcV), len(dstK), len(dstV)))
+	}
+	copy(dstK, srcK)
+	copy(dstV, srcV)
+	if n < 2 {
+		return
+	}
+	switch k {
+	case Sorted:
+	case VEB:
+		newVEBStep[K, V](n, leaf, dstV != nil).read(dstK, dstV)
+	default:
+		treeLayout(k, dstK, b, leaf, true)
+		if dstV != nil {
+			treeLayout(k, dstV, b, leaf, true)
+		}
 	}
 }
 
@@ -103,63 +113,6 @@ func vebTable(n int) []uint16 {
 	return e.t
 }
 
-// parMin is the smallest array a Writer spreads over workers.
-const parMin = 1 << 15
-
-func (w *Writer[K, V]) veb(keys []K, vals []V, workers int, read bool) {
-	n := len(keys)
-	leaf := w.leaf
-	if leaf == 0 {
-		leaf = vebLeaf
-	}
-	d := vebDecompose(n, bits.Levels(n))
-	size := max(d.topN, leaf)
-	if workers < 2 || n < parMin {
-		w.step(0, size, leaf, vals != nil).run(keys, vals, read)
-		return
-	}
-	// Split once at the root: its top and bottom moves run on one
-	// worker, its independent bottoms on all of them.
-	for p := range workers {
-		w.step(p, size, leaf, vals != nil)
-	}
-	bottoms := func() {
-		r := par.Runner{Hi: workers, MinFor: 1}
-		r.For(d.topN+1, func(p, lo, hi int) {
-			st := w.step(p, size, leaf, vals != nil)
-			for j := lo; j < hi; j++ {
-				o, s := d.topN+d.sizeSum(j), d.size(j)
-				st.run(keys[o:o+s], sub(vals, o, o+s), read)
-			}
-		})
-	}
-	st := w.step(0, size, leaf, vals != nil)
-	if read {
-		bottoms()
-		st.readRoot(keys, vals, d)
-	} else {
-		st.writeRoot(keys, vals, d)
-		bottoms()
-	}
-}
-
-// step returns worker p's vEB scratch, its buffer grown to at least
-// size records. Callers running concurrently must have grown every
-// worker's buffer first.
-func (w *Writer[K, V]) step(p, size, leaf int, withVals bool) vebStep[K, V] {
-	for len(w.bufs) <= p {
-		w.bufs = append(w.bufs, vebBuf[K, V]{})
-	}
-	bb := &w.bufs[p]
-	if len(bb.keys) < size {
-		bb.keys = make([]K, size)
-	}
-	if withVals && len(bb.vals) < size {
-		bb.vals = make([]V, size)
-	}
-	return vebStep[K, V]{bk: bb.keys, bv: bb.vals, leaf: leaf}
-}
-
 // sub returns vals[lo:hi], or nil for a keys-only call.
 func sub[V any](vals []V, lo, hi int) []V {
 	if vals == nil {
@@ -168,8 +121,8 @@ func sub[V any](vals []V, lo, hi int) []V {
 	return vals[lo:hi]
 }
 
-// vebStep runs the vEB recursion on one worker: bk and bv hold at least
-// max(topN, leaf) records, and subtrees of at most leaf records are
+// vebStep runs the vEB recursion: bk and bv hold the largest top tree
+// or table leaf of the array, and subtrees of at most leaf records are
 // moved through their rank table.
 type vebStep[K, V any] struct {
 	bk   []K
@@ -177,12 +130,14 @@ type vebStep[K, V any] struct {
 	leaf int
 }
 
-func (st vebStep[K, V]) run(keys []K, vals []V, read bool) {
-	if read {
-		st.read(keys, vals)
-	} else {
-		st.write(keys, vals)
+// newVEBStep sizes the scratch for an array of n ≥ 2 records.
+func newVEBStep[K, V any](n, leaf int, withVals bool) vebStep[K, V] {
+	size := min(n, max(vebDecompose(n, bits.Levels(n)).topN, leaf))
+	st := vebStep[K, V]{bk: make([]K, size), leaf: leaf}
+	if withVals {
+		st.bv = make([]V, size)
 	}
+	return st
 }
 
 // write lays the sorted keys (and vals) out as a vEB tree in place.
@@ -196,20 +151,10 @@ func (st vebStep[K, V]) write(keys []K, vals []V) {
 		return
 	}
 	d := vebDecompose(n, bits.Levels(n))
-	st.writeRoot(keys, vals, d)
-	for j, o := 0, d.topN; o < n; j++ {
-		s := d.size(j)
-		st.write(keys[o:o+s], sub(vals, o, o+s))
-		o += s
-	}
-}
-
-// writeRoot is one step of the vEB recursion on sorted input: the top
-// tree's keys leave their in-order slots for the buffer, every bottom
-// moves right to its final offset (the last first, so no bottom
-// overwrites one not yet moved), and the top tree is copied into the
-// freed prefix and laid out there. The bottoms are left sorted.
-func (st vebStep[K, V]) writeRoot(keys []K, vals []V, d vebBottoms) {
+	// The top tree's keys leave their in-order slots for the buffer,
+	// every bottom moves right to its final offset (the last first, so
+	// no bottom overwrites one not yet moved), and the top tree is copied
+	// into the freed prefix and laid out there, then every bottom.
 	for i := range d.topN {
 		src := d.sizeSum(i+1) + i
 		st.bk[i] = keys[src]
@@ -231,10 +176,16 @@ func (st vebStep[K, V]) writeRoot(keys []K, vals []V, d vebBottoms) {
 		copy(topV, st.bv)
 	}
 	st.write(top, topV)
+	for j, o := 0, d.topN; o < n; j++ {
+		s := d.size(j)
+		st.write(keys[o:o+s], sub(vals, o, o+s))
+		o += s
+	}
 }
 
-// read is write backwards: bottoms first, then the top, then every
-// record back to its in-order slot.
+// read is write backwards: bottoms first, then the top tree back to
+// sorted order and into the buffer, then every (sorted) bottom left to
+// its in-order slot, the first first, and the top keys between them.
 func (st vebStep[K, V]) read(keys []K, vals []V) {
 	n := len(keys)
 	if n <= st.leaf {
@@ -250,13 +201,6 @@ func (st vebStep[K, V]) read(keys []K, vals []V) {
 		st.read(keys[o:o+s], sub(vals, o, o+s))
 		o += s
 	}
-	st.readRoot(keys, vals, d)
-}
-
-// readRoot inverts writeRoot: it reads the top tree back to sorted
-// order and into the buffer, moves every (sorted) bottom left to its
-// in-order slot, the first first, and drops the top keys between them.
-func (st vebStep[K, V]) readRoot(keys []K, vals []V, d vebBottoms) {
 	top, topV := keys[:d.topN], sub(vals, 0, d.topN)
 	st.read(top, topV)
 	copy(st.bk, top)
@@ -301,6 +245,163 @@ func tableRead[T any](a, buf []T, t []uint16) {
 	}
 }
 
+// treeLayout lays the sorted a out in layout k — BST, BTree or Hier — in
+// place, or with read restores sorted order. Its buffer holds one chunk
+// of inner keys — all of the top level's, up to n/8 (but at least leaf)
+// — and, for Hier, one page block.
+func treeLayout[T any](k Kind, a []T, b, leaf int, read bool) {
+	n := len(a)
+	var slots *[2][]int32
+	switch k {
+	case BST:
+		b = 1
+	case BTree:
+		if b < 1 {
+			panic("layout: B-tree node capacity must be >= 1")
+		}
+	case Hier:
+		slots = hierSlots(n, b)
+		b = HierPageKeys(b)
+	default:
+		panic("layout: unknown kind")
+	}
+	size := 0
+	if n > b {
+		size = min(btreeInner(n, b), max(n/8, leaf))
+	}
+	if slots != nil {
+		size = max(size, min(n, b))
+	}
+	buf := make([]T, size)
+	if read {
+		if slots != nil {
+			pages(a, buf, b, slots, true)
+		}
+		btreeRead(a, buf, b)
+		return
+	}
+	btreeWrite(a, buf, b)
+	if slots != nil {
+		pages(a, buf, b, slots, false)
+	}
+}
+
+// The level-order layout of a complete B-tree of n keys and node
+// capacity b is the layout of its inner keys — every key above the last
+// level, a perfect tree of btreeInner(n, b) keys — followed by the last
+// level's keys in order. So btreeWrite unzips the inner keys, in order,
+// in front of the last level and goes on with them, down to a single
+// node; btreeRead zips the levels back up, the smallest first.
+func btreeWrite[T any](a, buf []T, b int) {
+	for n := len(a); n > b; n = btreeInner(n, b) {
+		unzip(a[:n], buf, b, btreeInner(n, b), false)
+	}
+}
+
+func btreeRead[T any](a, buf []T, b int) {
+	var sizes []int
+	for n := len(a); n > b; n = btreeInner(n, b) {
+		sizes = append(sizes, n)
+	}
+	for _, n := range slices.Backward(sizes) {
+		unzip(a[:n], buf, b, btreeInner(n, b), true)
+	}
+}
+
+// btreeInner returns the keys above the last level of a complete B-tree
+// of n > b keys: the largest (b+1)^k − 1 below n.
+func btreeInner(n, b int) int {
+	inner := b
+	for (inner+1)*(b+1)-1 < n {
+		inner = (inner+1)*(b+1) - 1
+	}
+	return inner
+}
+
+// unzip moves the inner keys of the sorted a to a[:inner] and the
+// last-level keys behind them, both kept in order; zip (read) undoes it.
+// In order, the tree reads as leaf group 0, inner key 0, leaf group 1,
+// inner key 1, ..., leaf group inner: group g holds clamp(w−g·b, 0, b)
+// of the w last-level keys, filled left to right, so the groups below
+// w/b are full and those from ⌈w/b⌉ on are empty. The keys move in
+// chunks of at most len(buf) inner keys. One pass over a chunk's groups,
+// the last first, takes its inner keys to the buffer and moves its
+// leaves right up to the chunk's end; the leaves before the chunk then
+// move right by the chunk's inner-key count, and the buffer fills the
+// gap that opens. Every leaf moves right, so no group lands on one not
+// yet moved.
+func unzip[T any](a, buf []T, b, inner int, zip bool) {
+	w := len(a) - inner
+	chunk := func(i0, i1 int) {
+		c, lo, hi := i1-i0, min(w, i0*b)+i0, min(w, i1*b)+i1
+		gf, ge := clamp(w/b, i0, i1), clamp((w+b-1)/b, i0, i1)
+		bf, be := buf[:gf-i0], buf[ge-i0:c] // inner keys after full and empty groups
+		// The partial group, if any, is ge−1 ≥ gf.
+		l := w - gf*b
+		if zip {
+			copy(buf, a[i0:i1])
+			copy(a[i0:lo], a[i0+c:lo+c])
+			from, to := lo+c, lo
+			for _, x := range bf {
+				if b <= 16 { // too few keys to pay for a memmove call
+					for j := range b {
+						a[to+j] = a[from+j]
+					}
+				} else {
+					copy(a[to:to+b], a[from:from+b])
+				}
+				from += b
+				to += b
+				a[to] = x
+				to++
+			}
+			if gf < ge {
+				copy(a[to:to+l], a[from:from+l])
+				to += l
+				a[to] = buf[gf-i0]
+				to++
+			}
+			copy(a[to:hi], be)
+			return
+		}
+		from, to := min(w, ge*b)+ge, hi
+		copy(be, a[from:hi])
+		if gf < ge {
+			from--
+			buf[gf-i0] = a[from]
+			from -= l
+			to -= l
+			copy(a[to:to+l], a[from:from+l])
+		}
+		for i := len(bf) - 1; i >= 0; i-- {
+			from--
+			bf[i] = a[from]
+			from -= b
+			to -= b
+			if b <= 16 { // backwards: the group may overlap its new place
+				for j := b - 1; j >= 0; j-- {
+					a[to+j] = a[from+j]
+				}
+			} else {
+				copy(a[to:to+b], a[from:from+b])
+			}
+		}
+		copy(a[i0+c:lo+c], a[i0:lo])
+		copy(a[i0:i1], buf[:c])
+	}
+	if zip {
+		// Zip runs the chunks backwards, each undoing one unzip step
+		// on the state the later chunks left, whatever the cut.
+		for i1 := inner; i1 > 0; i1 -= min(i1, len(buf)) {
+			chunk(max(0, i1-len(buf)), i1)
+		}
+		return
+	}
+	for i0 := 0; i0 < inner; i0 += len(buf) {
+		chunk(i0, min(inner, i0+len(buf)))
+	}
+}
+
 // hierSlots returns the in-page position of every in-page rank of the
 // hierarchical layout: slots[0] for a full page block, slots[1] for the
 // last, partial one (nil when every page is full).
@@ -324,174 +425,27 @@ func btreeSlots(n, b int) []int32 {
 	return s
 }
 
-// walk moves records between sorted order and the level-order B-tree
-// layout of node capacity b (BST is b = 1) in one pass over in-order
-// ranks. With slots (Hier) every node is a page block, and a node's i-th
-// key sits at its block's slots position i, not at offset i. The walk
-// reads the sorted side from scratch on Write and writes it there on
-// Read; either way the scratch starts as a copy of keys.
-func (w *Writer[K, V]) walk(keys []K, vals []V, b int, slots *[2][]int32, workers int, read bool) {
-	if b < 1 {
-		panic("layout: B-tree node capacity must be >= 1")
-	}
-	n := len(keys)
-	if slots != nil {
-		b = HierPageKeys(b)
-	}
-	if cap(w.keys) < n {
-		w.keys = make([]K, n)
-	}
-	sk := w.keys[:n]
-	copy(sk, keys)
-	var sv []V
-	if vals != nil {
-		if cap(w.vals) < n {
-			w.vals = make([]V, n)
+// pages lays every page block of p keys of a out as its in-page B-tree
+// (read: back to sorted order) through the slot maps, staging each page
+// in buf. The hierarchical layout is the page-capacity B-tree layout of
+// the keys with every page block so laid out.
+func pages[T any](a, buf []T, p int, slots *[2][]int32, read bool) {
+	for lo := 0; lo < len(a); lo += p {
+		page := a[lo:min(lo+p, len(a))]
+		slot := slots[0]
+		if len(page) < p {
+			slot = slots[1]
 		}
-		sv = w.vals[:n]
-		copy(sv, vals)
-	}
-	t := newTreeWalk[K, V](n, b, slots, read)
-	if read {
-		t.lk, t.lv, t.sk, t.sv = sk, sv, keys, vals
-	} else {
-		t.lk, t.lv, t.sk, t.sv = keys, vals, sk, sv
-	}
-	if workers < 2 || n < parMin {
-		t.run(0, t.inner+1)
-		return
-	}
-	r := par.Runner{Hi: workers}
-	r.ForWeighted(t.inner+1, t.rankOf, func(_, lo, hi int) { t.run(lo, hi) })
-}
-
-// treeWalk is the in-order pass over a complete B-tree of n keys, node
-// capacity b and h levels. In order, the tree reads as leaf group 0,
-// internal key 1, leaf group 1, internal key 2, ...: group g is the g-th
-// leaf node's keys (clamp(w−g·b, 0, b) of them: the last level holds w
-// keys, filled left to right), and internal key g+1 sits on the level
-// whose depth below the leaves is the number of trailing zero digits of
-// g+1 in base b+1 — the nodes of each level are met left to right, so
-// one cursor per level places them. lk/lv are the layout side (indexed
-// by position), sk/sv the sorted side (indexed by rank), and read picks
-// the direction of every move.
-type treeWalk[K, V any] struct {
-	b, h   int
-	inner  int // keys above the last level: b+1 to the h−1, less one
-	w      int // keys on the last level
-	slots  *[2][]int32
-	read   bool
-	lk, sk []K
-	lv, sv []V
-}
-
-func newTreeWalk[K, V any](n, b int, slots *[2][]int32, read bool) *treeWalk[K, V] {
-	t := &treeWalk[K, V]{b: b, slots: slots, read: read}
-	t.h = 1
-	for pw := b + 1; pw-1 < n; pw *= b + 1 {
-		t.inner = pw - 1
-		t.h++
-	}
-	t.w = n - t.inner
-	return t
-}
-
-// rankOf returns the rank of group g's first key: every earlier group's
-// keys and the internal key after each.
-func (t *treeWalk[K, V]) rankOf(g int) int { return min(t.w, g*t.b) + g }
-
-// run moves groups [g0, g1) and the internal key after each.
-func (t *treeWalk[K, V]) run(g0, g1 int) {
-	b, b1 := t.b, t.b+1
-	// dig holds g's digits in base b+1, least significant first; cur[z]
-	// is the next position on the level z+1 above the leaves, which
-	// starts at (b+1)^depth − 1 and has been passed by every j ≤ g0 with
-	// exactly z trailing zero digits.
-	var dig, cur, pow [64]int
-	levels := t.h - 1
-	pow[0] = 1
-	for z := range levels {
-		pow[z+1] = pow[z] * b1
-	}
-	for z := range levels {
-		dig[z] = g0 / pow[z] % b1
-		cur[z] = pow[levels-1-z] - 1 + g0/pow[z] - g0/pow[z+1]
-	}
-	rank := t.rankOf(g0)
-	inner, w, slots := t.inner, t.w, t.slots
-	for g := g0; g < g1; g++ {
-		if l := min(w-g*b, b); l > 0 {
-			t.leaf(inner+g*b, rank, l)
-			rank += l
-		}
-		if g == inner {
-			break
-		}
-		// z: trailing zero digits of g+1. For the BST a bit count
-		// beats the odometer, whose every other step carries.
-		var z int
-		if b == 1 {
-			z = mbits.TrailingZeros(uint(g + 1))
-		} else {
-			for dig[z] == b {
-				dig[z] = 0
-				z++
+		tmp := buf[:len(page)]
+		copy(tmp, page)
+		if read {
+			for r, pos := range slot {
+				page[r] = tmp[pos]
 			}
-			dig[z]++
+			continue
 		}
-		pos := cur[z]
-		cur[z]++
-		if slots != nil {
-			page := pos - pos%b
-			pos = page + int(slots[0][pos-page])
+		for r, pos := range slot {
+			page[pos] = tmp[r]
 		}
-		t.move(pos, rank)
-		rank++
-	}
-}
-
-// leaf moves one leaf node of l keys at position pos, ranks from rank.
-func (t *treeWalk[K, V]) leaf(pos, rank, l int) {
-	if t.slots != nil {
-		slot := t.slots[0]
-		if l < t.b {
-			slot = t.slots[1]
-		}
-		for i, s := range slot[:l] {
-			t.move(pos+int(s), rank+i)
-		}
-		return
-	}
-	// Element loops, not copy: a node holds too few keys to pay for a
-	// memmove call.
-	lk, sk := t.lk[pos:pos+l], t.sk[rank:rank+l]
-	if t.read {
-		lk, sk = sk, lk
-	}
-	for i := range lk {
-		lk[i] = sk[i]
-	}
-	if t.sv != nil {
-		lv, sv := t.lv[pos:pos+l], t.sv[rank:rank+l]
-		if t.read {
-			lv, sv = sv, lv
-		}
-		for i := range lv {
-			lv[i] = sv[i]
-		}
-	}
-}
-
-func (t *treeWalk[K, V]) move(pos, rank int) {
-	if t.read {
-		t.sk[rank] = t.lk[pos]
-		if t.sv != nil {
-			t.sv[rank] = t.lv[pos]
-		}
-		return
-	}
-	t.lk[pos] = t.sk[rank]
-	if t.sv != nil {
-		t.lv[pos] = t.sv[rank]
 	}
 }

@@ -10,14 +10,13 @@ import (
 
 // BenchmarkLayoutWrite lays out sorted uint64 key + value pairs on one
 // worker, per layout at a perfect and a non-perfect size: "write" is
-// layout.Writer, "permute" the paper's in-place cycle-leader
+// layout.Write, "permute" the paper's in-place cycle-leader
 // permutation (perm.PermuteWith) of the same input to the same array.
 func BenchmarkLayoutWrite(b *testing.B) {
 	for _, n := range []int{1 << 21, 3 << 19} {
 		keys := make([]uint64, n)
 		vals := make([]uint64, n)
 		for _, k := range []layout.Kind{layout.BST, layout.BTree, layout.VEB, layout.Hier} {
-			var w layout.Writer[uint64, uint64]
 			for _, method := range []string{"write", "permute"} {
 				b.Run(fmt.Sprintf("%s/%v/n=%d", method, k, n), func(b *testing.B) {
 					b.SetBytes(16 * int64(n))
@@ -28,7 +27,7 @@ func BenchmarkLayoutWrite(b *testing.B) {
 						}
 						b.StartTimer()
 						if method == "write" {
-							w.Write(k, keys, vals, perm.DefaultB, 1)
+							layout.Write(k, keys, vals, perm.DefaultB)
 						} else {
 							perm.PermuteWith(keys, vals, k, perm.CycleLeader)
 						}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// writeKinds lists every layout a Writer handles with the node
+// writeKinds lists every layout Write handles with the node
 // capacities worth checking: B matters to BTree and Hier only.
 func writeKinds() []struct {
 	k Kind
@@ -19,14 +19,16 @@ func writeKinds() []struct {
 }
 
 // checkWrite writes 0..n-1 (with values 3i+1, or keys only) into layout
-// k and requires position pos to hold rank ranks[pos], then reads the
-// layout back and requires 0..n-1 again.
-func checkWrite(t *testing.T, w *Writer[int32, uint64], k Kind, n, b, workers int, withVals bool, ranks []int) {
+// k with vEB table leaves of leaf records and requires position pos to
+// hold rank ranks[pos], then reads the layout back into fresh arrays,
+// requires 0..n-1 there and the layout untouched, and reads it back in
+// place.
+func checkWrite(t *testing.T, k Kind, n, b, leaf int, withVals bool, ranks []int) {
 	t.Helper()
 	keys := make([]int32, n)
-	var vals []uint64
+	var vals, back []uint64
 	if withVals {
-		vals = make([]uint64, n)
+		vals, back = make([]uint64, n), make([]uint64, n)
 	}
 	for i := range keys {
 		keys[i] = int32(i)
@@ -34,33 +36,41 @@ func checkWrite(t *testing.T, w *Writer[int32, uint64], k Kind, n, b, workers in
 			vals[i] = 3*uint64(i) + 1
 		}
 	}
-	w.Write(k, keys, vals, b, workers)
-	for pos, r := range ranks {
-		if int(keys[pos]) != r || (withVals && vals[pos] != 3*uint64(r)+1) {
-			t.Fatalf("%v n=%d b=%d P=%d vals=%v: Write put rank %d at pos %d, want %d",
-				k, n, b, workers, withVals, keys[pos], pos, r)
+	write(k, keys, vals, b, leaf)
+	laid := func(what string) {
+		for pos, r := range ranks {
+			if int(keys[pos]) != r || (withVals && vals[pos] != 3*uint64(r)+1) {
+				t.Fatalf("%v n=%d b=%d leaf=%d vals=%v: %s rank %d at pos %d, want %d",
+					k, n, b, leaf, withVals, what, keys[pos], pos, r)
+			}
 		}
 	}
-	w.Read(k, keys, vals, b, workers)
-	for i := range keys {
-		if int(keys[i]) != i || (withVals && vals[i] != 3*uint64(i)+1) {
-			t.Fatalf("%v n=%d b=%d P=%d vals=%v: Read put rank %d at %d", k, n, b, workers, withVals, keys[i], i)
+	laid("Write put")
+	sorted := make([]int32, n)
+	read(k, sorted, back, keys, vals, b, leaf)
+	isSorted := func(what string, keys []int32, vals []uint64) {
+		for i := range keys {
+			if int(keys[i]) != i || (withVals && vals[i] != 3*uint64(i)+1) {
+				t.Fatalf("%v n=%d b=%d leaf=%d vals=%v: %s put rank %d at %d", k, n, b, leaf, withVals, what, keys[i], i)
+			}
 		}
 	}
+	isSorted("Read", sorted, back)
+	laid("after Read, source holds")
+	read(k, keys, vals, keys, vals, b, leaf)
+	isSorted("Read in place", keys, vals)
 }
 
 // TestWriterMatchesRanks checks Write against the rank table and Read
 // back to sorted order for every n up to 4096, on every layout, keys
-// only and with values. One Writer serves every size, so scratch reuse
-// across shrinking and growing calls is covered too.
+// only and with values.
 func TestWriterMatchesRanks(t *testing.T) {
 	for _, c := range writeKinds() {
 		t.Run(fmt.Sprintf("%v/b=%d", c.k, c.b), func(t *testing.T) {
 			t.Parallel()
-			var w Writer[int32, uint64]
 			for n := 0; n <= 4096; n++ {
 				ranks := Ranks(c.k, n, c.b)
-				checkWrite(t, &w, c.k, n, c.b, 1, n%2 == 0, ranks)
+				checkWrite(t, c.k, n, c.b, vebLeaf, n%2 == 0, ranks)
 			}
 		})
 	}
@@ -70,11 +80,11 @@ func TestWriterMatchesRanks(t *testing.T) {
 // leaves, so every step of it — tops and bottoms larger than a leaf,
 // recursion below the root — runs at sizes the production leaf only
 // reaches past 2^20 records; sizes sit at leaf−1, leaf and leaf+1 of
-// both the leaf and the bottoms.
+// both the leaf and the bottoms, and around 2^15 records.
 func TestWriterLeafBoundaries(t *testing.T) {
 	for _, leaf := range []int{1, 3, 17, vebLeaf} {
-		w := Writer[int32, uint64]{leaf: leaf}
-		sizes := []int{leaf - 1, leaf, leaf + 1, 2*leaf + 1, leaf*leaf - 1, leaf * leaf, leaf*leaf + 1}
+		sizes := []int{leaf - 1, leaf, leaf + 1, 2*leaf + 1, leaf*leaf - 1, leaf * leaf, leaf*leaf + 1,
+			1 << 15, 1<<15 + 1, 3<<15 - 7}
 		for n := 1; n <= 600; n++ {
 			sizes = append(sizes, n)
 		}
@@ -83,45 +93,53 @@ func TestWriterLeafBoundaries(t *testing.T) {
 				continue
 			}
 			ranks := Ranks(VEB, n, 0)
-			checkWrite(t, &w, VEB, n, 0, 1, true, ranks)
-			checkWrite(t, &w, VEB, n, 0, 1, false, ranks)
+			checkWrite(t, VEB, n, 0, leaf, true, ranks)
+			checkWrite(t, VEB, n, 0, leaf, false, ranks)
 		}
 	}
 }
 
-// TestWriterParallel checks every layout with more than one worker, at
-// sizes over the parallel cutoff, against the rank table.
-func TestWriterParallel(t *testing.T) {
+// TestWriterChunks runs the B-tree layouts with buffers of one record
+// and up, so every level moves in many chunks — the production buffer
+// of n/8 records only takes more than one chunk for the BST and small B
+// — around full, one-past-full and sparse last levels.
+func TestWriterChunks(t *testing.T) {
 	for _, c := range writeKinds() {
-		for _, n := range []int{parMin, parMin + 1, 3*parMin - 7} {
-			ranks := Ranks(c.k, n, c.b)
-			for _, p := range []int{2, 3} {
-				var w Writer[int32, uint64]
-				checkWrite(t, &w, c.k, n, c.b, p, true, ranks)
-				checkWrite(t, &w, c.k, n, c.b, p, false, ranks)
-			}
+		if c.k == Sorted || c.k == VEB {
+			continue
 		}
+		t.Run(fmt.Sprintf("%v/b=%d", c.k, c.b), func(t *testing.T) {
+			t.Parallel()
+			sizes := []int{4095, 4096, 4097, 6560, 6561, 6562, 10000}
+			for n := 0; n <= 1200; n++ {
+				sizes = append(sizes, n)
+			}
+			for _, n := range sizes {
+				ranks := Ranks(c.k, n, c.b)
+				for _, leaf := range []int{1, 2, 5} {
+					checkWrite(t, c.k, n, c.b, leaf, n%2 == 1, ranks)
+				}
+			}
+		})
 	}
 }
 
 // TestWriterLargePosOf checks large non-perfect and perfect sizes on
-// sampled ranks through PosOf, without building rank tables, on one
-// worker and on two.
+// sampled ranks through PosOf, without building rank tables, and reads
+// each back.
 func TestWriterLargePosOf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large layouts")
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
-	for si, n := range []int{1 << 21, 1<<21 - 1, 3 << 19, 6561*729 - 1} {
-		keys := make([]int32, n)
-		vals := make([]uint64, n)
-		p := 1 + si%2 // serial and parallel writes, alternately
+	for _, n := range []int{1 << 21, 1<<21 - 1, 3 << 19, 6561*729 - 1} {
+		keys, sorted := make([]int32, n), make([]int32, n)
+		vals, back := make([]uint64, n), make([]uint64, n)
 		for _, c := range writeKinds() {
 			for i := range keys {
 				keys[i], vals[i] = int32(i), uint64(i)<<1
 			}
-			var w Writer[int32, uint64]
-			w.Write(c.k, keys, vals, c.b, p)
+			Write(c.k, keys, vals, c.b)
 			for s := 0; s < 2000; s++ {
 				r := rng.IntN(n)
 				if s < 2 {
@@ -129,46 +147,54 @@ func TestWriterLargePosOf(t *testing.T) {
 				}
 				pos := PosOf(c.k, r, n, c.b)
 				if int(keys[pos]) != r || vals[pos] != uint64(r)<<1 {
-					t.Fatalf("%v n=%d b=%d P=%d: pos %d holds %d, want rank %d", c.k, n, c.b, p, pos, keys[pos], r)
+					t.Fatalf("%v n=%d b=%d: pos %d holds %d, want rank %d", c.k, n, c.b, pos, keys[pos], r)
 				}
 			}
-			w.Read(c.k, keys, vals, c.b, p)
-			for i := range keys {
-				if int(keys[i]) != i || vals[i] != uint64(i)<<1 {
-					t.Fatalf("%v n=%d b=%d P=%d: Read put %d at %d", c.k, n, c.b, p, keys[i], i)
+			Read(c.k, sorted, back, keys, vals, c.b)
+			for i := range sorted {
+				if int(sorted[i]) != i || back[i] != uint64(i)<<1 {
+					t.Fatalf("%v n=%d b=%d: Read put %d at %d", c.k, n, c.b, sorted[i], i)
 				}
 			}
 		}
 	}
 }
 
-// TestWriterLengthMismatch pins the one misuse Write refuses.
+// TestWriterLengthMismatch pins the misuses Write and Read refuse.
 func TestWriterLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Write with 3 keys and 2 values did not panic")
-		}
-	}()
-	var w Writer[int, int]
-	w.Write(VEB, []int{1, 2, 3}, []int{1, 2}, 8, 1)
+	three := []int{1, 2, 3}
+	for name, call := range map[string]func(){
+		"Write 3 keys, 2 values":   func() { Write(VEB, three, []int{1, 2}, 8) },
+		"Read into 2 keys":         func() { Read[int, int](BTree, make([]int, 2), nil, three, nil, 8) },
+		"Read values into none":    func() { Read(VEB, make([]int, 3), nil, three, three, 8) },
+		"Read 3 keys and 2 values": func() { Read(Hier, make([]int, 3), make([]int, 2), three, []int{1, 2}, 8) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 // FuzzLayoutWriteRoundTrip writes 0..n-1 into a fuzzed layout, node
-// capacity and worker count, compares with the rank table, and reads
-// it back to sorted order.
+// capacity and vEB table-leaf size, compares with the rank table, and
+// reads it back to sorted order.
 func FuzzLayoutWriteRoundTrip(f *testing.F) {
 	for _, k := range []uint8{0, 1, 2, 3, 4} {
 		for _, n := range []uint16{0, 1, 2, 7, 1023, 1024, 1025, 4096, 40000} {
-			f.Add(k, n, uint8(8), uint8(1))
+			f.Add(k, n, uint8(8), uint8(0))
 			f.Add(k, n, uint8(3), uint8(2))
 		}
 	}
-	f.Fuzz(func(t *testing.T, kRaw uint8, nRaw uint16, bRaw, pRaw uint8) {
+	leaves := []int{vebLeaf, 1, 3, 17}
+	f.Fuzz(func(t *testing.T, kRaw uint8, nRaw uint16, bRaw, leafRaw uint8) {
 		k := Kind(int(kRaw) % 5)
 		n := int(nRaw)
 		b := 1 + int(bRaw)%16
-		p := 1 + int(pRaw)%3
-		var w Writer[int32, uint64]
-		checkWrite(t, &w, k, n, b, p, bRaw%2 == 0, Ranks(k, n, b))
+		checkWrite(t, k, n, b, leaves[int(leafRaw)%len(leaves)], bRaw%2 == 0, Ranks(k, n, b))
 	})
 }

@@ -24,7 +24,7 @@
 //
 // This package is the paper's operation, kept as the thing its
 // experiments measure (cmd/paperbench, perfbench's build workload). The
-// store package builds the same arrays with layout.Writer, which writes
+// store package builds the same arrays with layout.Write, which writes
 // every record straight to its final position instead of permuting in
 // place; the store's tests pin the two to identical output.
 package perm

@@ -12,7 +12,6 @@ import (
 	"implicitlayout/internal/blockio"
 	"implicitlayout/internal/filter"
 	"implicitlayout/internal/par"
-	"implicitlayout/layout"
 )
 
 // maintain drains all pending background work: flush every frozen
@@ -262,9 +261,8 @@ func (db *DB[K, V]) newRun(inputs []*Store[K, mval[V]], level int, dropTombs boo
 	bloom := filter.New(upper)
 	var shardKeys [][]K
 	var shardVals [][]mval[V]
-	var lw layout.Writer[K, mval[V]]
 	cut(true, func(keys []K, vals []mval[V]) error { // the heap sink cannot fail
-		layShard(cfg, bloom, &lw, keys, vals)
+		layShard(cfg, bloom, keys, vals)
 		shardKeys, shardVals = append(shardKeys, keys), append(shardVals, vals)
 		return nil
 	})

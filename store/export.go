@@ -6,35 +6,33 @@ import (
 )
 
 // Export returns the store's records in ascending key order (vals is nil
-// for keys-only stores). Each shard is copied and read back to sorted
-// order (layout.Writer.Read) concurrently; concatenating the shards in
-// fence order is already globally sorted because the build partitioned
-// by key range. The servable shards are never disturbed — a Store stays a
-// consistent snapshot for its readers while (and after) it is exported.
+// for keys-only stores). Each shard is read back to sorted order
+// (layout.Read) straight into its slice of the output, concurrently;
+// concatenating the shards in fence order is already globally sorted
+// because the build partitioned by key range. layout.Read never writes
+// its source, so the servable shards are never disturbed — a Store stays
+// a consistent snapshot for its readers while (and after) it is
+// exported, and a read-only mapping reads like a heap shard.
 //
 // The returned slices are always freshly allocated heap memory, never
 // aliases of the store's shard arrays. For a mapped store this is a hard
-// requirement, not a courtesy: the copy happens before the in-place
-// read (a read-only mapping cannot be rearranged), and it is what
-// lets a compaction consume a mapped run and outlive the moment its
-// mapping is released — the exported records own their bytes.
+// requirement, not a courtesy: it is what lets a compaction consume a
+// mapped run and outlive the moment its mapping is released — the
+// exported records own their bytes.
 func (s *Store[K, V]) Export() (keys []K, vals []V) {
 	keys = make([]K, s.n)
 	if s.hasVals {
 		vals = make([]V, s.n)
 	}
 	r := par.New(s.cfg.Workers)
-	ws := make([]layout.Writer[K, V], r.P())
-	r.Tasks(len(s.shards), func(i int, sub par.Runner) {
+	r.Tasks(len(s.shards), func(i int, _ par.Runner) {
 		sh := s.shards[i]
 		lo, hi := sh.off, sh.off+sh.idx.Len()
-		copy(keys[lo:hi], sh.idx.Data())
-		var dstV []V
+		var dstV, srcV []V
 		if vals != nil {
-			dstV = vals[lo:hi]
-			copy(dstV, s.svals[i])
+			dstV, srcV = vals[lo:hi], s.svals[i]
 		}
-		ws[sub.Lo].Read(s.cfg.Layout, keys[lo:hi], dstV, s.cfg.B, sub.P())
+		layout.Read(s.cfg.Layout, keys[lo:hi], dstV, sh.idx.Data(), srcV, s.cfg.B)
 	})
 	return keys, vals
 }

@@ -49,9 +49,8 @@ func segmentHash(t *testing.T, s *Store[uint64, int64]) [32]byte {
 // with values and keys only, every shard array Build writes equals
 // perm.PermuteWith (or perm.Permute) of the same sorted shard, the
 // segment Store.WriteTo emits hashes the same as one written from the
-// permuted shards, and Export restores the sorted input. One shard at
-// 2^15+ records runs the writer on both workers; two shards run two
-// writers at once, so -race checks the shared vEB rank tables.
+// permuted shards, and Export restores the sorted input. Two shards run
+// two writers at once, so -race checks the shared vEB rank tables.
 func TestBuildMatchesPermute(t *testing.T) {
 	const n = 1<<15 + 3001
 	rng := rand.New(rand.NewSource(11))
@@ -98,30 +97,27 @@ func TestBuildMatchesPermute(t *testing.T) {
 }
 
 // TestLayShardMatchesPermute pins the layout step of every DB run shard
-// (flush, recovery and merge) to the paper's permutation, on one worker
-// and on two, with one Writer reused across shards of changing size.
+// (flush, recovery and merge) to the paper's permutation, across shards
+// of changing size.
 func TestLayShardMatchesPermute(t *testing.T) {
 	for _, kind := range []layout.Kind{layout.Sorted, layout.BST, layout.BTree, layout.VEB, layout.Hier} {
-		for _, workers := range []int{1, 2} {
-			cfg := Config{Layout: kind, B: 5, Workers: workers}
-			var lw layout.Writer[uint64, mval[int64]]
-			for _, n := range []int{1, 2, 1000, 1<<15 + 17, 777} {
-				keys := make([]uint64, n)
-				vals := make([]mval[int64], n)
-				for i := range keys {
-					keys[i], vals[i] = uint64(2*i+1), mval[int64]{val: int64(i), dead: i%3 == 0}
-				}
-				wantK, wantV := slices.Clone(keys), slices.Clone(vals)
-				perm.PermuteWith(wantK, wantV, kind, perm.CycleLeader, perm.WithB(cfg.B))
-				bloom := filter.New(n)
-				layShard(cfg, bloom, &lw, keys, vals)
-				if !slices.Equal(keys, wantK) || !slices.Equal(vals, wantV) {
-					t.Fatalf("%v P=%d n=%d: layShard differs from perm's layout", kind, workers, n)
-				}
-				for _, k := range keys {
-					if !bloom.MayContain(keyHash(k)) {
-						t.Fatalf("%v P=%d n=%d: key %d missing from the run's bloom filter", kind, workers, n, k)
-					}
+		cfg := Config{Layout: kind, B: 5, Workers: 2}
+		for _, n := range []int{1, 2, 1000, 1<<15 + 17, 777} {
+			keys := make([]uint64, n)
+			vals := make([]mval[int64], n)
+			for i := range keys {
+				keys[i], vals[i] = uint64(2*i+1), mval[int64]{val: int64(i), dead: i%3 == 0}
+			}
+			wantK, wantV := slices.Clone(keys), slices.Clone(vals)
+			perm.PermuteWith(wantK, wantV, kind, perm.CycleLeader, perm.WithB(cfg.B))
+			bloom := filter.New(n)
+			layShard(cfg, bloom, keys, vals)
+			if !slices.Equal(keys, wantK) || !slices.Equal(vals, wantV) {
+				t.Fatalf("%v n=%d: layShard differs from perm's layout", kind, n)
+			}
+			for _, k := range keys {
+				if !bloom.MayContain(keyHash(k)) {
+					t.Fatalf("%v n=%d: key %d missing from the run's bloom filter", kind, n, k)
 				}
 			}
 		}

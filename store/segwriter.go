@@ -43,7 +43,6 @@ type segWriter[K cmp.Ordered, E any] struct {
 	lens     []int
 	records  int
 	finished bool
-	lw       layout.Writer[K, E] // AppendShard's layout scratch
 }
 
 // newSegWriter starts the streamed v2.1 segment of a DB run. upper is
@@ -93,20 +92,19 @@ func (sw *segWriter[K, E]) AppendShard(keys []K, vals []E) error {
 	if err := sw.checkShard(keys, vals); err != nil {
 		return err
 	}
-	layShard(sw.cfg, sw.bloom, &sw.lw, keys, vals)
+	layShard(sw.cfg, sw.bloom, keys, vals)
 	return sw.appendLaidOut(keys, vals)
 }
 
 // layShard is the layout step every DB run shard takes, whichever sink
 // receives it: each key is fed to the run's bloom filter, so filter
 // construction rides the pass the run maker already makes, and the
-// shard's sorted records are written in place into cfg's layout by lw,
-// whose scratch the run's later shards reuse.
-func layShard[K cmp.Ordered, E any](cfg Config, bloom *filter.Bloom, lw *layout.Writer[K, E], keys []K, vals []E) {
+// shard's sorted records are written in place into cfg's layout.
+func layShard[K cmp.Ordered, E any](cfg Config, bloom *filter.Bloom, keys []K, vals []E) {
 	for _, k := range keys {
 		bloom.Add(keyHash(k))
 	}
-	lw.Write(cfg.Layout, keys, vals, cfg.B, cfg.Workers)
+	layout.Write(cfg.Layout, keys, vals, cfg.B)
 }
 
 // appendLaidOut appends one shard whose arrays already sit in the

@@ -11,7 +11,7 @@
 // by key (radix for integer and float keys: one MSD scatter, then LSD
 // passes per cache-sized bucket; merge for strings; none for sorted
 // input), duplicate-key resolution, range partition into
-// shards, then an in-place layout.Writer write of every shard
+// shards, then an in-place layout.Write of every shard
 // concurrently into the configured layout (vEB by default), values
 // moving with their keys, so each value sits at its key's position.
 // Queries route through a fence-key router (the smallest key of each
@@ -25,7 +25,7 @@
 // Keys-only use is the Set alias (a Store with struct{} values) built by
 // BuildSet. A built Store is immutable — snapshot semantics. Any number
 // of reader goroutines may share one Store with no synchronization, and
-// Export recovers the sorted records via layout.Writer.Read without
+// Export recovers the sorted records via layout.Read without
 // disturbing the servable shards.
 //
 // # DB: the writable store
@@ -302,12 +302,10 @@ func Build[K cmp.Ordered, V any](keys []K, vals []V, opts ...Option) (*Store[K, 
 	}
 
 	// Stage 4: write every shard's layout concurrently, values moving
-	// with their keys. Each shard task inherits a disjoint slice of the
-	// worker budget, so total build parallelism stays bounded by
-	// c.Workers, and each worker reuses one layout.Writer's scratch.
-	ws := make([]layout.Writer[K, V], runner.P())
-	runner.Tasks(c.Shards, func(i int, sub par.Runner) {
-		ws[sub.Lo].Write(c.Layout, shardKeys[i], shardVals[i], c.B, sub.P())
+	// with their keys. The writer is serial, so at most c.Workers shards
+	// are laid out at once, each on one worker.
+	runner.Tasks(c.Shards, func(i int, _ par.Runner) {
+		layout.Write(c.Layout, shardKeys[i], shardVals[i], c.B)
 	})
 	if ownedV == nil {
 		shardVals = nil
