@@ -41,7 +41,10 @@ func GatherAblation(cfg Config) Table {
 		for _, o := range []core.Options{plain, batched, transposed} {
 			times = append(times, secs(timeIt(cfg.Trials,
 				func() { workload.Refill(data) },
-				func() { core.CycleVEB[uint64](o, vec.Of(data)) })))
+				func() {
+					s := vec.Of(data)
+					core.CycleVEB[uint64](o, &s)
+				})))
 			// correctness guard: every variant must produce the vEB layout
 			if !slices.Equal(data, want) {
 				panic("gather ablation variant produced a wrong layout")

@@ -74,7 +74,10 @@ func (c Config) options(p int) core.Options {
 func (c Config) timePermute(spec algoSpec, data []uint64, p int) time.Duration {
 	return timeIt(c.Trials,
 		func() { workload.Refill(data) },
-		func() { core.Permute[uint64](c.options(p), vec.Of(data), spec.kind, spec.algo) })
+		func() {
+			s := vec.Of(data)
+			core.Permute[uint64](c.options(p), &s, spec.kind, spec.algo)
+		})
 }
 
 // pick is the fastest algorithm for one layout and its cost.

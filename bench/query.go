@@ -56,6 +56,7 @@ func laidOut(sorted []uint64, k layout.Kind, b int) []uint64 {
 		return sorted
 	}
 	out := append([]uint64(nil), sorted...)
-	core.Permute[uint64](core.Options{Runner: par.New(0), B: b}, vec.Of(out), k, core.CycleLeader)
+	s := vec.Of(out)
+	core.Permute[uint64](core.Options{Runner: par.New(0), B: b}, &s, k, core.CycleLeader)
 	return out
 }

@@ -63,12 +63,7 @@ func Transposed[T any, V vec.Vec[T]](rn par.Runner, v V, lo, r, c int) {
 		for i := a; i <= b; i++ {
 			rowBase := lo + (i-1)*rowLen
 			shuffle.RotateRightUnits[T](sub, v, rowBase, c, i, c, 1)
-			t0 := rowBase + r*c
-			if c == 1 {
-				v.Swap(p, rowBase, t0)
-			} else {
-				v.SwapRange(p, rowBase, t0, c)
-			}
+			v.SwapUnits(p, rowBase, 0, rowBase+r*c, 0, c, 1) // the T0 unit
 		}
 	}
 	if rn.IsSerial() {
@@ -105,19 +100,13 @@ func transpose[T any, V vec.Vec[T]](rn par.Runner, v V, lo, r, rowLen, c int) {
 			iEnd := min(r, (ti+1)*transposeTile)
 			jEnd := min(r, (tj+1)*transposeTile)
 			for i := ti * transposeTile; i < iEnd; i++ {
-				jStart := tj * transposeTile
+				j := tj * transposeTile
 				if ti == tj {
-					jStart = i + 1
+					j = i + 1
 				}
-				for j := jStart; j < jEnd; j++ {
-					ea := lo + i*rowLen + j*c
-					eb := lo + j*rowLen + i*c
-					if c == 1 {
-						v.Swap(p, ea, eb)
-					} else {
-						v.SwapRange(p, ea, eb, c)
-					}
-				}
+				// Units (i, j..jEnd) of row i with units (j..jEnd, i) of
+				// column i: one backend call per tile row.
+				v.SwapUnits(p, lo+i*rowLen+j*c, c, lo+j*rowLen+i*c, rowLen, c, jEnd-j)
 			}
 		}
 	}

@@ -24,6 +24,7 @@ package gpu
 
 import (
 	"implicitlayout/internal/core"
+	"implicitlayout/internal/vec"
 	"implicitlayout/layout"
 )
 
@@ -174,6 +175,12 @@ func (v *Vec[T]) SwapRange(p, i, j, n int) {
 	for k := range a {
 		a[k], b[k] = b[k], a[k]
 	}
+}
+
+// SwapUnits exchanges n unit pairs of c elements at strides di and dj,
+// charging each unit pair as its own Swap or SwapRange.
+func (v *Vec[T]) SwapUnits(p, i, di, j, dj, c, n int) {
+	vec.SwapUnitsLoop(v, p, i, di, j, dj, c, n)
 }
 
 // BeginRound is informational here; launch counts come from Launches.

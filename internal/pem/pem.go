@@ -10,7 +10,11 @@
 // against those bounds.
 package pem
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"implicitlayout/internal/vec"
+)
 
 // Config sizes the simulated memory hierarchy, in words (elements).
 type Config struct {
@@ -187,6 +191,12 @@ func (v *Vec[T]) SwapRange(p, i, j, n int) {
 	for k := range a {
 		a[k], b[k] = b[k], a[k]
 	}
+}
+
+// SwapUnits exchanges n unit pairs of c elements at strides di and dj,
+// charging each unit pair as its own Swap or SwapRange.
+func (v *Vec[T]) SwapUnits(p, i, di, j, dj, c, n int) {
+	vec.SwapUnitsLoop(v, p, i, di, j, dj, c, n)
 }
 
 // BeginRound counts primitive rounds (informational).

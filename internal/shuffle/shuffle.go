@@ -96,16 +96,11 @@ func ReverseUnits[T any, V vec.Vec[T]](r par.Runner, v V, base, stride, m, c int
 	})
 }
 
+// reverseUnitsSeq swaps unit t with unit m-1-t for t in [a, b): one
+// backend call, walking the front units forward and the back ones
+// backward.
 func reverseUnitsSeq[T any, V vec.Vec[T]](v V, p, base, stride, m, c, a, b int) {
-	for t := a; t < b; t++ {
-		i := base + t*stride
-		j := base + (m-1-t)*stride
-		if c == 1 {
-			v.Swap(p, i, j)
-		} else {
-			v.SwapRange(p, i, j, c)
-		}
-	}
+	v.SwapUnits(p, base+a*stride, stride, base+(m-1-a)*stride, -stride, c, b-a)
 }
 
 // RotateRightUnits circularly shifts the contents of m units right by s

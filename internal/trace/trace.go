@@ -6,7 +6,11 @@
 // O(N), O(N log N), O(N log log N), ...) and feed the experiment harness.
 package trace
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"implicitlayout/internal/vec"
+)
 
 // pad separates per-processor counters onto distinct cache lines.
 type counters struct {
@@ -63,6 +67,12 @@ func (v *Vec[T]) SwapRange(p, i, j, n int) {
 	for k := range a {
 		a[k], b[k] = b[k], a[k]
 	}
+}
+
+// SwapUnits exchanges n unit pairs of c elements at strides di and dj,
+// charging each unit pair as its own Swap or SwapRange.
+func (v *Vec[T]) SwapUnits(p, i, di, j, dj, c, n int) {
+	vec.SwapUnitsLoop(v, p, i, di, j, dj, c, n)
 }
 
 // BeginRound counts one primitive round (may be called concurrently from

@@ -1,16 +1,28 @@
 // Package vec defines the memory abstraction that every permutation
 // algorithm in this repository moves data through. Algorithms are generic
-// over a Vec so that a single code base serves three backends:
+// over a Vec so that a single code base serves every backend:
 //
-//   - Slice:   a bare slice, zero-overhead, used by the public perm API;
+//   - Slice and Zip: one bare slice, or a key slice and a value slice
+//     moved as pairs, used by the public perm API;
 //   - pem.Vec: the parallel-external-memory simulator, which counts block
 //     transfers per processor (validates the I/O column of Table 1.1);
 //   - gpu.Vec: the SIMT cost model, which charges memory transactions,
-//     instructions and kernel launches (reproduces the GPU figures).
+//     instructions and kernel launches (reproduces the GPU figures);
+//   - trace.Vec: the operation counter behind the work column of
+//     Table 1.1.
 //
 // Every mutation is expressed as a swap (or a block swap), which makes the
 // in-place property of the algorithms structurally evident: no backend
 // needs auxiliary element storage.
+//
+// A kernel is generic over V, and Go calls a method of a type parameter
+// through the instantiation's dictionary: an indirect call that is never
+// inlined, even on Slice. So Slice is not free per element; a swap costs
+// a function call on top of its bounds checks. The rule that follows:
+// the per-element methods (Get, Set, Swap) serve the model backends,
+// cold paths and loops whose partner index is computed per element (the
+// involution rounds); a loop over a run of units at fixed strides is one
+// SwapUnits call, so the slice backends run it as a direct loop.
 package vec
 
 // Vec is the minimal memory interface the permutation kernels require. The
@@ -30,6 +42,13 @@ type Vec[T any] interface {
 	// SwapRange exchanges the n-element blocks starting at i and j.
 	// The blocks must not overlap.
 	SwapRange(p, i, j, n int)
+	// SwapUnits exchanges n pairs of c-element units: for t = 0..n-1 in
+	// order, the unit at i+t*di with the unit at j+t*dj. Strides may be
+	// negative (a negative dj walks the second unit backwards, as in a
+	// reversal) and all 2n units must be pairwise disjoint. It charges
+	// exactly what the loop of Swap (c == 1) or SwapRange(…, c) (c > 1)
+	// calls it stands for would charge.
+	SwapUnits(p, i, di, j, dj, c, n int)
 	// BeginRound records the start of one parallel primitive round (one
 	// PRAM step of O(1) depth, or one GPU kernel launch) named name that
 	// will touch approximately n elements. Cost-model backends accumulate
@@ -43,8 +62,10 @@ type Vec[T any] interface {
 	AddInstr(p, n int)
 }
 
-// Slice adapts a plain slice to the Vec interface with no overhead beyond
-// bounds checks. The processor argument is ignored.
+// Slice adapts a plain slice to the Vec interface. The processor argument
+// is ignored. Its per-element methods cost an indirect call each when a
+// kernel reaches them through a type parameter (see the package doc);
+// SwapUnits is the direct loop.
 type Slice[T any] struct{ S []T }
 
 // Of wraps s in a Slice backend.
@@ -63,10 +84,51 @@ func (v Slice[T]) Set(_, i int, x T) { v.S[i] = x }
 func (v Slice[T]) Swap(_, i, j int) { v.S[i], v.S[j] = v.S[j], v.S[i] }
 
 // SwapRange exchanges the non-overlapping blocks [i, i+n) and [j, j+n).
-func (v Slice[T]) SwapRange(_, i, j, n int) {
-	a, b := v.S[i:i+n], v.S[j:j+n]
-	for k := range a {
-		a[k], b[k] = b[k], a[k]
+func (v Slice[T]) SwapRange(_, i, j, n int) { swapUnits(v.S, i, 0, j, 0, n, 1) }
+
+// SwapUnits exchanges n unit pairs of c elements at strides di and dj.
+func (v Slice[T]) SwapUnits(_, i, di, j, dj, c, n int) { swapUnits(v.S, i, di, j, dj, c, n) }
+
+// swapUnits is the direct loop behind the slice backends' SwapUnits.
+func swapUnits[T any](s []T, i, di, j, dj, c, n int) {
+	if c == 1 {
+		for ; n > 0; n-- {
+			s[i], s[j] = s[j], s[i]
+			i += di
+			j += dj
+		}
+		return
+	}
+	for ; n > 0; n-- {
+		a, b := s[i:i+c], s[j:j+c]
+		for k := range a {
+			a[k], b[k] = b[k], a[k]
+		}
+		i += di
+		j += dj
+	}
+}
+
+// UnitSwapper is the part of a backend that SwapUnitsLoop runs on.
+type UnitSwapper interface {
+	Swap(p, i, j int)
+	SwapRange(p, i, j, n int)
+}
+
+// SwapUnitsLoop is SwapUnits as the loop it stands for: Swap for c == 1,
+// SwapRange(…, c) for c > 1, one unit pair at a time. The cost-model
+// backends implement SwapUnits with it, so a run of units charges exactly
+// what the per-unit calls would (the GPU model charges Swap and a
+// one-element SwapRange differently).
+func SwapUnitsLoop(v UnitSwapper, p, i, di, j, dj, c, n int) {
+	for ; n > 0; n-- {
+		if c == 1 {
+			v.Swap(p, i, j)
+		} else {
+			v.SwapRange(p, i, j, c)
+		}
+		i += di
+		j += dj
 	}
 }
 
@@ -107,6 +169,11 @@ func (w View[T, V]) Swap(p, i, j int) { w.Base.Swap(p, w.Off+i, w.Off+j) }
 
 // SwapRange exchanges the window blocks [i, i+n) and [j, j+n).
 func (w View[T, V]) SwapRange(p, i, j, n int) { w.Base.SwapRange(p, w.Off+i, w.Off+j, n) }
+
+// SwapUnits exchanges window unit pairs through one call to the base.
+func (w View[T, V]) SwapUnits(p, i, di, j, dj, c, n int) {
+	w.Base.SwapUnits(p, w.Off+i, di, w.Off+j, dj, c, n)
+}
 
 // BeginRound forwards round tracking to the base backend.
 func (w View[T, V]) BeginRound(name string, n int) { w.Base.BeginRound(name, n) }

@@ -49,14 +49,26 @@ func (z Zip[K, V]) Swap(_, i, j int) {
 // SwapRange exchanges the non-overlapping pair blocks [i, i+n) and
 // [j, j+n).
 func (z Zip[K, V]) SwapRange(_, i, j, n int) {
-	ka, kb := z.Keys[i:i+n], z.Keys[j:j+n]
-	for t := range ka {
-		ka[t], kb[t] = kb[t], ka[t]
+	swapUnits(z.Keys, i, 0, j, 0, n, 1)
+	swapUnits(z.Vals, i, 0, j, 0, n, 1)
+}
+
+// SwapUnits exchanges n pair-unit pairs of c pairs at strides di and dj.
+func (z Zip[K, V]) SwapUnits(_, i, di, j, dj, c, n int) {
+	if c == 1 {
+		ks, vs := z.Keys, z.Vals
+		for ; n > 0; n-- {
+			ks[i], ks[j] = ks[j], ks[i]
+			vs[i], vs[j] = vs[j], vs[i]
+			i += di
+			j += dj
+		}
+		return
 	}
-	va, vb := z.Vals[i:i+n], z.Vals[j:j+n]
-	for t := range va {
-		va[t], vb[t] = vb[t], va[t]
-	}
+	// The units are disjoint, so moving all keys first, then all values,
+	// gives the same result as moving pair by pair.
+	swapUnits(z.Keys, i, di, j, dj, c, n)
+	swapUnits(z.Vals, i, di, j, dj, c, n)
 }
 
 // BeginRound is a no-op for the zipped slice backend.

@@ -9,8 +9,10 @@ import (
 
 // FuzzPermuteMatchesOracle drives every algorithm/layout/parameter
 // combination from fuzzed inputs and checks the result against the
-// reference layout. Run with `go test -fuzz FuzzPermuteMatchesOracle
-// ./perm` for continuous exploration; the seed corpus runs in CI mode.
+// reference layout, for Permute on the keys alone and for PermuteWith,
+// whose values must follow their keys. Run with `go test -fuzz
+// FuzzPermuteMatchesOracle ./perm` for continuous exploration; the seed
+// corpus runs in CI mode.
 func FuzzPermuteMatchesOracle(f *testing.F) {
 	f.Add(uint16(1), uint8(0), uint8(0), uint8(2), uint8(1))
 	f.Add(uint16(26), uint8(1), uint8(1), uint8(3), uint8(2))
@@ -30,6 +32,21 @@ func FuzzPermuteMatchesOracle(f *testing.F) {
 		want := layout.Build(kind, sorted, b)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d %v/%v b=%d p=%d: mismatch", n, kind, algo, b, p)
+		}
+		keys := make([]uint64, n)
+		copy(keys, sorted)
+		vals := make([]int32, n)
+		for i := range vals {
+			vals[i] = int32(-i)
+		}
+		PermuteWith(keys, vals, kind, algo, WithB(b), WithWorkers(p))
+		if !reflect.DeepEqual(keys, want) {
+			t.Fatalf("n=%d %v/%v b=%d p=%d: paired keys mismatch", n, kind, algo, b, p)
+		}
+		for i, v := range vals {
+			if rank := int32(keys[i] / 3); v != -rank {
+				t.Fatalf("n=%d %v/%v b=%d p=%d: value %d beside key rank %d", n, kind, algo, b, p, v, rank)
+			}
 		}
 	})
 }

@@ -105,7 +105,10 @@ func buildConfig(opts []Option) config {
 // Permute rearranges data (which must be in ascending sorted order for the
 // result to be a search tree) into layout k using algorithm a, in place.
 func Permute[T any](data []T, k layout.Kind, a Algorithm, opts ...Option) {
-	core.Permute[T](buildConfig(opts).options(), vec.Of(data), k, a.core())
+	// By pointer: every kernel frame passes the backend on, and a pointer
+	// is one word where a Slice is three (a Zip six).
+	s := vec.Of(data)
+	core.Permute[T](buildConfig(opts).options(), &s, k, a.core())
 }
 
 // Unpermute restores ascending sorted order from a layout previously
@@ -119,5 +122,6 @@ func Permute[T any](data []T, k layout.Kind, a Algorithm, opts ...Option) {
 // Unpermute therefore needs only the layout kind and B — an Algorithm
 // choice would be meaningless here, so none is accepted.
 func Unpermute[T any](data []T, k layout.Kind, opts ...Option) error {
-	return core.Unpermute[T](buildConfig(opts).options(), vec.Of(data), k)
+	s := vec.Of(data)
+	return core.Unpermute[T](buildConfig(opts).options(), &s, k)
 }

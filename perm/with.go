@@ -26,7 +26,8 @@ func PermuteWith[K, V any](keys []K, vals []V, k layout.Kind, a Algorithm, opts 
 		panic(fmt.Sprintf("perm: PermuteWith slice lengths differ: %d keys, %d vals",
 			len(keys), len(vals)))
 	}
-	core.Permute[vec.KV[K, V]](buildConfig(opts).options(), vec.ZipOf(keys, vals), k, a.core())
+	z := vec.ZipOf(keys, vals)
+	core.Permute[vec.KV[K, V]](buildConfig(opts).options(), &z, k, a.core())
 }
 
 // UnpermuteWith restores ascending sorted order from a layout previously
@@ -42,5 +43,6 @@ func UnpermuteWith[K, V any](keys []K, vals []V, k layout.Kind, opts ...Option) 
 		panic(fmt.Sprintf("perm: UnpermuteWith slice lengths differ: %d keys, %d vals",
 			len(keys), len(vals)))
 	}
-	return core.Unpermute[vec.KV[K, V]](buildConfig(opts).options(), vec.ZipOf(keys, vals), k)
+	z := vec.ZipOf(keys, vals)
+	return core.Unpermute[vec.KV[K, V]](buildConfig(opts).options(), &z, k)
 }
