@@ -28,9 +28,11 @@
 //   - search: queries on every layout — exact, predecessor, successor,
 //     rank access, and ordered Range/Scan iteration without unpermuting;
 //   - store:  the serving layer. Store is the static sharded key–value
-//     snapshot — parallel build pipeline (stable sort: MSD-then-LSD
-//     radix for integer and float keys, merge sort for strings, none for
-//     sorted input; duplicate-key resolution, range partition, concurrent
+//     snapshot — parallel build pipeline (stable sort: an MSD radix
+//     scatter, then cache-sized buckets sorted on their separating top
+//     digits and finished by insertion, for integer and float keys;
+//     merge sort for strings; none for sorted input; duplicate-key
+//     resolution, range partition, concurrent
 //     payload-carrying layout write)
 //     plus a concurrent, batched query engine with value-returning
 //     Get/GetBatch and cross-shard ordered Range/Scan streaming (Set is

@@ -26,7 +26,7 @@ type mval[V any] struct {
 // path's critical section stays a few dozen nanoseconds no matter how
 // full the table is. Order is recovered once per memtable lifetime by
 // sortByKey (radix for integer and float keys — a table under the leaf
-// size of about 1 MiB is one in-cache LSD sort — merge for strings) —
+// size of about 1 MiB is one in-cache bucket sort — merge for strings) —
 // at flush, whose run maker then reads the sorted view through one
 // cursor, or at the first ordered read of a frozen table. Ordered reads
 // of the *active* table sort their interval per call; that cost is

@@ -3,6 +3,7 @@ package store
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 
@@ -16,9 +17,9 @@ import (
 const sortSerialBelow = 1 << 13
 
 // radixLeafBytes is the largest bucket, in key and value bytes, that the
-// radix engine finishes with LSD passes: with its ping-pong buffer it
-// stays in a core's L2, so those passes run at cache speed. A constant,
-// not an option.
+// radix engine finishes in cache (sortBucket): with its ping-pong buffer
+// it stays in a core's L2, so the finishing passes run at cache speed. A
+// constant, not an option.
 const radixLeafBytes = 1 << 20
 
 // sortByKey is the store's one key sort (stage 1 of Build, and the
@@ -145,21 +146,22 @@ func (o keyOrder[U]) image(u U) U {
 // radixSort is the fixed-width engine: a stable radix sort of the key
 // bits src, values srcV riding along, into dst by the keyOrder image,
 // one 8-bit digit at a time, skipping digits all keys agree on. Input of
-// at most leaf records is sorted by lsd alone. Larger input takes one
-// parallel MSD scatter on its highest differing digit straight from src
-// into dst — its one pass through DRAM — after which each of the 256
-// buckets, ≈ n/256 records, is finished in place by lsd while it sits
-// in cache. Buckets go to workers weighted by size; a bucket over leaf
-// records (skewed keys) takes another MSD step on its own differing
-// digits, on every worker.
+// at most leaf records is sorted by sortBucket alone. Larger input takes
+// one parallel MSD scatter on its highest differing digit straight from
+// src into dst — its one pass through DRAM — after which each of the 256
+// buckets, ≈ n/256 records, is finished in place by sortBucket while it
+// sits in cache, on as few of its top digits as separate its records.
+// Buckets go to workers weighted by size; a bucket over leaf records
+// (skewed keys) takes another MSD step on its own differing digits, on
+// every worker.
 func radixSort[U unsigned, V any](r par.Runner, o keyOrder[U], src []U, srcV []V, dst []U, dstV []V, leaf int) {
 	from, to := block[U, V]{src, srcV}, block[U, V]{dst, dstV}
 	if len(src) > leaf {
 		msdSort(r, o, from, to, to, false, leaf)
 		return
 	}
-	var sc lsdScratch[U, V]
-	lsd(o, from, to, differing(par.Serial(r.Lo), o, src), &sc)
+	var sc bucketScratch[U, V]
+	sortBucket(o, from, to, differing(par.Serial(r.Lo), o, src), &sc)
 }
 
 // block is a run of records: key bit patterns and, unless the sort is
@@ -222,7 +224,8 @@ func span[U unsigned](o keyOrder[U], a []U) (and, or U) {
 // worker histograms the top differing digit of its contiguous block of
 // src, and the histograms become bucket offsets after every earlier
 // block's, so the scatter into mid is stable. mid is dst, or a free
-// area as long as src; lsd then finishes each bucket from mid into dst,
+// area as long as src; sortBucket then finishes each bucket from mid
+// into dst, with one scratch per worker grown once to its largest bucket,
 // and a bucket over leaf records recurses with the memory at hand: the
 // bucket's range of src once src is free (not the caller's input) to
 // scatter into, or else one allocation the size of the largest such
@@ -285,12 +288,18 @@ func msdSort[U unsigned, V any](r par.Runner, o keyOrder[U], src, mid, dst block
 		}
 	}
 	r.ForWeighted(256, func(i int) int { return cum[i] }, func(_, lo, hi int) {
-		var sc lsdScratch[U, V]
-		sc.grow(min(leaf, cum[hi]-cum[lo]), dst.v != nil)
+		var sc bucketScratch[U, V]
+		most := 0
+		for b := lo; b < hi; b++ {
+			if m := bounds[b+1] - bounds[b]; m <= leaf {
+				most = max(most, m)
+			}
+		}
+		sc.grow(most, dst.v != nil)
 		for b := lo; b < hi; b++ {
 			blo, bhi := bounds[b], bounds[b+1]
-			if m := bhi - blo; m <= leaf && (m > 1 || m == 1 && !inPlace) {
-				lsd(o, mid.slice(blo, bhi), dst.slice(blo, bhi), rest, &sc)
+			if bhi-blo <= leaf {
+				sortBucket(o, mid.slice(blo, bhi), dst.slice(blo, bhi), rest, &sc)
 			}
 		}
 	})
@@ -320,15 +329,31 @@ func msdSort[U unsigned, V any](r par.Runner, o keyOrder[U], src, mid, dst block
 	}
 }
 
-// lsdScratch is one worker's LSD state: a histogram per digit and the
-// ping-pong buffer, large enough for every bucket the worker finishes.
-type lsdScratch[U unsigned, V any] struct {
-	hist [8][256]int
-	buf  block[U, V]
+// insertionMax is the longest run of records the finish sorts by
+// insertion outright: below it a histogram costs more than the moves.
+const insertionMax = 32
+
+// pairsFrom is the smallest bucket whose counting pass also marks the
+// values of its top two differing digits: below it the 8 KiB bitmap
+// costs more to clear than the exact count can save.
+const pairsFrom = 1 << 9
+
+// bucketScratch is one worker's bucket state: a histogram per digit, a
+// row the counting pass spends on absent digits, a bit per value of two
+// digits, and the ping-pong buffer, large enough for every bucket the
+// worker finishes.
+type bucketScratch[U unsigned, V any] struct {
+	hist  [8][256]int
+	spare [256]int
+	pairs pairBits
+	buf   block[U, V]
 }
 
+// pairBits has a bit for each value of two digits.
+type pairBits [1 << 16 / 64]uint64
+
 // grow makes the buffer hold at least n records.
-func (sc *lsdScratch[U, V]) grow(n int, vals bool) {
+func (sc *bucketScratch[U, V]) grow(n int, vals bool) {
 	if cap(sc.buf.k) < n {
 		sc.buf.k = make([]U, n)
 		if vals {
@@ -337,86 +362,306 @@ func (sc *lsdScratch[U, V]) grow(n int, vals bool) {
 	}
 }
 
-// lsd sorts src into dst stably by the image digits set in differ, least
-// significant first. One read pass histograms every digit; the digits
-// on which all of src agrees are skipped, and the passes ping-pong
-// between dst and sc's buffer so the last one lands in dst. src is
-// either dst itself (a bucket finished in place) or only read, and not
-// empty.
-func lsd[U unsigned, V any](o keyOrder[U], src, dst block[U, V], differ U, sc *lsdScratch[U, V]) {
+// Finish paths sortBucket reports, so tests can show they reach each.
+const (
+	finishInsertion = 1 << iota // the bucket was short enough to insert outright
+	finishAllDigits             // every differing digit was kept: nothing left to finish
+	finishSettled               // one insertion pass completed the kept digits' order
+	finishBudget                // the insertion pass ran out of moves
+	finishRunMSD                // a run sharing the kept digits took an MSD step
+	finishRunNested             // and one of its sub-runs took another
+)
+
+// sortBucket sorts src into dst stably by the image digits set in differ,
+// the digits above them being shared by every record. Buckets of at most
+// insertionMax records are inserted outright. Otherwise one read pass
+// counts the top three digits of differ and, from pairsFrom records,
+// marks the values the top two take together when they are adjacent;
+// further digits are counted when needed. From these counts it keeps, top down, the fewest
+// digits on which the records differ that are estimated to split them
+// into groups of two or fewer — exact for the top two, the product of
+// distinct counts beyond — and skips the second digit when the pair
+// count shows it a function of the first. It sorts by the kept digits
+// alone, in stable LSD passes that ping-pong between dst and sc's buffer
+// so the last one lands in dst. An insertion pass allowed n moves then
+// completes the order; if it runs out, each run of records sharing the
+// kept digits is finished on its own by finishRun, the runs it already
+// sorted left as they are. src is either dst itself (a bucket finished
+// in place) or only read. It returns the finish paths taken.
+func sortBucket[U unsigned, V any](o keyOrder[U], src, dst block[U, V], differ U, sc *bucketScratch[U, V]) (paths int) {
 	n := len(src.k)
-	h := &sc.hist
-	histogram(o, src.k, h)
-	first := o.image(src.k[0])
-	var shifts [8]uint
-	passes := 0
-	for s := uint(0); differ>>s != 0; s += 8 {
-		row := &h[s/8]
-		if uint8(differ>>s) == 0 || row[uint8(first>>s)] == n {
-			continue // a digit every record shares
-		}
-		off := 0
-		for b := range 256 {
-			h[passes][b], off = off, off+row[b]
-		}
-		shifts[passes] = s
-		passes++
-	}
-	inPlace := src.same(dst)
-	if passes == 0 {
+	inPlace := n > 0 && src.same(dst)
+	if n <= insertionMax {
 		if !inPlace {
 			copy(dst.k, src.k)
 			copy(dst.v, src.v)
 		}
-		return
+		insertion(o, dst, math.MaxInt)
+		return finishInsertion
+	}
+
+	// Count the top three digits of differ; the other digits the bucket
+	// needs are counted on demand.
+	h := &sc.hist
+	var top [3]int
+	rows := [3]*[256]int{&sc.spare, &sc.spare, &sc.spare}
+	var counted [8]bool
+	rest := differ
+	for i := range top {
+		top[i] = topDigit(rest)
+		if top[i] >= 0 {
+			rest &^= 0xff << top[i]
+			rows[i] = &h[top[i]/8]
+			counted[top[i]/8] = true
+		}
+	}
+	var pairs *pairBits
+	if n >= pairsFrom && top[2] >= 0 && top[1] == top[0]-8 {
+		pairs = &sc.pairs
+	}
+	count(o, src.k, rows, pairs, top)
+	row := func(s uint) *[256]int {
+		if !counted[s/8] {
+			countDigit(o, src.k, &h[s/8], s)
+			counted[s/8] = true
+		}
+		return &h[s/8]
+	}
+
+	// Keep the bucket's own differing digits, top down, until the groups
+	// they make are estimated to hold two records or fewer.
+	var shifts [8]uint
+	keep, groups := 0, 1
+	for rest = differ; rest != 0 && 2*groups < n; {
+		s := uint(topDigit(rest))
+		rest &^= 0xff << s
+		d := distinct(row(s))
+		switch {
+		case d == 1:
+			continue // a digit every record shares
+		case keep == 1 && pairs != nil && shifts[0] == uint(top[0]) && s == uint(top[1]):
+			pairGroups := 0
+			for _, w := range pairs {
+				pairGroups += bits.OnesCount64(w)
+			}
+			if pairGroups == groups {
+				continue // a function of the digit above: it splits no group
+			}
+			groups = pairGroups
+		default:
+			groups = min(n, groups*d)
+		}
+		shifts[keep] = s
+		keep++
+	}
+	if keep == 0 { // every record shares every digit
+		if !inPlace {
+			copy(dst.k, src.k)
+			copy(dst.v, src.v)
+		}
+		return finishAllDigits
+	}
+
+	// LSD passes over the kept digits, the lowest first. Pass i's offsets
+	// overwrite row i, which no later pass reads.
+	for i := range keep {
+		cnt := row(shifts[keep-1-i])
+		off := 0
+		for b := range 256 {
+			h[i][b], off = off, off+cnt[b]
+		}
 	}
 	var buf block[U, V]
-	if passes > 1 || inPlace {
+	if keep > 1 || inPlace {
 		sc.grow(n, src.v != nil)
 		buf = sc.buf.slice(0, n)
 	}
 	in := src
-	if inPlace && passes%2 == 1 {
+	if inPlace && keep%2 == 1 {
 		copy(buf.k, src.k)
 		copy(buf.v, src.v)
 		in = buf
 	}
-	for i := range passes {
+	for i := range keep {
 		out := dst
-		if (passes-i)%2 == 0 {
+		if (keep-i)%2 == 0 {
 			out = buf
 		}
-		scatter(o, shifts[i], &h[i], in, out)
+		scatter(o, shifts[keep-1-i], &h[i], in, out)
 		in = out
 	}
+	if rest == 0 {
+		return finishAllDigits
+	}
+
+	// Complete the order within each run sharing the kept digits.
+	stop := insertion(o, dst, n)
+	if stop == n {
+		return finishSettled
+	}
+	low := shifts[keep-1]
+	at := o.image(dst.k[stop]) >> low
+	for stop > 0 && o.image(dst.k[stop-1])>>low == at {
+		stop-- // the run the pass stopped in starts here
+	}
+	sc.grow(n, src.v != nil)
+	buf = sc.buf.slice(0, n)
+	below := differ & (U(1)<<low - 1)
+	paths = finishBudget
+	for i := stop; i < n; {
+		at = o.image(dst.k[i]) >> low
+		j := i + 1
+		for j < n && o.image(dst.k[j])>>low == at {
+			j++
+		}
+		paths |= finishRun(o, dst.slice(i, j), below, buf, false)
+		i = j
+	}
+	return paths
 }
 
-// histogram sets h[d] to the histogram of digit d of the images of a,
-// for every digit of U: a fixed sequence of independent counts per key,
-// several times faster than a loop over a digit list.
-func histogram[U unsigned](o keyOrder[U], a []U, h *[8][256]int) {
-	if uint64(^U(0))>>32 == 0 { // at most four digits
-		*(*[4][256]int)(h[:4]) = [4][256]int{}
+// finishRun sorts run in place stably by the image digits set in differ,
+// the digits above them being shared by every record: by insertion up to
+// insertionMax records, otherwise by one MSD scatter through buf on the
+// top digit the run does not share, each sub-run then finished the same
+// way. nested marks a sub-run, for the paths it reports.
+func finishRun[U unsigned, V any](o keyOrder[U], run block[U, V], differ U, buf block[U, V], nested bool) (paths int) {
+	n := len(run.k)
+	if n <= insertionMax {
+		insertion(o, run, math.MaxInt)
+		return 0
+	}
+	paths = finishRunMSD
+	if nested {
+		paths = finishRunNested
+	}
+	for s := topDigit(differ); s >= 0; s = topDigit(differ) {
+		shift := uint(s)
+		differ &= U(1)<<shift - 1
+		var h [256]int
+		countDigit(o, run.k, &h, shift)
+		if h[uint8(o.image(run.k[0])>>shift)] == n {
+			continue // a digit every record shares
+		}
+		off := 0
+		for b := range h {
+			h[b], off = off, off+h[b]
+		}
+		tmp := buf.slice(0, n)
+		scatter(o, shift, &h, run, tmp)
+		copy(run.k, tmp.k)
+		copy(run.v, tmp.v)
+		lo := 0
+		for _, hi := range h { // the scatter left each offset at its bucket's end
+			if hi-lo > 1 {
+				paths |= finishRun(o, run.slice(lo, hi), differ, buf, true)
+			}
+			lo = hi
+		}
+		return paths
+	}
+	return paths // every record shares every digit
+}
+
+// insertion sorts b stably by image, inserting one record at a time,
+// until the records moved exceed budget. It returns the number of leading
+// records it sorted, len(b.k) when it finished. A record moves back only
+// past greater keys, so an order by a prefix of the image that b was in
+// still holds when it stops.
+func insertion[U unsigned, V any](o keyOrder[U], b block[U, V], budget int) int {
+	k := b.k
+	if len(k) < 2 {
+		return len(k)
+	}
+	prev := o.image(k[0]) // the largest image so far
+	for i := 1; i < len(k); i++ {
+		u := k[i]
+		x := o.image(u)
+		if x >= prev {
+			prev = x
+			continue
+		}
+		if budget < 0 {
+			return i
+		}
+		j := i
+		if b.v == nil {
+			for ; j > 0 && o.image(k[j-1]) > x; j-- {
+				k[j] = k[j-1]
+			}
+			k[j] = u
+		} else {
+			vs := b.v[:len(k)]
+			v := vs[i]
+			for ; j > 0 && o.image(k[j-1]) > x; j-- {
+				k[j], vs[j] = k[j-1], vs[j-1]
+			}
+			k[j], vs[j] = u, v
+		}
+		budget -= i - j
+	}
+	return len(k)
+}
+
+// topDigit returns the shift of the highest 8-bit digit set in differ, or
+// -1 when differ is zero.
+func topDigit[U unsigned](differ U) int {
+	if differ == 0 {
+		return -1
+	}
+	return (bits.Len64(uint64(differ)) - 1) &^ 7
+}
+
+// distinct counts the digit values a histogram row holds.
+func distinct(row *[256]int) int {
+	c := 0
+	for _, x := range row {
+		if x != 0 {
+			c++
+		}
+	}
+	return c
+}
+
+// count is sortBucket's one read pass over the images of a: rows[i] gets
+// the histogram of the digit at shift top[i] (a negative shift counts
+// nothing the caller reads, into a spare row), and a non-nil pairs the
+// bit of each value the adjacent digits at top[0] and top[1] take
+// together. The counts per key are a fixed sequence, several times
+// faster than a loop over a digit list.
+func count[U unsigned](o keyOrder[U], a []U, rows [3]*[256]int, pairs *pairBits, top [3]int) {
+	for _, r := range rows {
+		*r = [256]int{}
+	}
+	s0, s1, s2 := uint(max(top[0], 0))&63, uint(max(top[1], 0))&63, uint(max(top[2], 0))&63
+	r0, r1, r2 := rows[0], rows[1], rows[2]
+	if pairs == nil {
 		for _, u := range a {
-			x := uint32(o.image(u))
-			h[0][uint8(x)]++
-			h[1][uint8(x>>8)]++
-			h[2][uint8(x>>16)]++
-			h[3][uint8(x>>24)]++
+			x := uint64(o.image(u))
+			r0[uint8(x>>s0)]++
+			r1[uint8(x>>s1)]++
+			r2[uint8(x>>s2)]++
 		}
 		return
 	}
-	*h = [8][256]int{}
+	*pairs = pairBits{}
 	for _, u := range a {
 		x := uint64(o.image(u))
-		h[0][uint8(x)]++
-		h[1][uint8(x>>8)]++
-		h[2][uint8(x>>16)]++
-		h[3][uint8(x>>24)]++
-		h[4][uint8(x>>32)]++
-		h[5][uint8(x>>40)]++
-		h[6][uint8(x>>48)]++
-		h[7][uint8(x>>56)]++
+		r0[uint8(x>>s0)]++
+		y := x >> s1
+		r1[uint8(y)]++
+		r2[uint8(x>>s2)]++
+		p := uint16(y)
+		pairs[p>>6] |= 1 << (p & 63)
+	}
+}
+
+// countDigit sets row to the histogram of the digit at shift of the
+// images of a.
+func countDigit[U unsigned](o keyOrder[U], a []U, row *[256]int, shift uint) {
+	*row = [256]int{}
+	for _, u := range a {
+		row[uint8(o.image(u)>>shift)]++
 	}
 }
 

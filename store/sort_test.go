@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"implicitlayout/internal/mmapio"
 	"implicitlayout/internal/par"
 	"implicitlayout/internal/rawfmt"
 )
@@ -353,12 +354,159 @@ func TestSortByKeyBucketEdges(t *testing.T) {
 	}
 }
 
+// TestSortByKeyTiny: every key sequence of up to four records over
+// float64 keys that tie, order across the sign and NaN, at the
+// production leaf.
+func TestSortByKeyTiny(t *testing.T) {
+	alphabet := []float64{1, math.Copysign(0, -1), 0, math.NaN(), -1}
+	var keys []float64
+	var walk func(n int)
+	walk = func(n int) {
+		checkSortByKey(t, "float64", keys, 2, 0)
+		if n == 4 {
+			return
+		}
+		for _, k := range alphabet {
+			keys = append(keys, k)
+			walk(n + 1)
+			keys = keys[:n]
+		}
+	}
+	walk(0)
+	for n := range 5 {
+		checkSortByKey(t, "uint64", sortKeys(rand.New(rand.NewSource(int64(n))), n, "random", func(x uint64) uint64 { return x }), 2, 0)
+	}
+}
+
+// fallbackKeys is a key set whose top five bytes are one value c of 16
+// and whose low two bytes take 2 and 8 values: the digits' distinct
+// counts multiply to far more than the 16 groups the top five really
+// make, so a bucket of them keeps those five, overruns the insertion
+// budget and finishes each group with an MSD step on byte 1 and another
+// on byte 0. The 256 keys, big-endian, are also FuzzSortByKey's seed for
+// that fallback; c is small enough that they read as positive floats.
+func fallbackKeys() []byte {
+	data := make([]byte, 0, 256*8)
+	for i := range 256 {
+		c, j, k := byte(0x30+i*7%16), byte(i/16%2), byte(i/32)
+		data = append(data, c, c, c, c, c, 0, j, k)
+	}
+	return data
+}
+
+// bucketCase runs sortBucket on keys, with input positions as values and
+// keys-only, from a separate source and in place, holds every result to
+// the stable oracle bit for bit and returns the finish paths taken.
+func bucketCase[K cmp.Ordered](t *testing.T, name string, keys []K) int {
+	t.Helper()
+	kind, _ := rawfmt.Kind(reflect.TypeFor[K]())
+	o := orderOf[uint64](kind)
+	bitsOf := func(ks []K) []uint64 {
+		u, _ := mmapio.View[uint64](mmapio.Bytes(ks))
+		return u
+	}
+	src := bitsOf(keys)
+	differ := differing(par.Serial(0), o, src)
+	wantK, wantV := stableOracle(keys)
+	paths := -1
+	for _, inPlace := range []bool{false, true} {
+		for _, vals := range []bool{true, false} {
+			gotK := make([]K, len(keys))
+			var gotV []int
+			in := block[uint64, int]{k: src}
+			if vals {
+				gotV = make([]int, len(keys))
+				in.v = make([]int, len(keys))
+				for i := range in.v {
+					in.v[i] = i
+				}
+			}
+			out := block[uint64, int]{bitsOf(gotK), gotV}
+			if inPlace {
+				copy(out.k, in.k)
+				copy(out.v, in.v)
+				in = out
+			}
+			var sc bucketScratch[uint64, int]
+			p := sortBucket(o, in, out, differ, &sc)
+			if paths >= 0 && p != paths {
+				t.Fatalf("%s: paths %b, then %b on the same keys", name, paths, p)
+			}
+			paths = p
+			for i := range keys {
+				if !sameKey(gotK[i], wantK[i]) || vals && gotV[i] != wantV[i] {
+					t.Fatalf("%s in-place=%v values=%v: record %d is %v, want (%v, %d)",
+						name, inPlace, vals, i, gotK[i], wantK[i], wantV[i])
+				}
+			}
+		}
+	}
+	return paths
+}
+
+// TestSortBucketPaths reaches every way sortBucket finishes a bucket —
+// outright insertion, every differing digit kept, one insertion pass,
+// the insertion budget overrun with shared-digit runs finished by an MSD
+// step and by its recursion — and holds each to the stable oracle.
+// Keys repeat, so the fallback must keep equal keys in input order.
+func TestSortBucketPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	draw := func(n int, key func() uint64) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = key()
+			if i > 0 && rng.Intn(4) == 0 {
+				keys[i] = keys[rng.Intn(i)]
+			}
+		}
+		return keys
+	}
+	// y<<48 | y<<40 | rand12, its two equal bytes counted exactly: 4096
+	// groups of 16K records are too few for fewer than all four digits.
+	correlated := func() uint64 { y := rng.Uint64() & 0xff; return y<<48 | y<<40 | rng.Uint64()&0xfff }
+	// y in three bytes, counted as 256 x 256 groups but making 256: runs
+	// of 16 fail the budget and each is finished by insertion.
+	tripled := func() uint64 { y := rng.Uint64() & 0xff; return y*(1<<48|1<<40|1<<32) | rng.Uint64()&0xff }
+	// The same with 128 values over 16K records: runs of 128 take an MSD
+	// step on byte 1 (two values), their halves another on byte 0.
+	nested := func() uint64 {
+		y := rng.Uint64() & 0x7f
+		return y*(1<<48|1<<40|1<<32) | rng.Uint64()&0x1ff
+	}
+	fuzzSeed := func() []float64 {
+		data := fallbackKeys()
+		keys := make([]float64, 3*sortSerialBelow-1)
+		for i := range keys {
+			j := i % (len(data) / 8) * 8
+			keys[i] = math.Float64frombits(binary.BigEndian.Uint64(data[j : j+8]))
+		}
+		return keys
+	}
+	for _, c := range []struct {
+		name  string
+		paths int
+		run   func() int
+	}{
+		{"short", finishInsertion, func() int { return bucketCase(t, "short", draw(insertionMax, rng.Uint64)) }},
+		{"uniform", finishSettled, func() int { return bucketCase(t, "uniform", draw(1<<14, rng.Uint64)) }},
+		{"uniform-small", finishSettled, func() int { return bucketCase(t, "uniform-small", draw(100, rng.Uint64)) }},
+		{"correlated", finishAllDigits, func() int { return bucketCase(t, "correlated", draw(1<<14, correlated)) }},
+		{"tripled", finishBudget, func() int { return bucketCase(t, "tripled", draw(1<<12, tripled)) }},
+		{"nested", finishBudget | finishRunMSD | finishRunNested, func() int { return bucketCase(t, "nested", draw(1<<14, nested)) }},
+		{"fuzz seed", finishBudget | finishRunMSD | finishRunNested, func() int { return bucketCase(t, "fuzz seed", fuzzSeed()) }},
+	} {
+		if got := c.run(); got&c.paths != c.paths {
+			t.Errorf("%s: finish paths %06b, want %06b among them", c.name, got, c.paths)
+		}
+	}
+}
+
 // TestSortByKeySmallAllocs pins the allocations of a sort of at most 64
 // unsorted pairs: DB.Range sorts the active memtable's interval on
-// every call. The LSD-only engine this one replaced allocated 26 times
-// per sort (per-pass closures, a digit list, two scratch slices and the
-// histograms); now only the ping-pong buffer, keys and values, is
-// allocated — the histograms live on the stack.
+// every call. There are none: a bucket this small is finished by
+// insertion, or by one pass on its top digit straight into dst and an
+// insertion pass, so it needs no ping-pong buffer, and the histograms
+// live on the stack.
 func TestSortByKeySmallAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{3, 8, 16, 33, 64} {
@@ -368,8 +516,8 @@ func TestSortByKeySmallAllocs(t *testing.T) {
 		}
 		keys[0], keys[1] = max(keys[0], keys[1]), min(keys[0], keys[1]) // unsorted
 		dk, dv := make([]uint64, n), make([]uint64, n)
-		if a := testing.AllocsPerRun(20, func() { sortByKey(par.New(2), keys, vals, dk, dv) }); a > 2 {
-			t.Errorf("n=%d: sortByKey allocates %v times per call, want at most 2", n, a)
+		if a := testing.AllocsPerRun(20, func() { sortByKey(par.New(2), keys, vals, dk, dv) }); a > 0 {
+			t.Errorf("n=%d: sortByKey allocates %v times per call, want none", n, a)
 		}
 	}
 }
@@ -383,6 +531,7 @@ func FuzzSortByKey(f *testing.F) {
 	f.Add(uint16(10), uint8(1), uint8(2), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(uint16(3*sortSerialBelow), uint8(3), uint8(7), []byte{0xff, 0xf8, 1, 2, 3, 4, 5, 6, 0x7f, 0xf0, 0, 0, 0, 0, 0, 1, 0x80, 0})
 	f.Add(uint16(300), uint8(2), uint8(3), []byte{0, 0x7f, 0x80, 0xff, 0, 0, 0x80, 0x80, 0xff, 0x7f, 0, 0x80, 0, 0xff, 0xff})
+	f.Add(uint16(3*sortSerialBelow-1), uint8(1), uint8(0), fallbackKeys())
 	f.Fuzz(func(t *testing.T, n uint16, p, leaf uint8, data []byte) {
 		if len(data) == 0 {
 			return
@@ -418,9 +567,22 @@ func FuzzSortByKey(f *testing.F) {
 // BenchmarkSortByKey times stage 1 of Build on uniform random keys with
 // uint64 values: sortByKey (radix for fixed-width keys) against the
 // merge engine, which strings keep, up to 2^20 records; then sortByKey
-// alone at the build workload's 2^22 records, on uniform keys and on
-// skewed ones whose top byte is 0 or 1, so both top-level buckets are
-// far over the leaf and take a second MSD level.
+// alone at the build workload's 2^22 records on key distributions that
+// steer the bucket finish differently, each drawn from one random word x
+// per key:
+//
+//   - uniform: x;
+//   - skewed: x>>7, top byte 0 or 1, so both top-level buckets are far
+//     over the leaf and take a second MSD level;
+//   - clustered: r8<<56 | r1<<48 | r1'<<40 | rand40, two few-valued high
+//     bytes (r1, r1' independent bits);
+//   - correlated12 and correlated24: r8<<56 | y<<48 | y<<40 | rand12 (or
+//     rand24), two equal high bytes, so the digits' own distinct counts
+//     overstate how far they split a bucket;
+//   - dups: 2^16 distinct keys, each repeated ~64 times;
+//   - narrow: 1<<50 + rand40, a 40-bit range;
+//
+// and uniform keys at 2^15 records, a memtable's sort under the leaf.
 //
 //	go test -run '^$' -bench SortByKey ./store
 func BenchmarkSortByKey(b *testing.B) {
@@ -430,8 +592,21 @@ func BenchmarkSortByKey(b *testing.B) {
 		benchSortByKey(b, "float64", n, func(x uint64) float64 { return math.Float64frombits(x) }, true)
 		benchSortByKey(b, "string", n, func(x uint64) string { return fmt.Sprint(x) }, true)
 	}
-	benchSortByKey(b, "uint64", 1<<22, func(x uint64) uint64 { return x }, false)
-	benchSortByKey(b, "skewed", 1<<22, func(x uint64) uint64 { return x >> 7 }, false)
+	for _, d := range []struct {
+		name string
+		conv func(uint64) uint64
+	}{
+		{"uint64", func(x uint64) uint64 { return x }},
+		{"skewed", func(x uint64) uint64 { return x >> 7 }},
+		{"clustered", func(x uint64) uint64 { return x>>56<<56 | x>>47&1<<48 | x>>46&1<<40 | x&(1<<40-1) }},
+		{"correlated12", func(x uint64) uint64 { return x>>56<<56 | x>>48&0xff*(1<<48|1<<40) | x&(1<<12-1) }},
+		{"correlated24", func(x uint64) uint64 { return x>>56<<56 | x>>48&0xff*(1<<48|1<<40) | x&(1<<24-1) }},
+		{"dups", func(x uint64) uint64 { return x & (1<<16 - 1) * 0x9e3779b97f4a7c15 }},
+		{"narrow", func(x uint64) uint64 { return 1<<50 + x&(1<<40-1) }},
+	} {
+		benchSortByKey(b, d.name, 1<<22, d.conv, false)
+	}
+	benchSortByKey(b, "uint64", 1<<15, func(x uint64) uint64 { return x }, false)
 }
 
 func benchSortByKey[K cmp.Ordered](b *testing.B, name string, n int, conv func(uint64) K, withMerge bool) {
@@ -509,10 +684,11 @@ func dedupeModel[K cmp.Ordered](keys []K, pol DuplicatePolicy) (wantK []K, wantV
 	return wantK, wantV, true
 }
 
-// checkDedupe builds keys under every duplicate policy and worker count
-// and holds Export to dedupeModel; it also builds the stably pre-sorted
-// records, which take Build's no-sort path, and requires the identical
-// store bit for bit.
+// checkDedupe builds keys under every duplicate policy on 1, 2 and 3
+// workers and holds Export to dedupeModel, and Reject's error to the
+// first key of the stable sort equal to its predecessor; it also builds
+// the stably pre-sorted records, which take Build's no-sort path, and
+// requires the identical store bit for bit.
 func checkDedupe[K cmp.Ordered](t *testing.T, name string, keys []K) {
 	t.Helper()
 	eq := func(a, b K) bool { return a == b || (a != a && b != b) }
@@ -526,9 +702,15 @@ func checkDedupe[K cmp.Ordered](t *testing.T, name string, keys []K) {
 	for j, i := range idx {
 		sortedK[j], sortedV[j] = keys[i], i
 	}
+	var rejectErr string
+	for i := 1; i < len(sortedK) && rejectErr == ""; i++ {
+		if sortedK[i] == sortedK[i-1] {
+			rejectErr = fmt.Sprintf("store: duplicate key %v", sortedK[i])
+		}
+	}
 	for _, pol := range []DuplicatePolicy{KeepFirst, KeepLast, KeepAll, Reject} {
 		wantK, wantV, wantOK := dedupeModel(keys, pol)
-		for _, p := range []int{1, 3} {
+		for _, p := range []int{1, 2, 3} {
 			opts := []Option{WithDuplicates(pol), WithShards(3), WithWorkers(p)}
 			st, err := Build(keys, seq, opts...)
 			pre, preErr := Build(sortedK, sortedV, opts...)
@@ -536,6 +718,9 @@ func checkDedupe[K cmp.Ordered](t *testing.T, name string, keys []K) {
 				t.Fatalf("%s %v p=%d: Build errors %v / %v (sorted input), model ok=%v", name, pol, p, err, preErr, wantOK)
 			}
 			if !wantOK {
+				if err.Error() != rejectErr || preErr.Error() != rejectErr {
+					t.Fatalf("%s p=%d: Reject fails with %q / %q (sorted input), want %q", name, p, err, preErr, rejectErr)
+				}
 				continue
 			}
 			gotK, gotV := st.Export()
@@ -587,4 +772,32 @@ func TestBuildDedupeAcrossKeyImage(t *testing.T) {
 	rng.Shuffle(len(ik), func(i, j int) { ik[i], ik[j] = ik[j], ik[i] })
 	checkDedupe(t, "float64/unique", fk)
 	checkDedupe(t, "int64/unique", ik)
+}
+
+// TestBuildDedupeScan places the first equal neighbours of the sorted
+// keys where the parallel scan for them splits or ends — at index 1, on
+// a block boundary of 2 and of 3 workers, at the last index only, or
+// nowhere — above the size where the scan goes parallel; a later
+// duplicate follows the first wherever there is room.
+func TestBuildDedupeScan(t *testing.T) {
+	const n = 6 * 2048
+	rng := rand.New(rand.NewSource(23))
+	for _, first := range []int{1, n / 3, n / 2, 2 * n / 3, n - 1, 0} {
+		sorted := make([]int64, n)
+		for i := range sorted {
+			sorted[i] = int64(2*i) - n
+		}
+		if first > 0 {
+			sorted[first] = sorted[first-1]
+			if first+7 < n {
+				sorted[first+7] = sorted[first+6]
+			}
+		}
+		keys := slices.Clone(sorted)
+		rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		checkDedupe(t, fmt.Sprint("int64/first=", first), keys)
+		if got := firstEqual(par.New(3), sorted); got != cmp.Or(first, n) {
+			t.Fatalf("first=%d: firstEqual on 3 workers = %d", first, got)
+		}
+	}
 }

@@ -8,8 +8,9 @@
 //
 // A Store owns its records end to end. Build ingests unsorted key–value
 // pairs and runs the parallel build pipeline — one stable parallel sort
-// by key (radix for integer and float keys: one MSD scatter, then LSD
-// passes per cache-sized bucket; merge for strings; none for sorted
+// by key (radix for integer and float keys: one MSD scatter, then each
+// cache-sized bucket sorted on the few top digits that separate its
+// records and finished by insertion; merge for strings; none for sorted
 // input), duplicate-key resolution, range partition into
 // shards, then an in-place layout.Write of every shard
 // concurrently into the configured layout (vEB by default), values
@@ -275,16 +276,15 @@ func Build[K cmp.Ordered, V any](keys []K, vals []V, opts ...Option) (*Store[K, 
 
 	// Stage 2: duplicate resolution on the sorted records. The stable
 	// sort left equal keys in input order, so first/last occurrence is
-	// first/last of each equal run.
-	switch c.Duplicates {
-	case Reject:
-		for i := 1; i < len(ownedK); i++ {
-			if ownedK[i] == ownedK[i-1] {
-				return nil, fmt.Errorf("store: duplicate key %v", ownedK[i])
+	// first/last of each equal run. One parallel read-only scan finds the
+	// first equal pair; records are compacted only from there.
+	if c.Duplicates != KeepAll {
+		if first := firstEqual(runner, ownedK); first < len(ownedK) {
+			if c.Duplicates == Reject {
+				return nil, fmt.Errorf("store: duplicate key %v", ownedK[first])
 			}
+			ownedK, ownedV = dedupe(ownedK, ownedV, first, c.Duplicates == KeepLast)
 		}
-	case KeepFirst, KeepLast:
-		ownedK, ownedV = dedupe(ownedK, ownedV, c.Duplicates == KeepLast)
 	}
 	n := len(ownedK)
 	c = c.forRecords(n) // dedupe may have shrunk below the shard count
@@ -370,13 +370,41 @@ func BuildSet[K cmp.Ordered](keys []K, opts ...Option) (*Set[K], error) {
 	return Build[K, struct{}](keys, nil, opts...)
 }
 
+// firstEqual returns the smallest i > 0 with keys[i] == keys[i-1], or
+// len(keys) when no neighbours are equal. Each worker scans one block of
+// neighbour pairs, stopping at its first equal one.
+func firstEqual[K cmp.Ordered](r par.Runner, keys []K) int {
+	n := len(keys)
+	p := r.P()
+	if n < sortSerialBelow {
+		p = 1
+	}
+	found := make([]int, p)
+	r.Tasks(p, func(w int, _ par.Runner) {
+		found[w] = n
+		for i, hi := max(1, w*n/p), (w+1)*n/p; i < hi; i++ {
+			if keys[i] == keys[i-1] {
+				found[w] = i
+				return
+			}
+		}
+	})
+	for _, i := range found {
+		if i < n {
+			return i
+		}
+	}
+	return n
+}
+
 // dedupe compacts equal-key runs of the sorted records in place, keeping
-// the first element of each run (or the last, when keepLast). vals may be
-// nil.
-func dedupe[K cmp.Ordered, V any](keys []K, vals []V, keepLast bool) ([]K, []V) {
-	w := 0
-	for i := range keys {
-		if w > 0 && keys[i] == keys[w-1] {
+// the first element of each run (or the last, when keepLast). from is
+// the first index whose key equals its predecessor's: the records before
+// it stay where they are. vals may be nil.
+func dedupe[K cmp.Ordered, V any](keys []K, vals []V, from int, keepLast bool) ([]K, []V) {
+	w := from
+	for i := from; i < len(keys); i++ {
+		if keys[i] == keys[w-1] {
 			if keepLast && vals != nil {
 				vals[w-1] = vals[i]
 			}

@@ -292,3 +292,24 @@ func TestBuildDoesNotMutateInput(t *testing.T) {
 		t.Fatal("Build mutated its vals slice")
 	}
 }
+
+// BenchmarkBuild times Build of 2^22 uniform random uint64 keys with
+// uint64 values at the default options: the stable sort, the duplicate
+// scan, the range partition and the vEB layout write of every shard.
+//
+//	go test -run '^$' -bench '^BenchmarkBuild$' ./store
+func BenchmarkBuild(b *testing.B) {
+	const n = 1 << 22
+	rng := rand.New(rand.NewSource(1))
+	keys, vals := make([]uint64, n), make([]uint64, n)
+	for i := range keys {
+		keys[i], vals[i] = rng.Uint64(), rng.Uint64()
+	}
+	b.ResetTimer()
+	for range b.N {
+		if _, err := store.Build(keys, vals); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
+}
