@@ -21,10 +21,11 @@
 //
 //   - layout: layout definitions, index arithmetic (including in-order
 //     rank -> array position), reference builders, and Write/Read, the
-//     in-place layout writer (sorted -> layout) and reader behind store;
+//     in-place layout writer (sorted -> layout) and reader (layout ->
+//     sorted, the one way back) behind store;
 //   - perm:   the in-place parallel permutations (the paper's
-//     contribution), keys-only (Permute/Unpermute) and payload-carrying
-//     (PermuteWith/UnpermuteWith);
+//     contribution), keys-only (Permute) and payload-carrying
+//     (PermuteWith); no serving package imports it;
 //   - search: queries on every layout — exact, predecessor, successor,
 //     rank access, and ordered Range/Scan iteration without unpermuting;
 //   - store:  the serving layer. Store is the static sharded key–value

@@ -5,6 +5,7 @@ package main
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"implicitlayout/layout"
 	"implicitlayout/perm"
@@ -27,7 +28,7 @@ func main() {
 
 	// 3. Query the layout. Each search touches one cache line per tree
 	//    level instead of one per comparison (binary search).
-	ix := search.NewIndex(keys, layout.BTree, perm.DefaultB)
+	ix := search.NewIndex(keys, layout.BTree, layout.DefaultB)
 	for _, q := range []uint64{1, 99991, 2*n - 1, 42} {
 		if pos := ix.Find(q); pos >= 0 {
 			fmt.Printf("Find(%d)  -> position %d\n", q, pos)
@@ -41,9 +42,9 @@ func main() {
 		fmt.Printf("Pred(100) -> %d\n", keys[pos])
 	}
 
-	// 4. The permutation is invertible: restore sorted order in place.
-	if err := perm.Unpermute(keys, layout.BTree, perm.WithWorkers(runtime.NumCPU())); err != nil {
-		panic(err)
-	}
-	fmt.Printf("restored sorted order: keys[0]=%d keys[%d]=%d\n", keys[0], n-1, keys[n-1])
+	// 4. Restore sorted order in place with layout.Read, the way back
+	//    from every layout (no values ride along here).
+	layout.Read[uint64, struct{}](layout.BTree, keys, nil, keys, nil, layout.DefaultB)
+	fmt.Printf("restored sorted order: %v, keys[0]=%d keys[%d]=%d\n",
+		slices.IsSorted(keys), keys[0], n-1, keys[n-1])
 }

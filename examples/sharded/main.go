@@ -79,7 +79,7 @@ func main() {
 	}
 	wg.Wait()
 
-	// 5. Export the sorted snapshot (Unpermute per shard, concurrently)
+	// 5. Export the sorted snapshot (layout.Read per shard, concurrently)
 	//    and migrate the same keys to a 16-shard B-tree store — the
 	//    original store keeps serving until the swap.
 	sorted, _ := st.Export()

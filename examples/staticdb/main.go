@@ -67,7 +67,7 @@ func main() {
 var sink uint64
 
 func run(name string, keys []uint64, payload []uint32, k layout.Kind, queries []uint64, ptime time.Duration) time.Duration {
-	ix := search.NewIndex(keys, k, perm.DefaultB)
+	ix := search.NewIndex(keys, k, layout.DefaultB)
 	start := time.Now()
 	var acc uint64
 	for _, q := range queries {

@@ -70,7 +70,7 @@ func valueAt(pos int, arr []uint64) uint64 {
 var sink uint64
 
 func measure(label string, arr []uint64, k layout.Kind, probes []uint64, want []uint64) time.Duration {
-	ix := search.NewIndex(arr, k, perm.DefaultB)
+	ix := search.NewIndex(arr, k, layout.DefaultB)
 	// Correctness spot check against the sorted reference.
 	for i := range want {
 		if got := valueAt(ix.Predecessor(probes[i]), arr); got != want[i] {

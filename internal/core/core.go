@@ -13,8 +13,6 @@
 package core
 
 import (
-	"fmt"
-
 	"implicitlayout/internal/bits"
 	"implicitlayout/internal/par"
 	"implicitlayout/internal/vec"
@@ -85,27 +83,6 @@ func Permute[T any, V vec.Vec[T]](o Options, v V, k layout.Kind, a Algorithm) {
 	default:
 		panic("core: unknown layout/algorithm combination")
 	}
-}
-
-// Unpermute restores sorted order from layout k in v, in place and in
-// parallel, with the involution rounds whichever family built it: both
-// realize the same permutation. An unknown layout is an error.
-func Unpermute[T any, V vec.Vec[T]](o Options, v V, k layout.Kind) error {
-	switch k {
-	case layout.Sorted:
-		// identity
-	case layout.BST:
-		InvertInvolutionBST[T](o, v)
-	case layout.BTree:
-		InvertInvolutionBTree[T](o, v)
-	case layout.VEB:
-		InvertInvolutionVEB[T](o, v)
-	case layout.Hier:
-		InvertHier[T](o, v)
-	default:
-		return fmt.Errorf("perm: unknown layout %v", k)
-	}
-	return nil
 }
 
 // Algorithm selects one of the paper's two algorithm families.

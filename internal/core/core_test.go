@@ -185,56 +185,6 @@ func TestSoftwareReverserMatchesHardware(t *testing.T) {
 	}
 }
 
-// TestInvertInvolutionBST round-trips permute + invert for all small n.
-func TestInvertInvolutionBST(t *testing.T) {
-	for n := 0; n <= 300; n++ {
-		a := seq(n)
-		o := Options{Runner: par.Runner{Lo: 0, Hi: 2, MinFor: 1}}
-		InvolutionBST[int](o, vec.Of(a))
-		InvertInvolutionBST[int](o, vec.Of(a))
-		if !reflect.DeepEqual(a, seq(n)) {
-			t.Fatalf("n=%d: round trip failed: %v", n, a)
-		}
-	}
-}
-
-// TestInvertInvolutionBTree round-trips for all small n and several B.
-func TestInvertInvolutionBTree(t *testing.T) {
-	for _, b := range []int{1, 2, 3, 7} {
-		for n := 0; n <= 300; n++ {
-			a := seq(n)
-			o := Options{Runner: par.New(1), B: b}
-			InvolutionBTree[int](o, vec.Of(a))
-			InvertInvolutionBTree[int](o, vec.Of(a))
-			if !reflect.DeepEqual(a, seq(n)) {
-				t.Fatalf("B=%d n=%d: round trip failed", b, n)
-			}
-		}
-	}
-}
-
-// TestInvertHier round-trips the hierarchical layout for all small n and
-// several cacheline capacities, built by either algorithm family, serial
-// and parallel.
-func TestInvertHier(t *testing.T) {
-	runners := []par.Runner{par.New(1), {Lo: 0, Hi: 3, MinFor: 1}}
-	for _, b := range []int{1, 2, 4} {
-		for _, a := range Algorithms() {
-			for _, rn := range runners {
-				o := Options{Runner: rn, B: b}
-				for n := 0; n <= 300; n++ {
-					arr := seq(n)
-					PermuteHier[int](o, vec.Of(arr), a)
-					InvertHier[int](o, vec.Of(arr))
-					if !reflect.DeepEqual(arr, seq(n)) {
-						t.Fatalf("B=%d %v P=%d n=%d: round trip failed", b, a, rn.P(), n)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestResultIndependentOfP: the permutation is deterministic and identical
 // for any worker count (Definition 1 requires correctness for all P >= 1).
 func TestResultIndependentOfP(t *testing.T) {
@@ -283,47 +233,6 @@ func TestGatherPartialLevel(t *testing.T) {
 			}
 			if !reflect.DeepEqual(a, wantArr) {
 				t.Fatalf("b=%d n=%d:\n got %v\nwant %v", b, n, a, wantArr)
-			}
-		}
-	}
-}
-
-// TestScatterInvertsGather: scatterPartialLevel is the exact inverse.
-func TestScatterInvertsGather(t *testing.T) {
-	rn := par.New(2)
-	for _, b := range []int{1, 2, 4} {
-		for n := 1; n <= 200; n++ {
-			a := seq(n)
-			gatherPartialLevel[int](rn, vec.Of(a), 0, n, b)
-			scatterPartialLevel[int](rn, vec.Of(a), 0, n, b)
-			if !reflect.DeepEqual(a, seq(n)) {
-				t.Fatalf("b=%d n=%d: scatter did not invert gather", b, n)
-			}
-		}
-	}
-}
-
-// TestInvertInvolutionVEB round-trips the vEB layout for every small n
-// (both construction algorithms produce the same layout, so one inverse
-// serves both) plus larger perfect and non-perfect sizes.
-func TestInvertInvolutionVEB(t *testing.T) {
-	runners := []par.Runner{par.New(1), {Lo: 0, Hi: 3, MinFor: 1}}
-	for _, rn := range runners {
-		o := Options{Runner: rn}
-		for n := 0; n <= 300; n++ {
-			a := seq(n)
-			InvolutionVEB[int](o, vec.Of(a))
-			InvertInvolutionVEB[int](o, vec.Of(a))
-			if !reflect.DeepEqual(a, seq(n)) {
-				t.Fatalf("P=%d n=%d: vEB round trip failed: %v", rn.P(), n, a)
-			}
-		}
-		for _, n := range []int{1023, 1024, 5000, 16383, 16384, 40000} {
-			a := seq(n)
-			CycleVEB[int](o, vec.Of(a)) // cycle-built layout, involution-inverted
-			InvertInvolutionVEB[int](o, vec.Of(a))
-			if !reflect.DeepEqual(a, seq(n)) {
-				t.Fatalf("P=%d n=%d: cycle->invert round trip failed", rn.P(), n)
 			}
 		}
 	}

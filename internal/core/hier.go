@@ -34,21 +34,6 @@ func PermuteHier[T any, V vec.Vec[T]](o Options, v V, a Algorithm) {
 	})
 }
 
-// InvertHier restores sorted order from the hierarchical layout by
-// unwinding PermuteHier: each page block is inverted back to its sorted
-// window, then the outer page-granular B-tree permutation is inverted.
-// As with the other layouts, inversion is involution-based whichever
-// algorithm family built the layout.
-func InvertHier[T any, V vec.Vec[T]](o Options, v V) {
-	outer, inner, p := hierOptions(o)
-	hierPages(o.runner(), v.Len(), p, func(sub par.Runner, off, pk int) {
-		io := inner
-		io.Runner = sub
-		InvertInvolutionBTree[T](io, vec.Window[T](v, off, pk))
-	})
-	InvertInvolutionBTree[T](outer, v)
-}
-
 // hierOptions splits the caller's options into the outer (page-capacity)
 // and inner (cacheline-capacity) kernel configurations.
 func hierOptions(o Options) (outer, inner Options, p int) {

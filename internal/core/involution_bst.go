@@ -44,19 +44,3 @@ type bstRound2 struct{ rev bits.Reverser }
 
 // Map returns revBelowMSB(i+1) - 1.
 func (m bstRound2) Map(i uint64) uint64 { return bits.RevBelowMSB(m.rev, i+1) - 1 }
-
-// InvertInvolutionBST restores sorted order from a BST layout produced by
-// InvolutionBST (or CycleBST — the layouts are identical) by applying the
-// involutions in the opposite order and undoing the partial-level gather.
-func InvertInvolutionBST[T any, V vec.Vec[T]](o Options, v V) {
-	rn := o.runner()
-	rev := o.rev()
-	n := v.Len()
-	full, d := fullSize(n, 1)
-	if full >= 2 {
-		cost := rev.Cost(d) + 4
-		shuffle.ApplyInvolution[T](rn, v, 0, full, cost, bstRound2{rev: rev})
-		shuffle.ApplyInvolution[T](rn, v, 0, full, cost, bstRound1{rev: rev, d: d})
-	}
-	scatterPartialLevel[T](rn, v, 0, n, 1)
-}

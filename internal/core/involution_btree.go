@@ -37,20 +37,3 @@ func btreeInvolutionPerfect[T any, V vec.Vec[T]](rn par.Runner, v V, b, full, d 
 		ne = leafStart
 	}
 }
-
-// InvertInvolutionBTree restores sorted order from a B-tree layout by
-// unwinding the involution rounds bottom-up.
-func InvertInvolutionBTree[T any, V vec.Vec[T]](o Options, v V) {
-	rn := o.runner()
-	b := o.b()
-	n := v.Len()
-	_, d := fullSize(n, b)
-	k := b + 1
-	for e := 2; e <= d; e++ {
-		ne := bits.Pow(k, e) - 1
-		leafStart := bits.Pow(k, e-1) - 1
-		shuffle.KUnshuffle[T](rn, v, leafStart, ne-leafStart, b)
-		shuffle.KShuffle1[T](rn, v, 0, ne, k)
-	}
-	scatterPartialLevel[T](rn, v, 0, n, b)
-}

@@ -52,26 +52,3 @@ func gatherPartialLevel[T any, V vec.Vec[T]](rn par.Runner, v V, off, n, b int) 
 func fullSize(n, b int) (full, h int) {
 	return layout.PerfectPrefix(n, b+1)
 }
-
-// scatterPartialLevel is the exact inverse of gatherPartialLevel: it
-// re-interleaves the partial-level keys from the end of the window back
-// into sorted order. Used by the inverse (un-permute) transformations.
-func scatterPartialLevel[T any, V vec.Vec[T]](rn par.Runner, v V, off, n, b int) {
-	k := b + 1
-	full, _ := layout.PerfectPrefix(n, k)
-	w := n - full
-	if w == 0 {
-		return
-	}
-	d := (w + b - 1) / b
-	s := w - b*(d-1)
-	shuffle.RotateRight[T](rn, v, off+(d-1), n-(d-1), (d-1)*b+s)
-	if d > 1 {
-		region := (d - 1) * k
-		shuffle.RotateRight[T](rn, v, off, region, (d-1)*b)
-		if b >= 2 {
-			shuffle.KUnshuffle[T](rn, v, off, (d-1)*b, b)
-		}
-		shuffle.KShuffle[T](rn, v, off, region, k)
-	}
-}

@@ -283,29 +283,6 @@ func KUnshuffle1[T any, V vec.Vec[T]](r par.Runner, v V, lo, n, k int) {
 	ApplyInvolution1[T](r, v, lo, n, cost, JMap{R: 1, M: m})
 }
 
-// KShuffle1 is the inverse of KUnshuffle1: the k-way perfect shuffle with
-// simulated 1-indexing on v[lo : lo+n), n+1 a multiple of k.
-func KShuffle1[T any, V vec.Vec[T]](r par.Runner, v V, lo, n, k int) {
-	dom := n + 1
-	checkDeck(dom, k)
-	if k == 1 || dom <= k {
-		return
-	}
-	ku := uint64(k)
-	if d, ok := bits.PerfectKTreeExp(ku, n); ok {
-		if d < 2 {
-			return
-		}
-		ApplyInvolution1[T](r, v, lo, n, costRev(ku, d-1), RevKMap{K: ku, B: d - 1})
-		ApplyInvolution1[T](r, v, lo, n, costRev(ku, d), RevKMap{K: ku, B: d})
-		return
-	}
-	m := uint64(dom - 1)
-	cost := costJ(dom)
-	ApplyInvolution1[T](r, v, lo, n, cost, JMap{R: 1, M: m})
-	ApplyInvolution1[T](r, v, lo, n, cost, JMap{R: ku, M: m})
-}
-
 // ApplyInvolution1 applies involution f over the 1-indexed domain
 // {0, ..., n} (index 0 phantom and necessarily fixed by f) to the array
 // window [lo, lo+n): array slot q corresponds to domain index q+1.

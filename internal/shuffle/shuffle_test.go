@@ -233,22 +233,6 @@ func TestKUnshuffle1GathersStrided(t *testing.T) {
 	}
 }
 
-// TestKShuffle1InvertsKUnshuffle1 round-trips.
-func TestKShuffle1InvertsKUnshuffle1(t *testing.T) {
-	r := par.New(3)
-	r.MinFor = 1
-	for _, tc := range []struct{ n, k int }{
-		{7, 2}, {26, 3}, {63, 4}, {124, 5}, {31, 2}, {80, 9},
-	} {
-		a := seq(tc.n)
-		KUnshuffle1[int](r, vec.Of(a), 0, tc.n, tc.k)
-		KShuffle1[int](r, vec.Of(a), 0, tc.n, tc.k)
-		if !reflect.DeepEqual(a, seq(tc.n)) {
-			t.Fatalf("n=%d k=%d: round trip failed: %v", tc.n, tc.k, a)
-		}
-	}
-}
-
 func TestSwapBlocks(t *testing.T) {
 	for _, r := range runners() {
 		a := seq(1000)

@@ -64,6 +64,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("layout.Kind(%d)", int(k))
 }
 
+// DefaultB is the default B-tree node capacity: 8 keys of 8 bytes fill one
+// 64-byte cache line, the configuration the paper benchmarks on CPUs.
+const DefaultB = 8
+
 // Kinds lists the four tree layouts (excluding Sorted): the paper's
 // three plus the hierarchical two-level layout of hier.go.
 func Kinds() []Kind { return []Kind{BST, BTree, VEB, Hier} }

@@ -26,18 +26,3 @@ func Example() {
 	// bst:  [8 4 12 2 6 10 14 1 3 5 7 9 11 13 15]
 	// veb:  [8 4 12 2 1 3 6 5 7 10 9 11 14 13 15]
 }
-
-// Unpermute restores sorted order in place for the BST and B-tree
-// layouts.
-func ExampleUnpermute() {
-	data := []uint64{1, 2, 3, 4, 5, 6, 7}
-	perm.Permute(data, layout.BST, perm.CycleLeader)
-	fmt.Println(data)
-	if err := perm.Unpermute(data, layout.BST); err != nil {
-		panic(err)
-	}
-	fmt.Println(data)
-	// Output:
-	// [4 2 6 1 3 5 7]
-	// [1 2 3 4 5 6 7]
-}

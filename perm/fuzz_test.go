@@ -51,27 +51,28 @@ func FuzzPermuteMatchesOracle(f *testing.F) {
 	})
 }
 
-// FuzzUnpermuteRoundTrip checks the inverse transformations from fuzzed
-// parameters: Unpermute on keys alone, and UnpermuteWith on keys with a
-// value slice riding the same permutation, so both entry points of the
-// shared inverse are exercised.
-func FuzzUnpermuteRoundTrip(f *testing.F) {
-	f.Add(uint16(100), uint8(0), uint8(4))
-	f.Add(uint16(4096), uint8(1), uint8(8))
-	f.Add(uint16(80), uint8(1), uint8(9))
-	f.Fuzz(func(t *testing.T, nRaw uint16, kindRaw, bRaw uint8) {
+// FuzzPermuteReadRoundTrip checks that layout.Read, the one way back to
+// sorted order, undoes the paper's permutations: Permute on keys alone
+// and PermuteWith on keys with a value slice, over fuzzed sizes, node
+// capacities, layouts, families and worker counts, each read back in
+// place to the sorted keys and pairs.
+func FuzzPermuteReadRoundTrip(f *testing.F) {
+	f.Add(uint16(100), uint8(0), uint8(4), uint8(0), uint8(2))
+	f.Add(uint16(4096), uint8(1), uint8(8), uint8(1), uint8(2))
+	f.Add(uint16(80), uint8(3), uint8(9), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, nRaw uint16, kindRaw, bRaw, algoRaw, pRaw uint8) {
 		n := int(nRaw) % 3000
 		kind := layout.Kinds()[int(kindRaw)%len(layout.Kinds())]
 		b := int(bRaw)%16 + 1
+		algo := Algorithms()[int(algoRaw)%2]
+		p := int(pRaw)%4 + 1
 		sorted := sortedKeys(n)
 		got := make([]uint64, n)
 		copy(got, sorted)
-		Permute(got, kind, CycleLeader, WithB(b), WithWorkers(2))
-		if err := Unpermute(got, kind, WithB(b), WithWorkers(2)); err != nil {
-			t.Fatal(err)
-		}
+		Permute(got, kind, algo, WithB(b), WithWorkers(p))
+		layout.Read[uint64, int32](kind, got, nil, got, nil, b)
 		if !reflect.DeepEqual(got, sorted) {
-			t.Fatalf("n=%d %v b=%d: round trip failed", n, kind, b)
+			t.Fatalf("n=%d %v/%v b=%d p=%d: round trip failed", n, kind, algo, b, p)
 		}
 		keys := make([]uint64, n)
 		copy(keys, sorted)
@@ -79,16 +80,14 @@ func FuzzUnpermuteRoundTrip(f *testing.F) {
 		for i := range vals {
 			vals[i] = int32(-i)
 		}
-		PermuteWith(keys, vals, kind, CycleLeader, WithB(b), WithWorkers(2))
-		if err := UnpermuteWith(keys, vals, kind, WithB(b), WithWorkers(2)); err != nil {
-			t.Fatal(err)
-		}
+		PermuteWith(keys, vals, kind, algo, WithB(b), WithWorkers(p))
+		layout.Read(kind, keys, vals, keys, vals, b)
 		if !reflect.DeepEqual(keys, sorted) {
-			t.Fatalf("n=%d %v b=%d: paired round trip lost key order", n, kind, b)
+			t.Fatalf("n=%d %v/%v b=%d p=%d: paired round trip lost key order", n, kind, algo, b, p)
 		}
 		for i, v := range vals {
 			if v != int32(-i) {
-				t.Fatalf("n=%d %v b=%d: value %d of key rank %d, want %d", n, kind, b, v, i, -i)
+				t.Fatalf("n=%d %v/%v b=%d p=%d: value %d of key rank %d, want %d", n, kind, algo, b, p, v, i, -i)
 			}
 		}
 	})

@@ -8,11 +8,11 @@ import (
 )
 
 // TestHierPermuteBoundaries: the hierarchical layout's two-pass in-place
-// construction matches the oracle, and Unpermute restores sorted order,
-// for both algorithm families across the boundary shapes the two-level
-// blocking produces — n=1, below one cacheline block, below one page
-// block, exact page multiples, and partial trailing blocks at both
-// levels — with several cacheline capacities and worker counts.
+// construction matches the oracle, and layout.Read restores sorted
+// order, for both algorithm families across the boundary shapes the
+// two-level blocking produces — n=1, below one cacheline block, below
+// one page block, exact page multiples, and partial trailing blocks at
+// both levels — with several cacheline capacities and worker counts.
 func TestHierPermuteBoundaries(t *testing.T) {
 	for _, b := range []int{1, 2, 8} {
 		p := layout.HierPageKeys(b)
@@ -30,9 +30,7 @@ func TestHierPermuteBoundaries(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("b=%d n=%d %v P=%d: permute mismatch", b, n, a, workers)
 					}
-					if err := Unpermute(got, layout.Hier, WithB(b), WithWorkers(workers)); err != nil {
-						t.Fatalf("b=%d n=%d: Unpermute: %v", b, n, err)
-					}
+					layout.Read[uint64, int](layout.Hier, got, nil, got, nil, b)
 					if !reflect.DeepEqual(got, sorted) {
 						t.Fatalf("b=%d n=%d %v P=%d: round trip failed", b, n, a, workers)
 					}
@@ -43,7 +41,7 @@ func TestHierPermuteBoundaries(t *testing.T) {
 }
 
 // TestHierPermuteWithRoundTrip: PermuteWith moves values by the same
-// hierarchical permutation as keys, and UnpermuteWith restores both.
+// hierarchical permutation as keys, and layout.Read restores both.
 func TestHierPermuteWithRoundTrip(t *testing.T) {
 	n := 3*layout.HierPageKeys(DefaultB) + 29
 	keys := sortedKeys(n)
@@ -62,10 +60,8 @@ func TestHierPermuteWithRoundTrip(t *testing.T) {
 			t.Fatalf("pos %d: value %d not moved with key %d", i, gotV[i], k)
 		}
 	}
-	if err := UnpermuteWith(gotK, gotV, layout.Hier, WithWorkers(2)); err != nil {
-		t.Fatal(err)
-	}
+	layout.Read(layout.Hier, gotK, gotV, gotK, gotV, DefaultB)
 	if !reflect.DeepEqual(gotK, keys) || !reflect.DeepEqual(gotV, vals) {
-		t.Fatal("UnpermuteWith round trip failed")
+		t.Fatal("layout.Read round trip failed")
 	}
 }

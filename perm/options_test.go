@@ -3,8 +3,6 @@ package perm
 import (
 	"runtime"
 	"testing"
-
-	"implicitlayout/layout"
 )
 
 // TestOptionPlumbing pins the config-to-core translation: exactly one
@@ -23,31 +21,6 @@ func TestOptionPlumbing(t *testing.T) {
 		o := buildConfig([]Option{WithWorkers(w)}).options()
 		if got, want := o.Runner.P(), runtime.GOMAXPROCS(0); got != want {
 			t.Fatalf("WithWorkers(%d) runner has %d workers, want GOMAXPROCS=%d", w, got, want)
-		}
-	}
-}
-
-// TestUnpermuteInvertsBothFamilies documents the involution-based
-// inversion contract: Unpermute restores sorted order no matter which
-// Algorithm built the layout, because both families realize the same
-// permutation.
-func TestUnpermuteInvertsBothFamilies(t *testing.T) {
-	const n = 1500
-	for _, k := range layout.Kinds() {
-		for _, a := range Algorithms() {
-			data := make([]uint64, n)
-			for i := range data {
-				data[i] = uint64(i)
-			}
-			Permute(data, k, a, WithWorkers(4))
-			if err := Unpermute(data, k, WithWorkers(4)); err != nil {
-				t.Fatalf("%v/%v: %v", k, a, err)
-			}
-			for i := range data {
-				if data[i] != uint64(i) {
-					t.Fatalf("%v/%v: not restored at %d", k, a, i)
-				}
-			}
 		}
 	}
 }

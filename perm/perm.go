@@ -17,16 +17,16 @@
 //	perm.PermuteWith(keys, vals, layout.VEB, perm.CycleLeader)
 //	if pos := idx.Find(q); pos >= 0 { use(vals[pos]) }
 //
-// Unpermute and UnpermuteWith invert the layouts back to sorted order,
-// also in place. Every permutation uses O(P log N) auxiliary space (the
-// paper's Definition 1 of parallel in-place), works for any array length
+// Every permutation uses O(P log N) auxiliary space (the paper's
+// Definition 1 of parallel in-place), works for any array length
 // (Chapter 5), and is deterministic for every worker count.
 //
 // This package is the paper's operation, kept as the thing its
 // experiments measure (cmd/paperbench, perfbench's build workload). The
 // store package builds the same arrays with layout.Write, which writes
 // every record straight to its final position instead of permuting in
-// place; the store's tests pin the two to identical output.
+// place; the store's tests pin the two to identical output. The way
+// back to sorted order, for arrays built either way, is layout.Read.
 package perm
 
 import (
@@ -68,16 +68,15 @@ func (a Algorithm) core() core.Algorithm {
 // Algorithms lists both families.
 func Algorithms() []Algorithm { return []Algorithm{Involution, CycleLeader} }
 
-// DefaultB is the default B-tree node capacity: 8 keys of 8 bytes fill one
-// 64-byte cache line, the configuration the paper benchmarks on CPUs.
-const DefaultB = 8
+// DefaultB is the default B-tree node capacity, layout.DefaultB.
+const DefaultB = layout.DefaultB
 
 type config struct {
 	workers int
 	b       int
 }
 
-// Option configures Permute and Unpermute.
+// Option configures Permute and PermuteWith.
 type Option func(*config)
 
 // WithWorkers sets the number of parallel workers P (default 1; values
@@ -109,19 +108,4 @@ func Permute[T any](data []T, k layout.Kind, a Algorithm, opts ...Option) {
 	// is one word where a Slice is three (a Zip six).
 	s := vec.Of(data)
 	core.Permute[T](buildConfig(opts).options(), &s, k, a.core())
-}
-
-// Unpermute restores ascending sorted order from a layout previously
-// produced by Permute (with the same B for B-tree layouts), in place and
-// in parallel, for every layout.
-//
-// Inversion is always involution-based, whichever Algorithm built the
-// layout: Involution and CycleLeader realize the identical permutation
-// (they differ only in how the swaps are scheduled), and running the
-// involution rounds in reverse order inverts it with the lowest depth.
-// Unpermute therefore needs only the layout kind and B — an Algorithm
-// choice would be meaningless here, so none is accepted.
-func Unpermute[T any](data []T, k layout.Kind, opts ...Option) error {
-	s := vec.Of(data)
-	return core.Unpermute[T](buildConfig(opts).options(), &s, k)
 }

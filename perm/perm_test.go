@@ -50,34 +50,6 @@ func TestPermuteOptions(t *testing.T) {
 	}
 }
 
-// TestUnpermuteRoundTrip: Permute then Unpermute restores sorted order for
-// every layout, with either construction algorithm.
-func TestUnpermuteRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, 26, 100, 1000, 4095, 4096} {
-		sorted := sortedKeys(n)
-		for _, k := range append(layout.Kinds(), layout.Sorted) {
-			for _, a := range Algorithms() {
-				got := make([]uint64, n)
-				copy(got, sorted)
-				Permute(got, k, a, WithWorkers(2))
-				if err := Unpermute(got, k, WithWorkers(2)); err != nil {
-					t.Fatalf("Unpermute(%v): %v", k, err)
-				}
-				if !reflect.DeepEqual(got, sorted) {
-					t.Fatalf("n=%d %v/%v: round trip failed", n, k, a)
-				}
-			}
-		}
-	}
-}
-
-// TestUnpermuteUnknownKind: an unknown layout kind is reported.
-func TestUnpermuteUnknownKind(t *testing.T) {
-	if err := Unpermute(sortedKeys(10), layout.Kind(99)); err == nil {
-		t.Fatal("expected error for unknown layout kind")
-	}
-}
-
 // TestPermuteIsPermutation: property — output is a rearrangement of the
 // input (no key lost or duplicated), for a generic element type.
 func TestPermuteIsPermutation(t *testing.T) {

@@ -29,20 +29,3 @@ func PermuteWith[K, V any](keys []K, vals []V, k layout.Kind, a Algorithm, opts 
 	z := vec.ZipOf(keys, vals)
 	core.Permute[vec.KV[K, V]](buildConfig(opts).options(), &z, k, a.core())
 }
-
-// UnpermuteWith restores ascending sorted order from a layout previously
-// produced by PermuteWith (or by Permute on the keys with vals permuted
-// alongside), applying the inverse permutation to keys and vals alike. As
-// with Unpermute, inversion is involution-based whichever Algorithm built
-// the layout, so no Algorithm is accepted; B must match the build for
-// B-tree layouts.
-//
-// UnpermuteWith panics if len(keys) != len(vals).
-func UnpermuteWith[K, V any](keys []K, vals []V, k layout.Kind, opts ...Option) error {
-	if len(keys) != len(vals) {
-		panic(fmt.Sprintf("perm: UnpermuteWith slice lengths differ: %d keys, %d vals",
-			len(keys), len(vals)))
-	}
-	z := vec.ZipOf(keys, vals)
-	return core.Unpermute[vec.KV[K, V]](buildConfig(opts).options(), &z, k)
-}

@@ -41,10 +41,10 @@ func TestPermuteWithMatchesKeysAndMovesVals(t *testing.T) {
 	}
 }
 
-// TestPermuteWithUnpermuteWithRoundTrip is the acceptance property: the
-// pair (PermuteWith, UnpermuteWith) round-trips key–value pairs for all
-// three layouts, both algorithm families, and awkward sizes.
-func TestPermuteWithUnpermuteWithRoundTrip(t *testing.T) {
+// TestPermuteWithReadRoundTrip: layout.Read restores the key–value pairs
+// PermuteWith laid out, for every layout, both algorithm families, and
+// awkward sizes.
+func TestPermuteWithReadRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 26, 255, 256, 1000, 4095} {
 		sorted := sortedKeys(n)
 		origVals := make([]int64, n)
@@ -56,9 +56,7 @@ func TestPermuteWithUnpermuteWithRoundTrip(t *testing.T) {
 				keys := append([]uint64(nil), sorted...)
 				vals := append([]int64(nil), origVals...)
 				PermuteWith(keys, vals, k, a, WithWorkers(2))
-				if err := UnpermuteWith(keys, vals, k, WithWorkers(2)); err != nil {
-					t.Fatalf("n=%d %v/%v: UnpermuteWith: %v", n, k, a, err)
-				}
+				layout.Read(k, keys, vals, keys, vals, DefaultB)
 				if !slices.Equal(keys, sorted) || !slices.Equal(vals, origVals) {
 					t.Fatalf("n=%d %v/%v: round trip lost data", n, k, a)
 				}
@@ -68,7 +66,7 @@ func TestPermuteWithUnpermuteWithRoundTrip(t *testing.T) {
 }
 
 // TestPermuteWithNonDefaultB: pairs follow the keys for B-tree layouts
-// built with a custom node capacity, and the inverse honors the same B.
+// built with a custom node capacity, and read back with the same B.
 func TestPermuteWithNonDefaultB(t *testing.T) {
 	const n, b = 2000, 4
 	sorted := sortedKeys(n)
@@ -86,38 +84,23 @@ func TestPermuteWithNonDefaultB(t *testing.T) {
 			t.Fatalf("val detached at %d", i)
 		}
 	}
-	if err := UnpermuteWith(keys, vals, layout.BTree, WithB(b)); err != nil {
-		t.Fatal(err)
-	}
+	layout.Read(layout.BTree, keys, vals, keys, vals, b)
 	if !reflect.DeepEqual(keys, sorted) {
-		t.Fatal("UnpermuteWith with WithB(4) did not restore sorted order")
+		t.Fatal("layout.Read with b=4 did not restore sorted order")
+	}
+	for i := range keys {
+		if vals[i] != keys[i]*10 {
+			t.Fatalf("val detached at %d after Read", i)
+		}
 	}
 }
 
 // TestPermuteWithLengthMismatchPanics: mismatched slices must fail loudly.
 func TestPermuteWithLengthMismatchPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"PermuteWith": func() {
-			PermuteWith([]uint64{1, 2}, []int{1}, layout.BST, CycleLeader)
-		},
-		"UnpermuteWith": func() {
-			_ = UnpermuteWith([]uint64{1, 2}, []int{1}, layout.BST)
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s with mismatched lengths should panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-// TestUnpermuteWithUnknownLayout mirrors Unpermute's error contract.
-func TestUnpermuteWithUnknownLayout(t *testing.T) {
-	if err := UnpermuteWith([]uint64{1}, []int{1}, layout.Kind(99)); err == nil {
-		t.Fatal("unknown layout should error")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PermuteWith with mismatched lengths should panic")
+		}
+	}()
+	PermuteWith([]uint64{1, 2}, []int{1}, layout.BST, CycleLeader)
 }

@@ -3,9 +3,11 @@
 #
 # Builds cmd/implicitlint (the project-specific analyzer suite) and runs
 # it over the whole module through `go vet -vettool`, then asserts the
-# serving packages' dependency graph stays standard-library-only. Any
-# finding, or any third-party import reachable from ./store, fails the
-# script. Run from the module root:
+# serving packages' dependency graph stays standard-library-only and
+# free of the paper's permutation kernels. Any finding, any third-party
+# import reachable from ./store, or perm or its kernels reachable from
+# ./store, ./server or ./client fails the script. Run from the module
+# root:
 #
 #   ./scripts/lint.sh
 #
@@ -33,6 +35,19 @@ echo "==> serving dep graph stays std-only"
 bad="$(go list -deps ./store | grep -v '^implicitlayout' | awk -F/ '$1 ~ /\./' || true)"
 if [ -n "$bad" ]; then
     echo "non-std packages in the serving dep graph:" >&2
+    printf '%s\n' "$bad" >&2
+    exit 1
+fi
+
+echo "==> serving dep graph stays clear of the paper's kernels"
+# The serving stack lays arrays out with layout.Write and reads them back
+# with layout.Read; perm and the in-place kernels under it are the
+# paper's measured operation and stand beside the stack, not under it.
+deps="$(go list -deps ./store ./server ./client)"
+bad="$(printf '%s\n' "$deps" |
+    grep -E '^implicitlayout/(perm|internal/(core|gather|shuffle|vec|numth))$' || true)"
+if [ -n "$bad" ]; then
+    echo "permutation packages in the serving dep graph:" >&2
     printf '%s\n' "$bad" >&2
     exit 1
 fi

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"implicitlayout/layout"
-	"implicitlayout/perm"
 )
 
 // Index bundles a laid-out array with the query routine matching its
@@ -19,17 +18,17 @@ type Index[T cmp.Ordered] struct {
 
 // NewIndex wraps data, already permuted into layout k (with node capacity
 // b for B-tree layouts), in a queryable index. It does not copy data.
-// For B-tree layouts a b below 1 defaults to perm.DefaultB, matching the
-// capacity perm.Permute uses when none is given — pass b explicitly
-// whenever the layout was built with perm.WithB: b must equal the build
-// capacity or every query silently descends the wrong tree. It panics on
-// a Kind that names no layout.
+// For B-tree layouts a b below 1 defaults to layout.DefaultB, matching
+// the capacity perm.Permute and store.Build use when none is given —
+// pass b explicitly whenever the layout was built with another: b must
+// equal the build capacity or every query silently descends the wrong
+// tree. It panics on a Kind that names no layout.
 func NewIndex[T cmp.Ordered](data []T, k layout.Kind, b int) *Index[T] {
 	switch k {
 	case layout.Sorted, layout.BST, layout.VEB:
 	case layout.BTree, layout.Hier:
 		if b < 1 {
-			b = perm.DefaultB
+			b = layout.DefaultB
 		}
 	default:
 		panic(fmt.Sprintf("search: unknown layout %v", k))

@@ -5,20 +5,19 @@ import (
 	"testing"
 
 	"implicitlayout/layout"
-	"implicitlayout/perm"
 )
 
 // TestNewIndexDefaultB: a B-tree index built with b < 1 defaults to
-// perm.DefaultB instead of panicking, and queries a layout permuted with
+// layout.DefaultB instead of panicking, and queries a layout permuted with
 // the same default correctly.
 func TestNewIndexDefaultB(t *testing.T) {
 	const n = 1000
 	sorted := oddKeys(n)
-	arr := layout.Build(layout.BTree, sorted, perm.DefaultB)
+	arr := layout.Build(layout.BTree, sorted, layout.DefaultB)
 	for _, b := range []int{0, -1} {
 		ix := NewIndex(arr, layout.BTree, b)
-		if ix.B() != perm.DefaultB {
-			t.Fatalf("NewIndex(b=%d).B() = %d, want %d", b, ix.B(), perm.DefaultB)
+		if ix.B() != layout.DefaultB {
+			t.Fatalf("NewIndex(b=%d).B() = %d, want %d", b, ix.B(), layout.DefaultB)
 		}
 		for i := 0; i < n; i++ {
 			x := uint64(2*i + 1)

@@ -21,7 +21,9 @@
 // it has one (batch.go).
 // These primitives are what the store layer builds its record serving
 // on: positions returned by an Index are array positions, so a value
-// slice moved by perm.PermuteWith is indexed by the very same integers.
+// slice laid out alongside its keys (layout.Write, perm.PermuteWith) is
+// indexed by the very same integers. A caller that wants the sorted
+// array itself back restores it with layout.Read.
 package search
 
 import (

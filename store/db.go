@@ -65,7 +65,9 @@ type DBConfig struct {
 	// Store holds the build options every run is built with — layout,
 	// shard count, B, workers. WithDuplicates is ignored: the write path
 	// has overwrite semantics, so runs are always built KeepLast (see the
-	// duplicate-policy table in README.md).
+	// duplicate-policy table in README.md). WithMmap(true) is refused:
+	// how runs are served is DBConfig.Mmap, and Open fails rather than
+	// serve heap-decoded runs the caller asked to map.
 	Store []Option
 }
 
@@ -178,6 +180,9 @@ func Open[K cmp.Ordered, V any](dir string, cfg DBConfig) (*DB[K, V], error) {
 	runCfg, err := newConfig(append(slices.Clip(cfg.Store), WithDuplicates(KeepLast)))
 	if err != nil {
 		return nil, fmt.Errorf("store: invalid run options: %w", err)
+	}
+	if runCfg.Mmap {
+		return nil, errors.New("store: WithMmap in DBConfig.Store does not map runs; set DBConfig.Mmap")
 	}
 	db := &DB[K, V]{
 		cfg:    cfg,

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -396,6 +397,12 @@ func TestDBConfigValidation(t *testing.T) {
 	}
 	if _, err := NewDB[int, int](DBConfig{Store: []Option{WithLayout(layout.Kind(99))}}); err == nil {
 		t.Fatal("unknown layout accepted")
+	}
+	// WithMmap among the run options would be silently dropped (runs are
+	// served by DBConfig.Mmap), so Open refuses it and names the field.
+	if _, err := Open[int, int](t.TempDir(), DBConfig{Store: []Option{WithMmap(true)}}); err == nil ||
+		!strings.Contains(err.Error(), "DBConfig.Mmap") {
+		t.Fatalf("WithMmap(true) in DBConfig.Store: err = %v, want one naming DBConfig.Mmap", err)
 	}
 	// KeepAll must be overridden, not honored: the DB is KeepLast only.
 	db, err := NewDB[int, int](DBConfig{MemLimit: 2, Store: []Option{WithDuplicates(KeepAll)}})

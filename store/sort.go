@@ -692,9 +692,10 @@ func parallelSort[T cmp.Ordered](r par.Runner, a []T) {
 }
 
 // parallelSortStable sorts a ascending by the comparison cmpf, stably:
-// elements that compare equal keep their input order. The build pipeline
-// uses it for key–value records, where stability is what makes the
-// duplicate-key policies (first/last occurrence wins) well defined.
+// elements that compare equal keep their input order. The merge engine
+// uses it for key–value records with string keys, the only keys
+// sortByKey sends there, where stability is what makes the duplicate-key
+// policies (first/last occurrence wins) well defined.
 func parallelSortStable[E any](r par.Runner, a []E, cmpf func(E, E) int) {
 	parallelSortRuns(r, a,
 		func(run []E) { slices.SortStableFunc(run, cmpf) },
@@ -703,10 +704,10 @@ func parallelSortStable[E any](r par.Runner, a []E, cmpf func(E, E) int) {
 
 // parallelSortRuns is the shared engine: each worker sorts one contiguous
 // run with sortRun, then runs are merged pairwise in parallel rounds under
-// the order less. It uses one n-element scratch buffer; the build pipeline
-// is the only caller, so the transient allocation never touches the query
-// path. The merge keeps the left run on ties, so the whole sort is stable
-// whenever sortRun is.
+// the order less. It uses one n-element scratch buffer; sortByKey's merge
+// engine is the only caller, so the transient allocation never touches
+// the query path. The merge keeps the left run on ties, so the whole sort
+// is stable whenever sortRun is.
 func parallelSortRuns[E any](r par.Runner, a []E, sortRun func([]E), less func(E, E) bool) {
 	n := len(a)
 	p := r.P()
@@ -816,9 +817,10 @@ func coRank[E any](t int, x, y []E, less func(E, E) bool) (int, int) {
 
 // mergeRuns merges the sorted runs x and y into dst, which must have
 // length len(x)+len(y). The left run wins ties, which preserves input
-// order across the contiguous stage-1 runs; for cmp.Ordered keys less is
-// cmp.Less, the order slices.Sort produces, so the parallel path orders
-// float NaNs exactly like the serial path.
+// order across the contiguous stage-1 runs. less is the order the runs
+// were sorted by — cmp.Less for the keys-only string sort, the key
+// comparison for records — so the parallel path orders keys exactly like
+// the serial path.
 func mergeRuns[E any](dst, x, y []E, less func(E, E) bool) {
 	i, j, k := 0, 0, 0
 	for i < len(x) && j < len(y) {

@@ -74,7 +74,6 @@ import (
 	"implicitlayout/internal/filter"
 	"implicitlayout/internal/par"
 	"implicitlayout/layout"
-	"implicitlayout/perm"
 	"implicitlayout/search"
 )
 
@@ -121,7 +120,7 @@ type Config struct {
 	Shards int
 	// Layout is the per-shard memory layout (default layout.VEB).
 	Layout layout.Kind
-	// B is the B-tree node capacity (default perm.DefaultB); ignored by
+	// B is the B-tree node capacity (default layout.DefaultB); ignored by
 	// the BST and vEB layouts.
 	B int
 	// Workers bounds the build pipeline's parallelism (values below 1
@@ -150,7 +149,7 @@ func WithShards(s int) Option { return func(c *Config) { c.Shards = s } }
 // WithLayout selects the per-shard layout (default layout.VEB).
 func WithLayout(k layout.Kind) Option { return func(c *Config) { c.Layout = k } }
 
-// WithB sets the B-tree node capacity (default perm.DefaultB).
+// WithB sets the B-tree node capacity (default layout.DefaultB).
 func WithB(b int) Option { return func(c *Config) { c.B = b } }
 
 // WithWorkers bounds the build parallelism (values below 1 select
@@ -183,7 +182,7 @@ func newConfig(opts []Option) (Config, error) {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.B < 1 {
-		c.B = perm.DefaultB
+		c.B = layout.DefaultB
 	}
 	return c, checkConfig(c)
 }
