@@ -26,7 +26,8 @@ func GatherAblation(cfg Config) Table {
 	t := Table{
 		Title: fmt.Sprintf("ablation: vEB cycle-leader gather variants (batch=%d, pem M=%d B=%d)",
 			ablationBatch, cfg.PEM.M, cfg.PEM.B),
-		Note:   "time columns in seconds (P=1); io columns are total simulated block transfers / N",
+		Note: "time columns in seconds (P=1), on the slice backend, which finishes subtrees of <= 2^11-1 keys by a cycle walk; " +
+			"io columns are total simulated block transfers / N, with the paper's recursion to the bottom",
 		Header: []string{"N", "t-plain", "t-batched", "t-transposed", "io-plain", "io-batched", "io-transposed"},
 	}
 	plain := cfg.options(1)

@@ -5,11 +5,18 @@
 // non-perfect tree extensions of Chapter 5 so any array length is
 // supported.
 //
-// Every algorithm moves data exclusively through the swap-based primitives
-// of internal/shuffle and internal/gather, generic over the memory backend
+// Every algorithm moves data through the swap-based primitives of
+// internal/shuffle and internal/gather, generic over the memory backend
 // (raw slice, PEM I/O simulator, GPU cost model), and parallelizes through
 // internal/par with O(P log N) auxiliary space — "in-place" per the
-// paper's Definition 1.
+// paper's Definition 1. One step leaves the swaps on the slice backends:
+// the vEB cycle-leader finishes each perfect subtree of at most 2^11-1
+// records in one in-place cycle walk over a fixed rank table
+// (Vec.ApplyCycles; one saved record per cycle, tables whose size depends
+// only on that bound), where the recursion below it would spend its time
+// in the frames around rotations of a few units. The cost-model backends
+// decline the walk, so they run the paper's recursion to the bottom and
+// every modelled count is that of the paper's algorithm.
 package core
 
 import (

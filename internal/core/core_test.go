@@ -47,6 +47,19 @@ func allAlgos() []algo {
 			o.GatherBatch = 8
 			CycleVEB[int](o, v)
 		}},
+		// The slice backends finish subtrees of up to 2^11-1 keys by a
+		// cycle walk; on noLeaf the paper's recursion runs to the bottom.
+		algo{"cycle-veb-recursion", layout.VEB, 0, func(o Options, v vec.Slice[int]) {
+			CycleVEB[int](o, noLeaf[int]{v})
+		}},
+		algo{"cycle-veb-transposed-recursion", layout.VEB, 0, func(o Options, v vec.Slice[int]) {
+			o.TransposedGather = true
+			CycleVEB[int](o, noLeaf[int]{v})
+		}},
+		algo{"cycle-veb-batched-recursion", layout.VEB, 0, func(o Options, v vec.Slice[int]) {
+			o.GatherBatch = 8
+			CycleVEB[int](o, noLeaf[int]{v})
+		}},
 	)
 	for _, b := range []int{1, 2, 3, 4, 7, 8} {
 		b := b

@@ -15,7 +15,10 @@ import (
 // odd level count), followed by parallel recursion into all subtrees.
 // O(N/P log log N) time — the fastest CPU algorithm in the paper's
 // measurements. With Options.TransposedGather the square gathers use the
-// matrix-transposition I/O optimization of Section 4.2.
+// matrix-transposition I/O optimization of Section 4.2. On backends that
+// apply cycle walks (Vec.ApplyCycles), perfect subtrees of at most
+// vebLeafLevels levels are laid out by one walk over their rank table
+// instead of by further splits.
 func CycleVEB[T any, V vec.Vec[T]](o Options, v V) {
 	vebEntry[T](o, v, cycleVEBOps[T, V](o.TransposedGather, o.GatherBatch))
 }
@@ -71,5 +74,6 @@ func cycleVEBOps[T any, V vec.Vec[T]](transposed bool, batch int) vebOps[T, V] {
 			lp := 1<<uint(lb-1) - 1
 			gather.ExtendedPerfect[T](rn, v, off, r, lp, 1)
 		},
+		leafLevels: vebLeafLevels,
 	}
 }

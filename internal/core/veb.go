@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"implicitlayout/internal/bits"
 	"implicitlayout/internal/par"
 	"implicitlayout/internal/shuffle"
@@ -21,6 +23,35 @@ type vebOps[T any, V vec.Vec[T]] struct {
 	// tree's split boundary Lt = ceil(L/2): the bottoms come out with
 	// Lb-1 levels each (their last level was peeled off beforehand).
 	fullSplit func(rn par.Runner, v V, off, nFull, L int)
+	// leafLevels is the largest level count of a perfect subtree laid
+	// out in one cycle walk over its rank table (vebCycles) on backends
+	// that apply one (Vec.ApplyCycles); 0 recurses to the bottom.
+	leafLevels int
+}
+
+// vebLeafLevels is the cycle-leader family's leafLevels: 2^11-1 uint64
+// key-value pairs are 32 KiB, an L1 data cache, and below that the
+// recursion spends its time in the frames around rotations of a few
+// units, not in moving data. At 2^22 pairs, cutoffs of 10 and 12 levels
+// measured no faster, and 10 was slower at 2^22-1.
+const vebLeafLevels = 11
+
+// vebCycleTables memoizes the cycle walks of the perfect vEB trees of up
+// to vebLeafLevels levels; their size depends only on that bound, never
+// on N, and concurrent workers share them read-only.
+var vebCycleTables [vebLeafLevels + 1]struct {
+	once sync.Once
+	c    *vec.Cycles
+}
+
+// vebCycles returns the cycle walks that take a sorted perfect subtree
+// of the given level count to its vEB layout.
+func vebCycles(levels int) *vec.Cycles {
+	e := &vebCycleTables[levels]
+	e.once.Do(func() {
+		e.c = vec.NewCycles(layout.Ranks(layout.VEB, 1<<uint(levels)-1, 0))
+	})
+	return e.c
 }
 
 // vebEntry permutes the sorted window into the vEB layout, dispatching
@@ -44,6 +75,9 @@ func vebEntry[T any, V vec.Vec[T]](o Options, v V, ops vebOps[T, V]) {
 // split, then recurse on the top tree and all bottom subtrees in parallel.
 func vebRecurse[T any, V vec.Vec[T]](rn par.Runner, v V, off, n, levels int, ops vebOps[T, V]) {
 	if levels <= 1 {
+		return
+	}
+	if levels <= ops.leafLevels && v.ApplyCycles(rn.Lo, off, vebCycles(levels)) {
 		return
 	}
 	ops.split(rn, v, off, n, levels)

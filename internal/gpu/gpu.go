@@ -183,6 +183,10 @@ func (v *Vec[T]) SwapUnits(p, i, di, j, dj, c, n int) {
 	vec.SwapUnitsLoop(v, p, i, di, j, dj, c, n)
 }
 
+// ApplyCycles declines: the kernel runs the paper's swap-based steps,
+// which are what this model charges.
+func (v *Vec[T]) ApplyCycles(int, int, *vec.Cycles) bool { return false }
+
 // BeginRound is informational here; launch counts come from Launches.
 func (v *Vec[T]) BeginRound(string, int) {}
 

@@ -199,6 +199,10 @@ func (v *Vec[T]) SwapUnits(p, i, di, j, dj, c, n int) {
 	vec.SwapUnitsLoop(v, p, i, di, j, dj, c, n)
 }
 
+// ApplyCycles declines: the kernel runs the paper's swap-based steps,
+// which are what this model charges.
+func (v *Vec[T]) ApplyCycles(int, int, *vec.Cycles) bool { return false }
+
 // BeginRound counts primitive rounds (informational).
 func (v *Vec[T]) BeginRound(string, int) { v.rounds.Add(1) }
 

@@ -13,7 +13,11 @@
 //
 // Every mutation is expressed as a swap (or a block swap), which makes the
 // in-place property of the algorithms structurally evident: no backend
-// needs auxiliary element storage.
+// needs auxiliary element storage. The one exception is ApplyCycles, a
+// fixed permutation of a small window applied by cycle walks (one saved
+// element per cycle): the slice backends use it to finish small vEB
+// cycle-leader subtrees in cache, and the model backends decline it, so
+// the kernel runs the paper's recursion all the way down on them.
 //
 // A kernel is generic over V, and Go calls a method of a type parameter
 // through the instantiation's dictionary: an indirect call that is never
@@ -60,6 +64,12 @@ type Vec[T any] interface {
 	// backends that cost index arithmetic (digit reversals, modular
 	// inverses). The slice backend ignores it.
 	AddInstr(p, n int)
+	// ApplyCycles permutes the window [off, off+c.N) by the cycle walks
+	// of c and reports true, or reports false and touches nothing. The
+	// slice backends apply it; the cost-model backends decline, so the
+	// kernel runs its own swap-based steps and every modelled count
+	// stays that of the paper's algorithm.
+	ApplyCycles(p, off int, c *Cycles) bool
 }
 
 // Slice adapts a plain slice to the Vec interface. The processor argument
@@ -138,6 +148,12 @@ func (Slice[T]) BeginRound(string, int) {}
 // AddInstr is a no-op for the raw slice backend.
 func (Slice[T]) AddInstr(int, int) {}
 
+// ApplyCycles runs the cycle walks of c over [off, off+c.N).
+func (v Slice[T]) ApplyCycles(_, off int, c *Cycles) bool {
+	applyCycles(v.S[off:], c)
+	return true
+}
+
 // View restricts a Vec to the window [off, off+n), translating indices.
 // Views compose; all backends keep their accounting because calls forward
 // to the underlying Vec.
@@ -180,3 +196,8 @@ func (w View[T, V]) BeginRound(name string, n int) { w.Base.BeginRound(name, n) 
 
 // AddInstr forwards instruction accounting to the base backend.
 func (w View[T, V]) AddInstr(p, n int) { w.Base.AddInstr(p, n) }
+
+// ApplyCycles forwards the window's cycle walks to the base backend.
+func (w View[T, V]) ApplyCycles(p, off int, c *Cycles) bool {
+	return w.Base.ApplyCycles(p, w.Off+off, c)
+}

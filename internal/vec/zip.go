@@ -76,3 +76,22 @@ func (Zip[K, V]) BeginRound(string, int) {}
 
 // AddInstr is a no-op for the zipped slice backend.
 func (Zip[K, V]) AddInstr(int, int) {}
+
+// ApplyCycles runs the cycle walks of c over [off, off+c.N), moving
+// each key and its value together.
+func (z Zip[K, V]) ApplyCycles(_, off int, c *Cycles) bool {
+	ks, vs := z.Keys[off:off+c.N], z.Vals[off:off+c.N]
+	walk := c.Walk
+	start := 0
+	for _, e := range c.Ends {
+		cyc := walk[start:e]
+		tk, tv := ks[cyc[0]], vs[cyc[0]]
+		for k := 1; k < len(cyc); k++ {
+			ks[cyc[k-1]], vs[cyc[k-1]] = ks[cyc[k]], vs[cyc[k]]
+		}
+		last := cyc[len(cyc)-1]
+		ks[last], vs[last] = tk, tv
+		start = int(e)
+	}
+	return true
+}

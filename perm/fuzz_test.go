@@ -7,20 +7,30 @@ import (
 	"implicitlayout/layout"
 )
 
+// maxFuzzN bounds the fuzzed sizes. It is above 2^13-1, so fuzzed vEB
+// trees of up to 13 levels recurse above the slice backends' cycle-walk
+// leaf (perfect subtrees of up to 2^11-1 records) before they take it.
+const maxFuzzN = 1<<13 + 8
+
 // FuzzPermuteMatchesOracle drives every algorithm/layout/parameter
 // combination from fuzzed inputs and checks the result against the
 // reference layout, for Permute on the keys alone and for PermuteWith,
 // whose values must follow their keys. Run with `go test -fuzz
 // FuzzPermuteMatchesOracle ./perm` for continuous exploration; the seed
-// corpus runs in CI mode.
+// corpus runs in CI mode. The vEB cycle-leader seeds at 2047, 2048, 4095
+// and 8191 are the cycle-walk leaf's largest perfect size, one past it
+// and the next two perfect sizes.
 func FuzzPermuteMatchesOracle(f *testing.F) {
 	f.Add(uint16(1), uint8(0), uint8(0), uint8(2), uint8(1))
 	f.Add(uint16(26), uint8(1), uint8(1), uint8(3), uint8(2))
 	f.Add(uint16(1000), uint8(2), uint8(0), uint8(8), uint8(3))
 	f.Add(uint16(4095), uint8(2), uint8(1), uint8(1), uint8(1))
 	f.Add(uint16(511), uint8(0), uint8(1), uint8(7), uint8(4))
+	f.Add(uint16(2047), uint8(2), uint8(1), uint8(1), uint8(2))
+	f.Add(uint16(2048), uint8(2), uint8(1), uint8(1), uint8(3))
+	f.Add(uint16(8191), uint8(2), uint8(1), uint8(1), uint8(2))
 	f.Fuzz(func(t *testing.T, nRaw uint16, kindRaw, algoRaw, bRaw, pRaw uint8) {
-		n := int(nRaw) % 3000
+		n := int(nRaw) % maxFuzzN
 		kind := layout.Kinds()[int(kindRaw)%len(layout.Kinds())]
 		algo := Algorithms()[int(algoRaw)%2]
 		b := int(bRaw)%16 + 1
@@ -55,13 +65,17 @@ func FuzzPermuteMatchesOracle(f *testing.F) {
 // sorted order, undoes the paper's permutations: Permute on keys alone
 // and PermuteWith on keys with a value slice, over fuzzed sizes, node
 // capacities, layouts, families and worker counts, each read back in
-// place to the sorted keys and pairs.
+// place to the sorted keys and pairs. The vEB seeds sit at the cycle-walk
+// leaf's largest perfect size, one past it and the next perfect size.
 func FuzzPermuteReadRoundTrip(f *testing.F) {
 	f.Add(uint16(100), uint8(0), uint8(4), uint8(0), uint8(2))
 	f.Add(uint16(4096), uint8(1), uint8(8), uint8(1), uint8(2))
 	f.Add(uint16(80), uint8(3), uint8(9), uint8(1), uint8(3))
+	f.Add(uint16(2047), uint8(2), uint8(1), uint8(1), uint8(1))
+	f.Add(uint16(2048), uint8(2), uint8(1), uint8(1), uint8(2))
+	f.Add(uint16(4095), uint8(2), uint8(1), uint8(1), uint8(3))
 	f.Fuzz(func(t *testing.T, nRaw uint16, kindRaw, bRaw, algoRaw, pRaw uint8) {
-		n := int(nRaw) % 3000
+		n := int(nRaw) % maxFuzzN
 		kind := layout.Kinds()[int(kindRaw)%len(layout.Kinds())]
 		b := int(bRaw)%16 + 1
 		algo := Algorithms()[int(algoRaw)%2]

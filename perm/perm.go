@@ -19,7 +19,11 @@
 //
 // Every permutation uses O(P log N) auxiliary space (the paper's
 // Definition 1 of parallel in-place), works for any array length
-// (Chapter 5), and is deterministic for every worker count.
+// (Chapter 5), and is deterministic for every worker count. The vEB
+// cycle-leader runs the paper's recursion down to perfect subtrees of
+// 2^11-1 records and finishes each in one in-place cycle walk over a
+// fixed rank table, which fits the L1 cache; the cost models behind
+// cmd/paperbench run the recursion all the way down.
 //
 // This package is the paper's operation, kept as the thing its
 // experiments measure (cmd/paperbench, perfbench's build workload). The

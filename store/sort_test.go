@@ -603,6 +603,12 @@ func BenchmarkSortByKey(b *testing.B) {
 		{"correlated24", func(x uint64) uint64 { return x>>56<<56 | x>>48&0xff*(1<<48|1<<40) | x&(1<<24-1) }},
 		{"dups", func(x uint64) uint64 { return x & (1<<16 - 1) * 0x9e3779b97f4a7c15 }},
 		{"narrow", func(x uint64) uint64 { return 1<<50 + x&(1<<40-1) }},
+		// Bytes 5-3 are one hash of one random byte, over 24 random low
+		// bits: the product of their distinct counts overestimates the
+		// groups, the shape where sortBucket trails the plain LSD pass.
+		{"dependent3", func(x uint64) uint64 {
+			return x>>56<<56 | (x>>48&0xff+1)*0x9e3779b97f4a7c15>>40<<24 | x&(1<<24-1)
+		}},
 	} {
 		benchSortByKey(b, d.name, 1<<22, d.conv, false)
 	}
