@@ -19,14 +19,21 @@ const ablationBatch = 8
 // cycle-leader algorithm from Section 4.2 — direct strided cycles,
 // per-worker cycle batching (the "simpler solution"), and the
 // matrix-transposition blocking — on both wall-clock time and simulated
-// block transfers. It substantiates that section's design-choice
-// discussion: batching wins on real caches; transposition wins on large
-// blocks but pays constant-factor passes.
+// block transfers. Measured with `paperbench -minlog 16 -maxlog 20
+// -trials 3 sec4.2` (one worker, 2 vCPU x86-64 guest, Go 1.24), it does
+// not bear out the section's claim that batching wins on real caches:
+// plain strided cycles led on time at every N (2^20-1: 0.0042 s plain,
+// 0.0050 batched, 0.0121 transposed). In simulated block transfers
+// batching matched plain up to 2^17-1, trailed it at 2^18-1 and 2^19-1,
+// and first won at 2^20-1 (0.36 against 1.01 per key); transposition
+// stayed at 0.81-0.94 per key at every N, paying its constant-factor
+// passes.
 func GatherAblation(cfg Config) Table {
 	t := Table{
 		Title: fmt.Sprintf("ablation: vEB cycle-leader gather variants (batch=%d, pem M=%d B=%d)",
 			ablationBatch, cfg.PEM.M, cfg.PEM.B),
-		Note: "time columns in seconds (P=1), on the slice backend, which finishes subtrees of <= 2^11-1 keys by a cycle walk; " +
+		Note: "perfect sizes, so no Chapter 5 pre-pass runs in either column; " +
+			"time columns in seconds (P=1), on the slice backend, which finishes subtrees of <= 2^11-1 keys by a cycle walk; " +
 			"io columns are total simulated block transfers / N, with the paper's recursion to the bottom",
 		Header: []string{"N", "t-plain", "t-batched", "t-transposed", "io-plain", "io-batched", "io-transposed"},
 	}

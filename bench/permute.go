@@ -117,8 +117,11 @@ func describe(best map[layout.Kind]pick, costFmt string) string {
 // workers (1 reproduces Figure 6.1).
 func PermuteTimes(cfg Config) Table {
 	t := Table{
-		Title:  fmt.Sprintf("fig6.1/6.2: permute time [s] vs N (P=%d, B=%d)", cfg.P, cfg.B),
-		Note:   fmt.Sprintf("%d trials per cell; 64-bit keys; softwareRev=%v", cfg.Trials, cfg.SoftwareRev),
+		Title: fmt.Sprintf("fig6.1/6.2: permute time [s] vs N (P=%d, B=%d)", cfg.P, cfg.B),
+		Note: fmt.Sprintf("%d trials per cell; 64-bit keys; softwareRev=%v; "+
+			"N = 2^lg is not a perfect size: on this slice backend the B-tree cells separate the partial level "+
+			"by block rotations, not by the paper's J un-shuffle the cost models count, and vEB keeps its one "+
+			"last-level key at the front of each subtree (BST's is one rotation on either path)", cfg.Trials, cfg.SoftwareRev),
 		Header: append([]string{"N"}, algoNames()...),
 	}
 	for lg := cfg.MinLog; lg <= cfg.MaxLog; lg++ {

@@ -9,14 +9,26 @@
 // internal/shuffle and internal/gather, generic over the memory backend
 // (raw slice, PEM I/O simulator, GPU cost model), and parallelizes through
 // internal/par with O(P log N) auxiliary space — "in-place" per the
-// paper's Definition 1. One step leaves the swaps on the slice backends:
-// the vEB cycle-leader finishes each perfect subtree of at most 2^11-1
-// records in one in-place cycle walk over a fixed rank table
-// (Vec.ApplyCycles; one saved record per cycle, tables whose size depends
-// only on that bound), where the recursion below it would spend its time
-// in the frames around rotations of a few units. The cost-model backends
-// decline the walk, so they run the paper's recursion to the bottom and
-// every modelled count is that of the paper's algorithm.
+// paper's Definition 1. Two steps differ on the slice backends, which
+// apply cycle walks (Vec.ApplyCycles):
+//
+//   - the vEB cycle-leader finishes each perfect subtree of at most
+//     2^11-1 records in one in-place cycle walk over a fixed rank table
+//     (one saved record per cycle, tables whose size depends only on that
+//     bound), where the recursion below it would spend its time in the
+//     frames around rotations of a few units;
+//   - the Chapter 5 pre-pass separates the partial last level from the
+//     full levels by block rotations (separateLeaves, O(n log m) moves for
+//     m last-level nodes) instead of the J un-shuffle, which evaluates a
+//     modular inverse per key. BST, B-tree and hier still park the last
+//     level at the end; vEB parks it at the front and carries that front
+//     form down the recursion (vebFrontSeparated), so at n = 2^k its
+//     overhead over a perfect tree is one rotation of r+1 records per
+//     level, where r is the top tree's size.
+//
+// The cost-model backends decline the walk, so they run the paper's
+// recursion to the bottom and the paper's pre-pass, and every modelled
+// count is that of the paper's algorithm.
 package core
 
 import (

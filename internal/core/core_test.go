@@ -48,7 +48,15 @@ func allAlgos() []algo {
 			CycleVEB[int](o, v)
 		}},
 		// The slice backends finish subtrees of up to 2^11-1 keys by a
-		// cycle walk; on noLeaf the paper's recursion runs to the bottom.
+		// cycle walk and separate the partial level by block rotations;
+		// on noLeaf the paper's recursion runs to the bottom and the
+		// Chapter 5 pre-pass is the J un-shuffle, as on the cost models.
+		algo{"cycle-bst-declined", layout.BST, 0, func(o Options, v vec.Slice[int]) {
+			CycleBST[int](o, noLeaf[int]{v})
+		}},
+		algo{"involution-veb-declined", layout.VEB, 0, func(o Options, v vec.Slice[int]) {
+			InvolutionVEB[int](o, noLeaf[int]{v})
+		}},
 		algo{"cycle-veb-recursion", layout.VEB, 0, func(o Options, v vec.Slice[int]) {
 			CycleVEB[int](o, noLeaf[int]{v})
 		}},
@@ -71,6 +79,10 @@ func allAlgos() []algo {
 			algo{"cycle-btree/B=" + itoa(b), layout.BTree, b, func(o Options, v vec.Slice[int]) {
 				o.B = b
 				CycleBTree[int](o, v)
+			}},
+			algo{"cycle-btree-declined/B=" + itoa(b), layout.BTree, b, func(o Options, v vec.Slice[int]) {
+				o.B = b
+				CycleBTree[int](o, noLeaf[int]{v})
 			}},
 		)
 	}
@@ -216,36 +228,50 @@ func TestResultIndependentOfP(t *testing.T) {
 }
 
 // TestGatherPartialLevel checks the Chapter 5 pre-pass directly: fulls to
-// the front, partial level to the back, both in order.
+// the front, partial level to the back, both in order, on the slice
+// backend (rotation separation) and on one that declines (the J path).
 func TestGatherPartialLevel(t *testing.T) {
 	rn := par.Runner{Lo: 0, Hi: 2, MinFor: 1}
-	for _, b := range []int{1, 2, 3, 5} {
-		for n := 1; n <= 200; n++ {
-			a := seq(n)
-			full, w := gatherPartialLevel[int](rn, vec.Of(a), 0, n, b)
-			if full+w != n {
-				t.Fatalf("b=%d n=%d: full=%d w=%d don't sum", b, n, full, w)
-			}
-			// Expected: ranks of full-level keys ascending, then leaves.
-			ranks := layout.Ranks(layout.BTree, n, b)
-			isLeafKey := make([]bool, n)
-			for pos := full; pos < n; pos++ {
-				// positions full.. in the layout are the partial level
-				isLeafKey[ranks[pos]] = true
-			}
-			var wantArr []int
-			for i := 0; i < n; i++ {
-				if !isLeafKey[i] {
-					wantArr = append(wantArr, i)
+	backends := []struct {
+		name string
+		run  func(a []int, n, b int) (full, w int)
+	}{
+		{"slice", func(a []int, n, b int) (int, int) {
+			return gatherPartialLevel[int](rn, vec.Of(a), 0, n, b)
+		}},
+		{"declined", func(a []int, n, b int) (int, int) {
+			return gatherPartialLevel[int](rn, noLeaf[int]{vec.Of(a)}, 0, n, b)
+		}},
+	}
+	for _, be := range backends {
+		for _, b := range []int{1, 2, 3, 5} {
+			for n := 1; n <= 200; n++ {
+				a := seq(n)
+				full, w := be.run(a, n, b)
+				if full+w != n {
+					t.Fatalf("%s b=%d n=%d: full=%d w=%d don't sum", be.name, b, n, full, w)
 				}
-			}
-			for i := 0; i < n; i++ {
-				if isLeafKey[i] {
-					wantArr = append(wantArr, i)
+				// Expected: ranks of full-level keys ascending, then leaves.
+				ranks := layout.Ranks(layout.BTree, n, b)
+				isLeafKey := make([]bool, n)
+				for pos := full; pos < n; pos++ {
+					// positions full.. in the layout are the partial level
+					isLeafKey[ranks[pos]] = true
 				}
-			}
-			if !reflect.DeepEqual(a, wantArr) {
-				t.Fatalf("b=%d n=%d:\n got %v\nwant %v", b, n, a, wantArr)
+				var wantArr []int
+				for i := 0; i < n; i++ {
+					if !isLeafKey[i] {
+						wantArr = append(wantArr, i)
+					}
+				}
+				for i := 0; i < n; i++ {
+					if isLeafKey[i] {
+						wantArr = append(wantArr, i)
+					}
+				}
+				if !reflect.DeepEqual(a, wantArr) {
+					t.Fatalf("%s b=%d n=%d:\n got %v\nwant %v", be.name, b, n, a, wantArr)
+				}
 			}
 		}
 	}

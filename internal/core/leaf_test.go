@@ -10,9 +10,10 @@ import (
 	"implicitlayout/layout"
 )
 
-// noLeaf is a slice backend that declines the cycle-walk leaf, so the
-// vEB cycle-leader kernels run the paper's recursion to the bottom on
-// it, as on the cost-model backends.
+// noLeaf is a slice backend that declines cycle walks, as the cost-model
+// backends do: the vEB cycle-leader kernels run the paper's recursion to
+// the bottom on it, and every kernel's Chapter 5 pre-pass is the paper's
+// J un-shuffle rather than the rotation separation.
 type noLeaf[T any] struct{ vec.Slice[T] }
 
 func (noLeaf[T]) ApplyCycles(int, int, *vec.Cycles) bool { return false }
@@ -47,6 +48,31 @@ func TestVEBCyclesMatchRanks(t *testing.T) {
 			if cycles[j] != 1 {
 				t.Fatalf("levels=%d: position %d on %d cycles", levels, j, cycles[j])
 			}
+		}
+	}
+}
+
+// TestVEBFrontCyclesMatchRanks: for every level count the leaf covers,
+// the memoized front-form walks take a perfect tree in front form (the
+// even ranks, then the odd ones) to the vEB rank table.
+func TestVEBFrontCyclesMatchRanks(t *testing.T) {
+	for levels := 2; levels <= vebLeafLevels; levels++ {
+		n := 1<<uint(levels) - 1
+		want := layout.Ranks(layout.VEB, n, 0)
+		c := vebFrontCycles(levels)
+		if c != vebFrontCycles(levels) || c == vebCycles(levels) {
+			t.Fatalf("levels=%d: table not memoized apart from the sorted one", levels)
+		}
+		var got []int
+		for q := 0; q < n; q += 2 {
+			got = append(got, q)
+		}
+		for q := 1; q < n; q += 2 {
+			got = append(got, q)
+		}
+		vec.Of(got).ApplyCycles(0, 0, c)
+		if !slices.Equal(got, want) {
+			t.Fatalf("levels=%d: front-form walk differs from the rank table at %d", levels, firstDiff(got, want))
 		}
 	}
 }

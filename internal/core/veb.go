@@ -24,8 +24,9 @@ type vebOps[T any, V vec.Vec[T]] struct {
 	// Lb-1 levels each (their last level was peeled off beforehand).
 	fullSplit func(rn par.Runner, v V, off, nFull, L int)
 	// leafLevels is the largest level count of a perfect subtree laid
-	// out in one cycle walk over its rank table (vebCycles) on backends
-	// that apply one (Vec.ApplyCycles); 0 recurses to the bottom.
+	// out in one cycle walk over its rank table (vebCycles, or
+	// vebFrontCycles in front form) on backends that apply one
+	// (Vec.ApplyCycles); 0 recurses to the bottom.
 	leafLevels int
 }
 
@@ -37,21 +38,48 @@ type vebOps[T any, V vec.Vec[T]] struct {
 const vebLeafLevels = 11
 
 // vebCycleTables memoizes the cycle walks of the perfect vEB trees of up
-// to vebLeafLevels levels; their size depends only on that bound, never
-// on N, and concurrent workers share them read-only.
+// to vebLeafLevels levels, from sorted order (sorted) and from the front
+// form of vebFrontSeparated (front); their size depends only on that
+// bound, never on N, and concurrent workers share them read-only.
 var vebCycleTables [vebLeafLevels + 1]struct {
+	sorted, front memoCycles
+}
+
+// memoCycles is one cycle table, built on first use.
+type memoCycles struct {
 	once sync.Once
 	c    *vec.Cycles
+}
+
+func (m *memoCycles) get(src func() []int) *vec.Cycles {
+	m.once.Do(func() { m.c = vec.NewCycles(src()) })
+	return m.c
 }
 
 // vebCycles returns the cycle walks that take a sorted perfect subtree
 // of the given level count to its vEB layout.
 func vebCycles(levels int) *vec.Cycles {
-	e := &vebCycleTables[levels]
-	e.once.Do(func() {
-		e.c = vec.NewCycles(layout.Ranks(layout.VEB, 1<<uint(levels)-1, 0))
+	return vebCycleTables[levels].sorted.get(func() []int {
+		return layout.Ranks(layout.VEB, 1<<uint(levels)-1, 0)
 	})
-	return e.c
+}
+
+// vebFrontCycles returns the cycle walks that take a perfect subtree in
+// front form — its 2^(L-1) last-level keys (the even ranks), then its
+// full-level keys (the odd ranks), each in order — to its vEB layout.
+func vebFrontCycles(levels int) *vec.Cycles {
+	return vebCycleTables[levels].front.get(func() []int {
+		leaves := 1 << uint(levels-1)
+		src := layout.Ranks(layout.VEB, 2*leaves-1, 0)
+		for j, q := range src {
+			if q%2 == 0 {
+				src[j] = q / 2
+			} else {
+				src[j] = leaves + q/2
+			}
+		}
+		return src
+	})
 }
 
 // vebEntry permutes the sorted window into the vEB layout, dispatching
@@ -65,6 +93,11 @@ func vebEntry[T any, V vec.Vec[T]](o Options, v V, ops vebOps[T, V]) {
 	levels := bits.Levels(n)
 	if n == 1<<uint(levels)-1 {
 		vebRecurse[T](rn, v, 0, n, levels, ops)
+		return
+	}
+	if rotationSeparation[T](rn.Lo, v) {
+		fullN, w := parkPartialLevel[T](rn, v, 0, n)
+		vebFrontSeparated[T](rn, v, 0, fullN, w, levels, ops)
 		return
 	}
 	fullN, w := gatherPartialLevel[T](rn, v, 0, n, 1)
@@ -127,19 +160,34 @@ func vebAnySeparated[T any, V vec.Vec[T]](rn par.Runner, v V, off, fullN, w, lev
 	f := w / capB           // bottoms receiving a full leaf chunk
 	s := w - f*capB         // size of the partial chunk (bottom f)
 	mergeLeafChunks[T](rn, v, off+r, r+1, lp, capB, f, s)
-	child := func(sub par.Runner, j int) {
+	vebChildren[T](rn, v, off, w, levels, ops, func(sub par.Runner, start, wj int) {
+		vebAnySeparated[T](sub, v, start, lp, wj, lb, ops)
+	})
+}
+
+// vebChildren finishes a complete subtree with L levels and w last-level
+// keys once its keys sit at off as [T0][bottom_0]...[bottom_r]: it lays
+// out T0 and the bottoms without last-level keys by vebRecurse, and hands
+// each other bottom, at start with wj last-level keys, to separated. The
+// r+2 parts run in order on a serial runner, otherwise as parallel tasks.
+func vebChildren[T any, V vec.Vec[T]](rn par.Runner, v V, off, w, levels int, ops vebOps[T, V], separated func(sub par.Runner, start, wj int)) {
+	lt, lb := layout.VEBSplit(levels)
+	r := 1<<uint(lt) - 1
+	lp := 1<<uint(lb-1) - 1
+	capB := 1 << uint(lb-1)
+	bottom := func(sub par.Runner, j int) {
 		wj := clamp(w-j*capB, 0, capB)
 		start := off + r + j*lp + min(w, j*capB)
 		if wj == 0 {
 			vebRecurse[T](sub, v, start, lp, lb-1, ops)
 			return
 		}
-		vebAnySeparated[T](sub, v, start, lp, wj, lb, ops)
+		separated(sub, start, wj)
 	}
 	if rn.IsSerial() {
 		vebRecurse[T](rn, v, off, r, lt, ops)
 		for j := 0; j <= r; j++ {
-			child(rn, j)
+			bottom(rn, j)
 		}
 		return
 	}
@@ -148,8 +196,75 @@ func vebAnySeparated[T any, V vec.Vec[T]](rn par.Runner, v V, off, fullN, w, lev
 			vebRecurse[T](sub, v, off, r, lt, ops)
 			return
 		}
-		child(sub, i-1)
+		bottom(sub, i-1)
 	})
+}
+
+// vebFrontSeparated is vebAnySeparated for the slice backends' front
+// form: the keys of a complete subtree with L levels sit at
+// [off, off+w+fullN) as [w last-level keys, sorted][fullN full-level
+// keys, sorted]. It splits the full part at the original tree's boundary
+// into [T0][G_0]...[G_r], rotates the last-level keys past T0, and
+// interleaves only the chunks of the bottoms that receive last-level keys
+// with their full parts, each bottom in the same front form:
+//
+//	[C][T0][G_0..G_r] -> [T0][C_0..C_f][G_0..G_f][G_f+1..G_r]
+//	                  -> [T0][C_0 G_0]...[C_f G_f][G_f+1..G_r]
+//
+// Bottoms after f are never touched; those with last-level keys recurse
+// through this same form. At n = 2^k (w = 1) the cost over the perfect
+// split is one rotation of r+1 keys per level of the recursion. A
+// perfect subtree in front form (w = fullN+1) of at most ops.leafLevels
+// levels is finished by one cycle walk (vebFrontCycles), as vebRecurse
+// finishes sorted ones.
+func vebFrontSeparated[T any, V vec.Vec[T]](rn par.Runner, v V, off, fullN, w, levels int, ops vebOps[T, V]) {
+	if w == fullN+1 && levels <= ops.leafLevels && v.ApplyCycles(rn.Lo, off, vebFrontCycles(levels)) {
+		return
+	}
+	lt, lb := layout.VEBSplit(levels)
+	r := 1<<uint(lt) - 1
+	if lt == levels-1 {
+		// The full part is exactly T0 and every last-level key is its own
+		// single-node bottom subtree, in position once behind T0.
+		shuffle.RotateLeft[T](rn, v, off, w+r, w)
+		vebRecurse[T](rn, v, off, r, lt, ops)
+		return
+	}
+	ops.fullSplit(rn, v, off+w, fullN, levels)
+	shuffle.RotateLeft[T](rn, v, off, w+r, w)
+	lp := 1<<uint(lb-1) - 1 // bottom full-part size
+	capB := 1 << uint(lb-1) // bottom last-level capacity
+	interleaveFront[T](rn, v, off+r, 0, (w+capB-1)/capB, w, lp, capB)
+	vebChildren[T](rn, v, off, w, levels, ops, func(sub par.Runner, start, wj int) {
+		vebFrontSeparated[T](sub, v, start, lp, wj, lb, ops)
+	})
+}
+
+// interleaveFront turns [C_c0..C_c0+c-1][G_c0..G_c0+c-1] at pos into
+// [C_c0 G_c0]...[C_c0+c-1 G_c0+c-1], where the w last-level keys split
+// into chunks C_j of capB keys (the last one possibly shorter) and every
+// group G_j holds lp keys. Divide and conquer on c with one rotation per
+// node, [C_a][C_b][G_a][G_b] -> [C_a][G_a][C_b][G_b], the halves in
+// parallel above separateGrain keys: O(m log c) moves for the m keys
+// involved.
+func interleaveFront[T any, V vec.Vec[T]](rn par.Runner, v V, pos, c0, c, w, lp, capB int) {
+	if c <= 1 {
+		return
+	}
+	h := c / 2
+	ca := min(w, (c0+h)*capB) - c0*capB
+	cb := min(w, (c0+c)*capB) - (c0+h)*capB
+	shuffle.RotateLeft[T](rn, v, pos+ca, cb+h*lp, cb)
+	right := pos + ca + h*lp
+	if rn.IsSerial() || ca+cb+c*lp < separateGrain {
+		interleaveFront[T](rn, v, pos, c0, h, w, lp, capB)
+		interleaveFront[T](rn, v, right, c0+h, c-h, w, lp, capB)
+		return
+	}
+	rn.Do(
+		func(sub par.Runner) { interleaveFront[T](sub, v, pos, c0, h, w, lp, capB) },
+		func(sub par.Runner) { interleaveFront[T](sub, v, right, c0+h, c-h, w, lp, capB) },
+	)
 }
 
 // mergeLeafChunks interleaves two adjacent block sequences in place: nG

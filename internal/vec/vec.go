@@ -17,7 +17,11 @@
 // fixed permutation of a small window applied by cycle walks (one saved
 // element per cycle): the slice backends use it to finish small vEB
 // cycle-leader subtrees in cache, and the model backends decline it, so
-// the kernel runs the paper's recursion all the way down on them.
+// the kernel runs the paper's recursion all the way down on them. Its
+// answer also selects the kernels' Chapter 5 pre-pass: a backend that
+// applies the empty walk gets the partial level separated by block
+// rotations (and, for vEB, kept at the front of each subtree), one that
+// declines gets the paper's J un-shuffle.
 //
 // A kernel is generic over V, and Go calls a method of a type parameter
 // through the instantiation's dictionary: an indirect call that is never
@@ -68,7 +72,10 @@ type Vec[T any] interface {
 	// of c and reports true, or reports false and touches nothing. The
 	// slice backends apply it; the cost-model backends decline, so the
 	// kernel runs its own swap-based steps and every modelled count
-	// stays that of the paper's algorithm.
+	// stays that of the paper's algorithm. The kernels also probe it
+	// with the empty walk (N == 0) to pick their Chapter 5 pre-pass: the
+	// rotation separation where it is applied, the paper's J un-shuffle
+	// where it is declined. A backend answers every call the same way.
 	ApplyCycles(p, off int, c *Cycles) bool
 }
 

@@ -19,7 +19,10 @@ const maxFuzzN = 1<<13 + 8
 // FuzzPermuteMatchesOracle ./perm` for continuous exploration; the seed
 // corpus runs in CI mode. The vEB cycle-leader seeds at 2047, 2048, 4095
 // and 8191 are the cycle-walk leaf's largest perfect size, one past it
-// and the next two perfect sizes.
+// and the next two perfect sizes. The vEB seeds at 2^L + 31, 2^L + 32 and
+// 2^L + 33 (L = 11, 12) straddle the slice backends' front-form
+// boundaries: the first bottom's 32 last-level slots exactly full (s = 0),
+// then one and two keys into the next bottom (f = 1); 6144 is 3*2^11.
 func FuzzPermuteMatchesOracle(f *testing.F) {
 	f.Add(uint16(1), uint8(0), uint8(0), uint8(2), uint8(1))
 	f.Add(uint16(26), uint8(1), uint8(1), uint8(3), uint8(2))
@@ -29,6 +32,14 @@ func FuzzPermuteMatchesOracle(f *testing.F) {
 	f.Add(uint16(2047), uint8(2), uint8(1), uint8(1), uint8(2))
 	f.Add(uint16(2048), uint8(2), uint8(1), uint8(1), uint8(3))
 	f.Add(uint16(8191), uint8(2), uint8(1), uint8(1), uint8(2))
+	f.Add(uint16(2079), uint8(2), uint8(1), uint8(1), uint8(1))
+	f.Add(uint16(2080), uint8(2), uint8(0), uint8(1), uint8(2))
+	f.Add(uint16(2081), uint8(2), uint8(1), uint8(1), uint8(3))
+	f.Add(uint16(4127), uint8(2), uint8(0), uint8(1), uint8(3))
+	f.Add(uint16(4128), uint8(2), uint8(1), uint8(1), uint8(2))
+	f.Add(uint16(4129), uint8(2), uint8(1), uint8(1), uint8(1))
+	f.Add(uint16(6144), uint8(2), uint8(1), uint8(1), uint8(2))
+	f.Add(uint16(6144), uint8(1), uint8(1), uint8(8), uint8(2))
 	f.Fuzz(func(t *testing.T, nRaw uint16, kindRaw, algoRaw, bRaw, pRaw uint8) {
 		n := int(nRaw) % maxFuzzN
 		kind := layout.Kinds()[int(kindRaw)%len(layout.Kinds())]

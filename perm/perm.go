@@ -22,8 +22,12 @@
 // (Chapter 5), and is deterministic for every worker count. The vEB
 // cycle-leader runs the paper's recursion down to perfect subtrees of
 // 2^11-1 records and finishes each in one in-place cycle walk over a
-// fixed rank table, which fits the L1 cache; the cost models behind
-// cmd/paperbench run the recursion all the way down.
+// fixed rank table, which fits the L1 cache. For any length that is
+// not a perfect tree, the Chapter 5 pre-pass separates the partial last
+// level by block rotations rather than the paper's modular-inverse
+// un-shuffle, and vEB carries that level at the front of each subtree
+// down its recursion. The cost models behind cmd/paperbench run the
+// paper's recursion all the way down and its pre-pass.
 //
 // This package is the paper's operation, kept as the thing its
 // experiments measure (cmd/paperbench, perfbench's build workload). The
