@@ -68,12 +68,16 @@ func checksum(tag byte, payload []byte) uint32 {
 type Writer struct {
 	w   io.Writer
 	off int64
+	hdr [HeaderSize]byte // WriteBlock's header, here so it does not escape per call
 }
 
 // NewWriter returns a frame writer over w. The writer does no buffering
-// of its own: each WriteBlock issues one Write of the whole frame, so an
-// *os.File underneath has every acked frame in the OS page cache (a
-// process crash loses nothing; fsync policy is the caller's).
+// of its own: each WriteBlock issues one Write of the frame header and
+// one of the payload, straight from the caller's slice, so an *os.File
+// underneath has every acked frame in the OS page cache (a process crash
+// loses nothing; fsync policy is the caller's), and a crash between the
+// two writes leaves a torn tail, which readers already tell apart from
+// corruption.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // AppendFrame appends one frame holding payload under tag to dst and
@@ -83,19 +87,33 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 // append allocates nothing once the buffer has grown. The caller keeps
 // payload within MaxBlock.
 func AppendFrame(dst []byte, tag byte, payload []byte) []byte {
-	var hdr [HeaderSize]byte
-	hdr[0] = tag
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], checksum(tag, payload))
+	hdr := header(tag, payload)
 	return append(append(dst, hdr[:]...), payload...)
 }
 
-// WriteBlock appends one frame holding payload under the given tag.
+// header encodes the prelude of the frame holding payload under tag.
+func header(tag byte, payload []byte) (hdr [HeaderSize]byte) {
+	hdr[0] = tag
+	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[5:9], checksum(tag, payload))
+	return hdr
+}
+
+// WriteBlock appends one frame holding payload under the given tag: the
+// header, then the payload itself, never copied. The bytes are
+// AppendFrame's. Offset counts what the underlying writer accepted, so
+// after an error it still names the end of the bytes on the stream.
 func (bw *Writer) WriteBlock(tag byte, payload []byte) error {
 	if len(payload) > MaxBlock {
 		return fmt.Errorf("blockio: payload of %d bytes exceeds MaxBlock", len(payload))
 	}
-	n, err := bw.w.Write(AppendFrame(make([]byte, 0, HeaderSize+len(payload)), tag, payload))
+	bw.hdr = header(tag, payload)
+	n, err := bw.w.Write(bw.hdr[:])
+	bw.off += int64(n)
+	if err != nil || len(payload) == 0 {
+		return err
+	}
+	n, err = bw.w.Write(payload)
 	bw.off += int64(n)
 	return err
 }

@@ -70,6 +70,89 @@ func TestAppendFrame(t *testing.T) {
 	}
 }
 
+// TestWriteBlockTwoWrites: WriteBlock's stream is AppendFrame's bytes,
+// made of one write of the header and one of the caller's payload slice
+// itself, with no per-frame allocation however large the payload.
+func TestWriteBlockTwoWrites(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x5A, 0xA5, 0x01}, 1<<18)
+	var rec recordingWriter
+	bw := NewWriter(&rec)
+	if err := bw.WriteBlock('k', payload); err != nil {
+		t.Fatal(err)
+	}
+	if want := AppendFrame(nil, 'k', payload); !bytes.Equal(rec.buf.Bytes(), want) {
+		t.Fatalf("WriteBlock wrote %d bytes that differ from AppendFrame's %d", rec.buf.Len(), len(want))
+	}
+	if len(rec.writes) != 2 || rec.writes[0] != HeaderSize || &rec.last[0] != &payload[0] {
+		t.Fatalf("WriteBlock made writes of %v bytes; want [%d %d], the second the payload slice itself",
+			rec.writes, HeaderSize, len(payload))
+	}
+	bw = NewWriter(io.Discard)
+	write := func() {
+		if err := bw.WriteBlock('k', payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, write); n != 0 {
+		t.Fatalf("WriteBlock of a %d-byte payload: %v allocs, want 0", len(payload), n)
+	}
+}
+
+// TestWriteBlockFailedWrite: a writer that fails on the header or on the
+// payload write, after accepting part of it or none, makes WriteBlock
+// return its error, and Offset counts exactly the bytes it accepted.
+func TestWriteBlockFailedWrite(t *testing.T) {
+	boom := errors.New("disk full")
+	payload := bytes.Repeat([]byte{7}, 100)
+	for _, tc := range []struct {
+		name   string
+		budget int // bytes the writer accepts before failing
+	}{
+		{"header, nothing accepted", 0},
+		{"header, part accepted", 4},
+		{"payload, nothing accepted", HeaderSize},
+		{"payload, part accepted", HeaderSize + 60},
+	} {
+		w := &failingWriter{budget: tc.budget, err: boom}
+		bw := NewWriter(w)
+		if err := bw.WriteBlock('f', payload); !errors.Is(err, boom) {
+			t.Fatalf("%s: WriteBlock = %v, want the writer's error", tc.name, err)
+		}
+		if bw.Offset() != int64(tc.budget) || w.n != tc.budget {
+			t.Fatalf("%s: Offset() = %d, writer accepted %d bytes; want %d", tc.name, bw.Offset(), w.n, tc.budget)
+		}
+	}
+}
+
+// recordingWriter keeps the bytes written, each write's length, and the
+// last slice passed to Write.
+type recordingWriter struct {
+	buf    bytes.Buffer
+	writes []int
+	last   []byte
+}
+
+func (w *recordingWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	w.last = p
+	return w.buf.Write(p)
+}
+
+// failingWriter accepts budget bytes in all, then fails every write.
+type failingWriter struct {
+	budget, n int
+	err       error
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	k := min(len(p), w.budget-w.n)
+	w.n += k
+	if k < len(p) {
+		return k, w.err
+	}
+	return k, nil
+}
+
 func TestReaderDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	bw := NewWriter(&buf)

@@ -1,14 +1,19 @@
 package search
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand/v2"
+	"slices"
+	"strconv"
+	"sync"
 	"testing"
 
 	"implicitlayout/layout"
 )
 
 // benchArr lays sorted out as kind for the micro-benchmarks.
-func benchArr(kind layout.Kind, sorted []uint64) []uint64 {
+func benchArr[T any](kind layout.Kind, sorted []T) []T {
 	if kind == layout.Sorted {
 		return sorted
 	}
@@ -26,18 +31,20 @@ func benchQs(n int) []uint64 {
 
 var benchSink int
 
-func benchQueries(b *testing.B, find func(q uint64) int, qs []uint64) {
+// benchQueries runs find over qs round-robin; len(qs) is a power of two.
+func benchQueries[T any](b *testing.B, find func(q T) int, qs []T) {
+	mask := len(qs) - 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink += find(qs[i&1023])
+		benchSink += find(qs[i&mask])
 	}
 }
 
 // lazy returns f's result, computing it on the first call only, so a
 // row the -bench filter skips never pays for its layout.
-func lazy(f func() []uint64) func() []uint64 {
-	var v []uint64
-	return func() []uint64 {
+func lazy[T any](f func() []T) func() []T {
+	var v []T
+	return func() []T {
 		if v == nil {
 			v = f()
 		}
@@ -52,18 +59,68 @@ var rawKernels = map[layout.Kind]string{
 }
 
 // rawKernel returns kind's raw search kernel over arr.
-func rawKernel(kind layout.Kind, arr []uint64) func(q uint64) int {
+func rawKernel[T cmp.Ordered](kind layout.Kind, arr []T) func(q T) int {
 	switch kind {
 	case layout.Sorted:
-		return func(q uint64) int { return Binary(arr, q) }
+		return func(q T) int { return Binary(arr, q) }
 	case layout.BST:
-		return func(q uint64) int { return BST(arr, q) }
+		return func(q T) int { return BST(arr, q) }
 	case layout.BTree:
-		return func(q uint64) int { return BTree(arr, 8, q) }
+		return func(q T) int { return BTree(arr, 8, q) }
 	case layout.VEB:
-		return func(q uint64) int { return VEB(arr, q) }
+		return func(q T) int { return VEB(arr, q) }
 	}
 	panic(fmt.Sprintf("no raw kernel for %v", kind))
+}
+
+// randomKeys returns n distinct uniform uint64 keys in ascending order
+// and 2^18 queries, half of them keys and half fresh uniform values
+// (absent but for a 2^-45 chance each), in random order.
+func randomKeys(n int) (keys, qs []uint64) {
+	r := rand.New(rand.NewPCG(1, 2))
+	keys = make([]uint64, n)
+	for i := range keys {
+		keys[i] = r.Uint64()
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	qs = make([]uint64, 1<<18)
+	for i := range qs {
+		if i&1 == 0 {
+			qs[i] = keys[r.IntN(len(keys))]
+		} else {
+			qs[i] = r.Uint64()
+		}
+	}
+	r.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+	return keys, qs
+}
+
+// decimal renders each key in base 10: variable-length string keys (up
+// to 20 bytes) whose string order differs from the numeric order.
+func decimal(xs []uint64) []string {
+	s := make([]string, len(xs))
+	for i, x := range xs {
+		s[i] = strconv.FormatUint(x, 10)
+	}
+	return s
+}
+
+// benchKinds runs one row per layout over keys and qs: the raw kernel
+// where the layout has one, hier through its Index route.
+func benchKinds[T cmp.Ordered](b *testing.B, prefix string, sorted func() []T, qs func() []T) {
+	for _, kind := range allKindsWithSorted() {
+		arr := lazy(func() []T { return benchArr(kind, sorted()) })
+		name, ok := rawKernels[kind]
+		find := func() func(T) int { return rawKernel(kind, arr()) }
+		if !ok {
+			name = "index/" + kind.String()
+			find = func() func(T) int { return NewIndex(arr(), kind, 8).Find }
+		}
+		b.Run(fmt.Sprintf("%s/%s", prefix, name), func(b *testing.B) {
+			benchQueries(b, find(), qs())
+		})
+	}
 }
 
 // BenchmarkSearch lays each (kind, n) out once, on its first row: a
@@ -91,6 +148,19 @@ func BenchmarkSearch(b *testing.B) {
 			})
 		}
 	}
+	// A DB run's shape: 650K uniform keys (one shard of a 2^21-record
+	// run at GOMAXPROCS = 2 after deduplication, about) queried in random
+	// order, half absent, so no branch predictor learns the descent. The
+	// string rows ask the same of variable-length keys, where a compare
+	// is a call, not an instruction.
+	const n = 650_000
+	rnd := sync.OnceValues(func() ([]uint64, []uint64) { return randomKeys(n) })
+	keys := func() []uint64 { k, _ := rnd(); return k }
+	qs := func() []uint64 { _, q := rnd(); return q }
+	benchKinds(b, "random/n=650K", keys, qs)
+	strKeys := lazy(func() []string { k := decimal(keys()); slices.Sort(k); return k })
+	strQs := lazy(func() []string { return decimal(qs()) })
+	benchKinds(b, "string/n=650K", strKeys, strQs)
 }
 
 func BenchmarkPredecessor(b *testing.B) {
@@ -101,6 +171,35 @@ func BenchmarkPredecessor(b *testing.B) {
 		arr := lazy(func() []uint64 { return benchArr(kind, sorted()) })
 		b.Run(kind.String(), func(b *testing.B) {
 			benchQueries(b, NewIndex(arr(), kind, 8).Predecessor, qs)
+		})
+	}
+}
+
+// BenchmarkCursor measures the in-order Cursor that every Scan, Range
+// and DB merge input walks, in ns per key read: a full Scan of 2^20 keys,
+// and Ranges of 64 keys from spread start keys (one Seek and 64 Nexts).
+func BenchmarkCursor(b *testing.B) {
+	const n = 1 << 20
+	qs := benchQs(n)
+	sorted := lazy(func() []uint64 { return oddKeys(n) })
+	for _, kind := range allKindsWithSorted() {
+		arr := lazy(func() []uint64 { return benchArr(kind, sorted()) })
+		b.Run(fmt.Sprintf("scan/%v/n=2^20", kind), func(b *testing.B) {
+			ix := NewIndex(arr(), kind, 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix.Scan(func(pos int, _ uint64) bool { benchSink += pos; return true })
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/rec")
+		})
+		b.Run(fmt.Sprintf("range64/%v/n=2^20", kind), func(b *testing.B) {
+			ix := NewIndex(arr(), kind, 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := qs[i&1023]
+				ix.Range(lo, lo+2*63, func(pos int, _ uint64) bool { benchSink += pos; return true })
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/64, "ns/rec")
 		})
 	}
 }

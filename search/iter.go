@@ -31,6 +31,9 @@ func successorBinary[T cmp.Ordered](a []T, x T) int {
 	return lo
 }
 
+// successorBTree returns the position (in the B-tree layout with b keys
+// per node; b = 1 walks the BST layout) of the smallest key >= x, or -1.
+// Each node's keys below x are counted by nodeRank.
 func successorBTree[T cmp.Ordered](a []T, b int, x T) int {
 	n := len(a)
 	node, cand := 0, -1
@@ -39,15 +42,12 @@ func successorBTree[T cmp.Ordered](a []T, b int, x T) int {
 		if start >= n {
 			return cand
 		}
-		end := min(start+b, n)
-		c := start
-		for c < end && a[c] < x {
-			c++
+		keys := a[start:min(start+b, n)]
+		c := nodeRank(keys, x, false)
+		if c < len(keys) {
+			cand = start + c
 		}
-		if c < end {
-			cand = c
-		}
-		node = node*(b+1) + 1 + (c - start)
+		node = node*(b+1) + 1 + c
 	}
 }
 
@@ -106,41 +106,47 @@ func (ix *Index[T]) Scan(yield func(pos int, key T) bool) {
 //
 // Every layout is walked as a level-order tree of f-key nodes: the
 // conceptual complete BST (f = 1) for BST and vEB, the node tree for
-// B-trees (f = b), and the outer page tree for the hierarchical layout
-// (f = page keys). The walk keeps one slot of that tree. Its root path
-// needs no stored stack, because a level-order index encodes it: node
-// m's parent is (m-1)/(f+1). A step goes down to the next child's
-// leftmost slot, sideways within the node, or up to the first ancestor
-// slot not yet read, so each tree edge is crossed twice per full walk
-// and a Next costs amortized O(1) node visits. Slots map to positions
-// directly for BST and B-trees. vEB maps them through the layout's
-// (depth, rank) navigator. Hier keeps the slot's in-page position
-// beside it and steps that with the same walk over the page's
-// cacheline B-tree.
+// B-trees (f = b), the outer page tree for the hierarchical layout
+// (f = page keys), and one node of every key for a sorted array. The
+// walk keeps one slot of that tree as its node, its slot within the
+// node and its level-order index, so a step sideways is two increments.
+// Its root path needs no stored stack, because a level-order index
+// encodes it: node m's parent is (m-1)/(f+1), which the walk computes
+// with a multiply by a reciprocal fixed at NewCursor, so Next divides
+// only when a hier walk enters another page. A step goes down to the
+// next child's leftmost slot, sideways within the node, or up to the
+// first ancestor slot not yet read, so each tree edge is crossed twice
+// per full walk and a Next costs amortized O(1) node visits. Slots are positions for sorted arrays,
+// BST and B-trees. vEB maps them through the layout's (depth, rank)
+// navigator. Hier keeps a second walk over the current page's cacheline
+// B-tree beside the first and steps both.
 //
 // A Cursor is a small value; it allocates nothing and must not be
 // shared between goroutines (the Index it reads may be).
 type Cursor[T cmp.Ordered] struct {
-	ix *Index[T]
-	f  int // keys per node of the walked tree
-	i  int // slot Next returns next; -1 once the walk is exhausted
-	w  int // Hier: in-page position of slot i
+	ix  *Index[T]
+	out walk // slot Next returns next; out.i < 0 once the walk is exhausted
+	in  walk // Hier: out's key within its page
 }
 
 // NewCursor returns a cursor over ix positioned at its smallest key.
 func NewCursor[T cmp.Ordered](ix *Index[T]) Cursor[T] {
-	c := Cursor[T]{ix: ix, f: 1, i: -1}
-	n := len(ix.data)
+	f, n := 1, len(ix.data)
 	switch ix.kind {
 	case layout.Sorted:
-		c.f = max(n, 1) // a sorted array is one node holding every key
+		f = max(n, 1)
 	case layout.BTree:
-		c.f = ix.b
+		f = ix.b
 	case layout.Hier:
-		c.f = layout.HierPageKeys(ix.b)
+		f = layout.HierPageKeys(ix.b)
 	}
+	c := Cursor[T]{ix: ix, out: newWalk(f)}
 	if n > 0 {
-		c.at(btFirst(0, n, c.f))
+		c.out.first(0, n)
+	}
+	if ix.kind == layout.Hier {
+		c.in = newWalk(ix.b)
+		c.enterPage()
 	}
 	return c
 }
@@ -151,85 +157,137 @@ func (c *Cursor[T]) Seek(x T) {
 	a := c.ix.data
 	switch c.ix.kind {
 	case layout.Sorted:
-		c.i = successorBinary(a, x)
+		c.out.at(successorBinary(a, x), len(a))
 	case layout.VEB:
-		c.i = successorVEB(a, x)
+		c.out.at(successorVEB(a, x), len(a))
 	case layout.Hier:
-		c.i = successorHier(a, c.ix.b, x)
+		c.out.at(successorHier(a, c.ix.b, x), len(a))
+		c.enterPage()
 	default: // BST and B-tree: slots are positions
-		c.i = successorBTree(a, c.f, x)
+		c.out.at(successorBTree(a, c.out.f, x), len(a))
 	}
-	c.at(c.i)
 }
 
 // Next returns the array position of the key at the cursor and steps
 // past it, or -1 once every key from the last Seek on has been read.
 func (c *Cursor[T]) Next() int {
-	i, n := c.i, len(c.ix.data)
+	i := c.out.i
 	if i < 0 {
 		return -1
 	}
-	if c.ix.kind == layout.Sorted {
-		c.i++
-		if c.i == n {
-			c.i = -1
+	if c.ix.kind == layout.Sorted { // one node: only the index moves
+		if i+1 < len(c.ix.data) {
+			c.out.i = i + 1
+		} else {
+			c.out.i = -1
 		}
 		return i
 	}
-	c.i = btNext(i, n, c.f)
+	n := len(c.ix.data)
 	switch c.ix.kind {
 	case layout.VEB:
+		c.out.next(n)
 		d := bits.Len(uint(i)+1) - 1
 		return layout.NewVEBNav(n).Pos(d, i+1-1<<d)
 	case layout.Hier:
-		page := i - i%c.f
-		pos := page + c.w
-		if c.i >= 0 && c.i/c.f == i/c.f { // same page: step its cacheline tree
-			c.w = btNext(c.w, min(c.f, n-page), c.ix.b)
+		start, page := i-c.out.s, c.out.m
+		pos, pk := start+c.in.i, min(c.out.f, n-start)
+		if c.out.next(n) && c.out.m == page { // same page: step its cacheline tree
+			c.in.next(pk)
 		} else {
-			c.at(c.i)
+			c.enterPage()
 		}
 		return pos
 	}
+	c.out.next(n)
 	return i
 }
 
-// at moves the cursor to slot i, deriving a Hier slot's in-page
-// position from its in-page rank.
-func (c *Cursor[T]) at(i int) {
-	c.i = i
-	if c.ix.kind == layout.Hier && i >= 0 {
-		page := i - i%c.f
-		c.w = layout.BTreePos(i-page, min(c.f, len(c.ix.data)-page), c.ix.b)
+// enterPage points the in-page walk of a Hier cursor at the key of the
+// outer slot, whose in-page rank is the outer slot within its node.
+func (c *Cursor[T]) enterPage() {
+	if c.out.i < 0 {
+		return
+	}
+	pk := min(c.out.f, len(c.ix.data)-(c.out.i-c.out.s))
+	c.in.at(layout.BTreePos(c.out.s, pk, c.ix.b), pk)
+}
+
+// walk is one slot of a level-order tree of f-key nodes: slot s of node
+// m, at level-order index i = m·f+s (-1 past the last slot). It carries
+// the reciprocal of the fanout f+1 that lets it climb without dividing.
+// A node with children is full, so only the last node can be short.
+type walk struct {
+	m, s, i, f int
+	kids       bool   // node m has children
+	r          uint64 // ⌈2^64/(f+1)⌉: see parent
+}
+
+func newWalk(f int) walk {
+	return walk{m: -1, i: -1, f: f, r: ^uint64(0)/uint64(f+1) + 1}
+}
+
+// at moves w to slot i of a tree of n keys (-1: past the last slot).
+func (w *walk) at(i, n int) {
+	w.m, w.s, w.i = -1, 0, i
+	if i >= 0 {
+		w.m, w.s = i/w.f, i%w.f
+		w.kids = (w.m*(w.f+1)+1)*w.f < n
 	}
 }
 
-// btFirst returns the leftmost slot of node m's subtree in a level-order
-// tree of n keys, f per node.
-func btFirst(m, n, f int) int {
-	for c := m*(f+1) + 1; c*f < n; c = c*(f+1) + 1 {
+// first moves w to the leftmost slot of node m's subtree in a tree of n
+// keys: a node whose leftmost child is absent has no children.
+func (w *walk) first(m, n int) {
+	for c := m*(w.f+1) + 1; c*w.f < n; c = c*(w.f+1) + 1 {
 		m = c
 	}
-	return m * f
+	w.m, w.s, w.i, w.kids = m, 0, m*w.f, false
 }
 
-// btNext returns the in-order successor of slot i in a level-order tree
-// of n keys, f per node, or -1 if i is the last slot. A node with
-// children is full, so only the last node can be short.
-func btNext(i, n, f int) int {
-	m, s := i/f, i%f
-	if c := m*(f+1) + 2 + s; c*f < n { // child right of slot s
-		return btFirst(c, n, f)
+// next moves w to its in-order successor in a tree of n keys, and
+// reports false (leaving w.i = -1) when w was at the last slot. Most
+// slots sit in leaves, where the step is an increment.
+func (w *walk) next(n int) bool {
+	if !w.kids && w.s+1 < w.f && w.i+1 < n {
+		w.s++
+		w.i++
+		return true
 	}
-	if s+1 < f && i+1 < n {
-		return i + 1
+	return w.climbOrDescend(n)
+}
+
+func (w *walk) climbOrDescend(n int) bool {
+	m, s, f := w.m, w.s, w.f
+	if w.kids {
+		if c := m*(f+1) + 2 + s; c*f < n { // child right of slot s
+			w.first(c, n)
+			return true
+		}
+		if s+1 < f { // the last internal node can lack its right children
+			w.s++
+			w.i++
+			return true
+		}
 	}
 	for m > 0 { // climb to the first ancestor entered by a child left of a key
-		p := (m - 1) / (f + 1)
+		p := w.parent(m)
 		if c := m - 1 - p*(f+1); c < f {
-			return p*f + c
+			w.m, w.s, w.i, w.kids = p, c, p*f+c, true
+			return true
 		}
 		m = p
 	}
-	return -1
+	w.m, w.i = -1, -1
+	return false
+}
+
+// parent returns the parent of node m > 0: (m-1)/(f+1) as the high word
+// of (m-1)·r. With r = ⌈2^64/(f+1)⌉ the product overshoots (m-1)/(f+1)
+// by less than (m-1)/2^64, which stays below the 1/(f+1) gap to the next
+// integer whenever (m-1)·(f+1) < 2^64 — true of every node of a tree
+// that fits in memory.
+func (w *walk) parent(m int) int {
+	hi, _ := bits.Mul64(uint64(m-1), w.r)
+	return int(hi)
 }

@@ -40,7 +40,8 @@ func PredecessorBST[T cmp.Ordered](a []T, x T) int {
 }
 
 // PredecessorBTree returns the position (in the B-tree layout with b keys
-// per node) of the largest key <= x, or -1.
+// per node) of the largest key <= x, or -1. Each node's keys <= x are
+// counted by nodeRank, so the descent takes no branch per key.
 func PredecessorBTree[T cmp.Ordered](a []T, b int, x T) int {
 	n := len(a)
 	node, cand := 0, -1
@@ -49,18 +50,11 @@ func PredecessorBTree[T cmp.Ordered](a []T, b int, x T) int {
 		if start >= n {
 			return cand
 		}
-		end := start + b
-		if end > n {
-			end = n
+		c := nodeRank(a[start:min(start+b, n)], x, true)
+		if c > 0 {
+			cand = start + c - 1
 		}
-		c := start
-		for c < end && a[c] <= x {
-			c++
-		}
-		if c > start {
-			cand = c - 1
-		}
-		node = node*(b+1) + 1 + (c - start)
+		node = node*(b+1) + 1 + c
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"implicitlayout/internal/blockio"
 	"implicitlayout/internal/par"
+	"implicitlayout/layout"
 )
 
 // DefaultMemLimit is the default memtable flush threshold, in records.
@@ -63,11 +64,21 @@ type DBConfig struct {
 	// Ignored in memory-only mode (there are no segments to map).
 	Mmap bool
 	// Store holds the build options every run is built with — layout,
-	// shard count, B, workers. WithDuplicates is ignored: the write path
-	// has overwrite semantics, so runs are always built KeepLast (see the
-	// duplicate-policy table in README.md). WithMmap(true) is refused:
-	// how runs are served is DBConfig.Mmap, and Open fails rather than
-	// serve heap-decoded runs the caller asked to map.
+	// shard count, B, workers. Runs are laid out as B-trees of
+	// layout.DefaultB keys per node unless Store names a layout: a
+	// reopened one-run DB answers a mix of present and absent keys
+	// fastest on B-tree runs (BenchmarkDBGet), and the B-tree writer's
+	// lower speed than vEB's costs the caller nothing here, because
+	// flushes and merges write runs off the write path. (Build, whose
+	// caller waits for the layout write, keeps vEB.) Every run keeps the
+	// layout its segment header records, so a directory written with
+	// other layouts reopens unchanged, and its next merge writes the
+	// merged run in this configuration. WithDuplicates is ignored: the
+	// write path has overwrite semantics, so runs are always built
+	// KeepLast (see the duplicate-policy table in README.md).
+	// WithMmap(true) is refused: how runs are served is DBConfig.Mmap,
+	// and Open fails rather than serve heap-decoded runs the caller
+	// asked to map.
 	Store []Option
 }
 
@@ -176,8 +187,10 @@ func Open[K cmp.Ordered, V any](dir string, cfg DBConfig) (*DB[K, V], error) {
 	if cfg.Fanout < 2 {
 		return nil, fmt.Errorf("store: Fanout %d < 2", cfg.Fanout)
 	}
-	// Reject invalid run options before any data is accepted.
-	runCfg, err := newConfig(append(slices.Clip(cfg.Store), WithDuplicates(KeepLast)))
+	// Reject invalid run options before any data is accepted. Runs are
+	// B-trees unless cfg.Store names a layout (see DBConfig.Store).
+	opts := append([]Option{WithLayout(layout.BTree)}, cfg.Store...)
+	runCfg, err := newConfig(append(opts, WithDuplicates(KeepLast)))
 	if err != nil {
 		return nil, fmt.Errorf("store: invalid run options: %w", err)
 	}

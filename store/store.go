@@ -39,9 +39,15 @@
 // DB.Range/DB.Scan k-way merge all layers into one ordered stream of
 // live records. The paper's cheap parallel construction is what makes
 // "rebuild a search layout at every flush" a write path rather than a
-// maintenance outage. Duplicate handling is always KeepLast in the DB
-// (overwrite semantics); see the decision table in README.md for how
-// the Store policies interact with tombstones.
+// maintenance outage. Runs are B-trees by default, where Build defaults
+// to vEB: a B-tree lookup, whose in-node rank is branch-free, answers a
+// reopened run's mix of present and absent keys fastest
+// (BenchmarkDBGet), and the B-tree writer, slower than vEB's, stays off
+// the caller's path, because flushes and merges write runs in the
+// background, while Build's caller waits for its layout write.
+// Duplicate handling is always KeepLast in the DB (overwrite
+// semantics); see the decision table in README.md for how the Store
+// policies interact with tombstones.
 //
 // # Durability
 //
@@ -118,7 +124,8 @@ type Config struct {
 	// Shards is the number of range partitions (default: GOMAXPROCS,
 	// clamped to the record count so no shard is empty).
 	Shards int
-	// Layout is the per-shard memory layout (default layout.VEB).
+	// Layout is the per-shard memory layout (default layout.VEB for
+	// Build; a DB's runs default to layout.BTree, see DBConfig.Store).
 	Layout layout.Kind
 	// B is the B-tree node capacity (default layout.DefaultB); ignored by
 	// the BST and vEB layouts.
@@ -146,7 +153,10 @@ type Option func(*Config)
 // WithShards sets the shard count (values below 1 select GOMAXPROCS).
 func WithShards(s int) Option { return func(c *Config) { c.Shards = s } }
 
-// WithLayout selects the per-shard layout (default layout.VEB).
+// WithLayout selects the per-shard layout. Build defaults to layout.VEB,
+// whose layout write is the fastest; a DB's runs, written off the
+// caller's path, default to layout.BTree, the fastest to query (see
+// DBConfig.Store).
 func WithLayout(k layout.Kind) Option { return func(c *Config) { c.Layout = k } }
 
 // WithB sets the B-tree node capacity (default layout.DefaultB).
