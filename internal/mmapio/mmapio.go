@@ -1,19 +1,27 @@
-// Package mmapio maps files into memory for zero-copy serving. The
-// store's raw segment formats (v2 and v2.1) hold fixed-width shard
-// arrays as raw, 64-byte-aligned blocks precisely so this package can
-// hand them back as typed slices without decoding: a mapped segment is served straight
-// from the OS page cache, the servable dataset is bounded by the address
-// space rather than the heap, and a cold open costs page-table setup
-// instead of an O(data) read.
+// Package mmapio maps files into memory for zero-copy serving and for
+// appends without a system call. The store's raw segment formats (v2
+// and v2.1) hold fixed-width shard arrays as raw, 64-byte-aligned
+// blocks precisely so this package can hand them back as typed slices
+// without decoding: a mapped segment is served straight from the OS
+// page cache, the servable dataset is bounded by the address space
+// rather than the heap, and a cold open costs page-table setup instead
+// of an O(data) read.
 //
-// The package has two halves:
+// The package has three parts:
 //
-//   - Region is the lifecycle half: Map opens a file read-only and maps
-//     it whole; Advise passes access-pattern hints to the OS; Close
+//   - Region is the read half: Map opens a file read-only and maps it
+//     whole; Advise passes access-pattern hints to the OS; Close
 //     unmaps. Both Map and the mapping syscalls are unix-only — on other
 //     platforms Supported is false and Map fails, which callers treat as
 //     "fall back to heap decode" (mirroring the store's lock.go /
 //     lock_other.go pattern).
+//
+//   - Appender is the write half: it appends to the end of a file by
+//     copying into a shared, writable mapping of it — the write-ahead
+//     log's path, with no system call per record. It reserves the file's
+//     blocks before a store lands in them, so the file runs into a zero
+//     fill until Finish cuts it at its logical end. It is Linux-only; on
+//     other platforms the same type appends with one write(2).
 //
 //   - View and Bytes are the cast half and compile everywhere: a checked
 //     unsafe.Slice reinterpretation between []byte and []T for
@@ -21,10 +29,12 @@
 //     []K" true, so search kernels never know whether their array lives
 //     on the heap or in the page cache.
 //
-// Mapped memory is read-only: writing through a View of a mapped region
-// faults. The fault-safety contract is the segment protocol's
+// A Region's memory is read-only: writing through a View of a mapped
+// region faults. The fault-safety contract is the segment protocol's
 // immutability — segments are never modified in place, and deleting a
 // mapped file is safe on unix (the pages live until the last unmap).
+// An Appender's mapping is writable, and only its own Append stores
+// into it.
 package mmapio
 
 import (

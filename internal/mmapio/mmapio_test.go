@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -120,4 +121,85 @@ func TestMapErrors(t *testing.T) {
 	if _, err := Map(empty); err == nil {
 		t.Fatalf("Map accepted an empty file")
 	}
+}
+
+// appendAll opens a fresh file holding head, appends each of chunks
+// through an Appender and returns both, with the bytes appended so far.
+func appendAll(t *testing.T, head []byte, chunks [][]byte) (*os.File, *Appender, []byte) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(t.TempDir(), "log"), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	if _, err := f.Write(head); err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAppender(f, int64(len(head)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(head)
+	for _, c := range chunks {
+		if err := a.Append(c); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, c...)
+	}
+	if a.Size() != int64(len(want)) {
+		t.Fatalf("Size %d after appending %d bytes", a.Size(), len(want))
+	}
+	return f, a, want
+}
+
+// appendChunks returns chunks of 1 to 1000 bytes, each filled with its
+// own non-zero byte, totalling at least total bytes.
+func appendChunks(total int) [][]byte {
+	var chunks [][]byte
+	for n, i := 0, 0; n < total; i++ {
+		c := bytes.Repeat([]byte{byte(i%255 + 1)}, 1+i*7919%1000)
+		chunks = append(chunks, c)
+		n += len(c)
+	}
+	return chunks
+}
+
+// checkFile asserts the file holds want, followed by fill zero bytes
+// when fill is set (at least one of them), or nothing more when not.
+func checkFile(t *testing.T, f *os.File, want []byte, fill bool) {
+	t.Helper()
+	got, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < len(want) || !bytes.Equal(got[:len(want)], want) {
+		t.Fatalf("file does not start with the %d appended bytes", len(want))
+	}
+	tail := got[len(want):]
+	switch {
+	case !fill && len(tail) != 0:
+		t.Fatalf("file runs %d bytes past the appended ones", len(tail))
+	case fill && len(tail) == 0:
+		t.Fatalf("file ends at the appended bytes, with no reserved fill")
+	case bytes.ContainsFunc(tail, func(r rune) bool { return r != 0 }):
+		t.Fatalf("the %d bytes past the appended ones are not all zero", len(tail))
+	}
+}
+
+// TestAppender appends past three extents in chunks that straddle
+// every extent boundary: the file holds exactly the appended bytes,
+// then (with the mapping) a zero fill, which Unmap keeps — the state a
+// killed process leaves — and Finish cuts.
+func TestAppender(t *testing.T) {
+	f, a, want := appendAll(t, []byte("HEAD"), appendChunks(3<<20+5))
+	mapped := runtime.GOOS == "linux"
+	checkFile(t, f, want, mapped)
+	if err := a.Unmap(); err != nil {
+		t.Fatal(err)
+	}
+	checkFile(t, f, want, mapped)
+	if err := a.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	checkFile(t, f, want, false)
 }

@@ -44,7 +44,9 @@ type DBConfig struct {
 	// and one writer's fsync covers every append that preceded it (a
 	// natural group commit under concurrency). With SyncWrites off (the
 	// default), every acked write still reaches the OS before the call
-	// returns, and the log is always fsynced when a memtable freezes.
+	// returns — it is copied into a shared mapping of the log, which is
+	// the OS page cache, so a process crash loses nothing — and the log
+	// is always fsynced when a memtable freezes.
 	// Ignored in memory-only mode.
 	SyncWrites bool
 	// Mmap selects cold-serve mode for durable DBs: every raw (v2 or
@@ -200,7 +202,7 @@ func Open[K cmp.Ordered, V any](dir string, cfg DBConfig) (*DB[K, V], error) {
 	db := &DB[K, V]{
 		cfg:    cfg,
 		runCfg: runCfg,
-		active: newMemtable[K, V](),
+		active: newMemtable[K, V](0),
 	}
 	db.state.Store(&dbstate[K, V]{})
 	if dir != "" {
@@ -334,7 +336,7 @@ func (db *DB[K, V]) openDir(dir string) error {
 	// deleted, a corrupt log keeps its intact-prefix recovery but is
 	// preserved under a ".corrupt" suffix instead of being destroyed.
 	slices.Sort(walSeqs)
-	rec := newMemtable[K, V]()
+	rec := newMemtable[K, V](0)
 	ends := make(map[uint64]walEnd, len(walSeqs))
 	for _, seq := range walSeqs {
 		_, end, err := replayWAL(walPath(dir, seq), rec.put)
@@ -403,9 +405,11 @@ func (db *DB[K, V]) Delete(key K) error {
 // is what makes log order equal apply order. A raw record is encoded
 // under the lock, into the log's reused buffers — a copy of the key and
 // value plus a CRC, no allocation; a gob record is encoded before the
-// lock is taken. The SyncWrites fsync happens after the lock is released
-// (see walWriter.syncAck), so the critical section is one unbuffered
-// file write plus one map write even in the fully-durable configuration.
+// lock is taken. The log append is a copy into the log's file mapping,
+// with no system call, and the SyncWrites fsync happens after the lock
+// is released (see walWriter.syncAck), so the critical section is one
+// memory copy plus one map write even in the fully-durable
+// configuration.
 // The expensive work (sorting, permuting, merging) all happens on the
 // compactor goroutine outside the lock.
 func (db *DB[K, V]) write(key K, mv mval[V]) error {
@@ -462,17 +466,19 @@ func (db *DB[K, V]) write(key K, mv mval[V]) error {
 }
 
 // freezeLocked moves the active memtable into the snapshot's frozen list
-// and installs a fresh one. In durable mode the outgoing table's log is
-// sealed (fsynced and closed) and travels with it until the flush that
-// makes it redundant; rotate selects whether a new log is created for
-// the fresh table (Close passes false — no further writes are coming).
-// Caller holds db.mu.
+// and installs a fresh one, its map sized to the length the outgoing
+// table reached. In durable mode the outgoing table's log is sealed
+// (cut at its last frame, fsynced and closed) and travels with it until
+// the flush that makes it redundant; rotate selects whether a new log
+// is created for the fresh table (Close passes false — no further
+// writes are coming). Caller holds db.mu.
 //
 // A durable freeze deliberately pays two fsyncs under the lock (the
-// seal, and createWAL's directory sync): they order the old log's
-// durability ahead of the new log's existence, and at one freeze per
-// MemLimit writes the cost is amortized to noise — unlike the per-write
-// SyncWrites fsync, which is why that one lives outside the lock.
+// seal, and createWAL's directory sync), and the new log's first
+// reservation and mapping: they order the old log's durability ahead
+// of the new log's existence, and at one freeze per MemLimit writes the
+// cost is amortized to noise — unlike the per-write SyncWrites fsync,
+// which is why that one lives outside the lock.
 func (db *DB[K, V]) freezeLocked(rotate bool) {
 	if db.active.len() == 0 {
 		if !rotate && db.wal != nil {
@@ -498,7 +504,11 @@ func (db *DB[K, V]) freezeLocked(rotate bool) {
 		runs:   st.runs,
 	}
 	db.state.Store(ns)
-	db.active = newMemtable[K, V]()
+	hint := 0 // Close: no writes follow
+	if rotate {
+		hint = db.active.len()
+	}
+	db.active = newMemtable[K, V](hint)
 	if rotate && db.dir != "" {
 		w, err := createWAL[K, V](db.dir, db.nextSeq.Add(1)-1)
 		if err != nil {

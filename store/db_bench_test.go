@@ -96,3 +96,30 @@ func reopenedOneRun(b *testing.B, dir string, kind layout.Kind, keys []uint64) *
 	}
 	return db
 }
+
+// BenchmarkDBPut times durable Puts of distinct uint64 keys into a fresh
+// DB at the default memtable limit, with SyncWrites off (the default)
+// and on: one log append per Put, with a freeze every DefaultMemLimit
+// Puts and the flushes and merges they start running beside the writer.
+// Allocations count the compactor's too.
+func BenchmarkDBPut(b *testing.B) {
+	for _, sync := range []bool{false, true} {
+		b.Run(fmt.Sprintf("SyncWrites=%v", sync), func(b *testing.B) {
+			db, err := store.Open[uint64, uint64](b.TempDir(), store.DBConfig{SyncWrites: sync})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range uint64(b.N) {
+				if err := db.Put(i*0x9E3779B97F4A7C15, i); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := db.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,22 +15,28 @@ import (
 )
 
 // crashDB simulates a process crash: the background compactor stops and
-// every file handle is dropped WITHOUT flushing memtables, writing the
-// manifest, or deleting logs — exactly the state a kill -9 leaves on
-// disk (the WAL appends are unbuffered, so everything acked is in the
-// OS page cache / file already). The in-memory DB is unusable after.
-func crashDB[K cmp.Ordered, V any](db *DB[K, V]) {
+// the active log's mapping and file handle are dropped WITHOUT cutting
+// the log at its last frame, flushing memtables, writing the manifest,
+// or deleting logs — exactly the state a kill -9 leaves on disk (every
+// acked append was copied into the log's shared mapping, so it is in
+// the OS page cache / file already, followed by the reserved zero
+// fill). The in-memory DB is unusable after. It returns the path and
+// logical end of the active log, or "" when there is none.
+func crashDB[K cmp.Ordered, V any](db *DB[K, V]) (wal string, end int64) {
 	db.worker.Close() // an in-flight flush may complete first: a valid crash point
 	db.mu.Lock()
 	db.closed = true
-	if db.wal != nil {
-		db.wal.f.Close() // drop the handle; the file keeps what was written
+	if w := db.wal; w != nil {
+		wal, end = w.path, w.app.Size()
+		w.app.Unmap() // a dead process's mapping goes with it; the fill stays
+		w.f.Close()   // drop the handle; the file keeps what was written
 		db.wal = nil
 	}
 	db.mu.Unlock()
 	if db.unlock != nil {
 		db.unlock() // a dead process releases its flock
 	}
+	return wal, end
 }
 
 func listFiles(t *testing.T, dir, pattern string) []string {
@@ -162,17 +170,12 @@ func TestDBTornWALTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	crashDB(db)
+	wal, end := crashDB(db)
 
-	wals := listFiles(t, dir, "wal-*.log")
-	if len(wals) != 1 {
+	if wals := listFiles(t, dir, "wal-*.log"); len(wals) != 1 {
 		t.Fatalf("expected 1 WAL file, found %v", wals)
 	}
-	info, err := os.Stat(wals[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(wals[0], info.Size()-3); err != nil { // tear the last frame
+	if err := os.Truncate(wal, end-3); err != nil { // tear the last frame
 		t.Fatal(err)
 	}
 
@@ -209,14 +212,13 @@ func TestDBWALCorruptMidFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	crashDB(db)
-	wals := listFiles(t, dir, "wal-*.log")
-	raw, err := os.ReadFile(wals[0])
+	wal, end := crashDB(db)
+	raw, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x20
-	if err := os.WriteFile(wals[0], raw, 0o644); err != nil {
+	raw[end/2] ^= 0x20
+	if err := os.WriteFile(wal, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := Open[uint64, uint64](dir, cfg)
@@ -306,6 +308,142 @@ func TestDBWALCorruptMagic(t *testing.T) {
 	defer third.Close()
 	if after := listFiles(t, dir, "wal-*.log.corrupt"); len(after) != 1 || after[0] != kept[0] {
 		t.Fatalf("preserved corrupt log disturbed: %v -> %v", kept, after)
+	}
+}
+
+// crashedLog writes n Puts of key i and value val(i) into a fresh DB
+// that never freezes, crashes it and returns the directory, the active
+// log's path, its logical end and its bytes, zero fill included.
+func crashedLog(t *testing.T, n int, val func(uint64) string) (dir, wal string, end int64, raw []byte) {
+	t.Helper()
+	dir = t.TempDir()
+	db, err := Open[uint64, string](dir, DBConfig{MemLimit: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range uint64(n) {
+		if err := db.Put(i, val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal, end = crashDB(db)
+	raw, err = os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOOS == "linux" && (int64(len(raw)) <= end || !allZero(raw[end:])) {
+		t.Fatalf("crashed log of %d bytes with logical end %d does not end in zero fill", len(raw), end)
+	}
+	return dir, wal, end, raw
+}
+
+// reopenCrashed reopens dir after a crash and checks what it serves:
+// key i as val(i) for i < served, and nothing for served <= i < n. It
+// also checks the crashed log's fate: deleted, or kept as ".corrupt".
+func reopenCrashed(t *testing.T, dir, wal string, n, served int, val func(uint64) string, kept bool) {
+	t.Helper()
+	db, err := Open[uint64, string](dir, DBConfig{MemLimit: 1 << 20})
+	if err != nil {
+		t.Fatalf("reopening after the crash: %v", err)
+	}
+	defer db.Close()
+	for i := range uint64(n) {
+		v, ok := db.Get(i)
+		if want := int(i) < served; ok != want || (ok && v != val(i)) {
+			t.Fatalf("Get(%d) = %.20q, %v; want it served: %v", i, v, ok, want)
+		}
+	}
+	if _, err := os.Stat(wal); !os.IsNotExist(err) {
+		t.Fatalf("the crashed log is still in place after replay (%v)", err)
+	}
+	if _, err := os.Stat(wal + ".corrupt"); (err == nil) != kept {
+		t.Fatalf("crashed log kept as .corrupt: %v, want %v", err == nil, kept)
+	}
+}
+
+func shortVal(i uint64) string { return fmt.Sprint("v", i) }
+
+// TestDBWALZeroFillCrashShapes: a writer killed between appends leaves
+// its log ending in the reserved zero fill. Zeros after a whole frame
+// are a clean end: every record is served and the log deleted. A frame
+// copied in part, its missing bytes still zero, is torn: the records
+// before it are served and the log deleted. A non-zero byte past the
+// logical end is damage: every record is served, and the log is kept
+// as ".corrupt". A log that holds nothing but its preamble and the fill
+// replays to nothing.
+func TestDBWALZeroFillCrashShapes(t *testing.T) {
+	const n = 100
+	t.Run("whole", func(t *testing.T) {
+		dir, wal, _, _ := crashedLog(t, n, shortVal)
+		reopenCrashed(t, dir, wal, n, n, shortVal, false)
+	})
+	t.Run("torn-in-fill", func(t *testing.T) {
+		dir, wal, end, raw := crashedLog(t, n, shortVal)
+		clear(raw[end-3 : end]) // the copy of the last frame stopped short
+		if err := os.WriteFile(wal, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopenCrashed(t, dir, wal, n, n-1, shortVal, false)
+	})
+	t.Run("past-logical-end", func(t *testing.T) {
+		if runtime.GOOS != "linux" {
+			t.Skip("no append mapping, so no fill")
+		}
+		dir, wal, end, raw := crashedLog(t, n, shortVal)
+		raw[end+10] = 1
+		if err := os.WriteFile(wal, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopenCrashed(t, dir, wal, n, n, shortVal, true)
+	})
+	t.Run("preamble-only", func(t *testing.T) {
+		dir, wal, end, _ := crashedLog(t, 0, shortVal)
+		if end != int64(len(walMagicGob)) {
+			t.Fatalf("a log of no records ends at %d, want the %d-byte magic", end, len(walMagicGob))
+		}
+		reopenCrashed(t, dir, wal, 1, 0, shortVal, false)
+	})
+}
+
+// TestDBWALGrowsPastExtents: a gob log of several MiB outgrows the
+// append mapping's first reservation many times over, with frames of an
+// odd length straddling every reserved boundary. A crash mid-log
+// replays every record, and a freeze seals the log to exactly its
+// frames.
+func TestDBWALGrowsPastExtents(t *testing.T) {
+	const n = 400
+	big := func(i uint64) string { return fmt.Sprint(i, strings.Repeat("x", 10007)) }
+	dir, wal, end, _ := crashedLog(t, n, big)
+	if end < 3<<20 {
+		t.Fatalf("log of %d bytes: too small to outgrow its first reservations", end)
+	}
+	reopenCrashed(t, dir, wal, n, n, big, false)
+
+	w, err := createWAL[uint64, string](t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range uint64(n) {
+		tag, payload, err := encodeGobRecord(i, mval[string]{val: big(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.append(tag, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.seal(); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := os.ReadFile(w.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(sealed)) != w.app.Size() {
+		t.Fatalf("sealed log is %d bytes, its frames %d", len(sealed), w.app.Size())
+	}
+	if got, end, err := readWAL(sealed, func(uint64, mval[string]) {}); got != n || end != walClean || err != nil {
+		t.Fatalf("sealed log replays %d records, end %d, %v; want %d, clean", got, end, err, n)
 	}
 }
 

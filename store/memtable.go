@@ -44,8 +44,11 @@ type memtable[K cmp.Ordered, V any] struct {
 	wal *walWriter[K, V]
 }
 
-func newMemtable[K cmp.Ordered, V any]() *memtable[K, V] {
-	return &memtable[K, V]{m: make(map[K]mval[V])}
+// newMemtable returns an empty table whose map is sized for hint
+// records: a table that replaces a frozen one is sized to the length
+// that one reached, so it fills without growing its map.
+func newMemtable[K cmp.Ordered, V any](hint int) *memtable[K, V] {
+	return &memtable[K, V]{m: make(map[K]mval[V], hint)}
 }
 
 // put inserts or overwrites key with the given payload.

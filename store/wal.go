@@ -7,13 +7,13 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 
 	"implicitlayout/internal/blockio"
+	"implicitlayout/internal/mmapio"
 	"implicitlayout/internal/rawfmt"
 )
 
@@ -25,6 +25,16 @@ import (
 // the log, and once the frozen table has been flushed into a segment and
 // the manifest committed, its log is deleted — the segment now owns
 // those records.
+//
+// Appends make no system call: a log is appended by copying each frame
+// into a shared, writable mapping of the file (mmapio.Appender), so an
+// acked record is in the OS page cache — safe from a process crash —
+// the moment the copy lands, as it was after a write(2). The mapping
+// runs ahead of the records into blocks reserved in advance, which read
+// as zeros: a log that is still being written, or whose writer died,
+// ends in that zero fill. Sealing a log cuts the fill, so a sealed log
+// holds exactly its frames. (Where the platform has no append mapping,
+// each frame is one write(2), and no fill is reserved.)
 //
 // A log has one of two formats, chosen by the DB's types. When both the
 // key and the value type dump raw (rawfmt.Kind: the integer and float
@@ -48,10 +58,17 @@ import (
 // earlier build still recovers; it is never written for them again.
 //
 // Each frame carries its own CRC-32C, so replay walks records until the
-// stream ends, classifying how it ended: cleanly (walClean), at a frame
-// cut short by a crashed append (walTorn — the expected shape of an
-// interruption, costing at most the single write that was in flight),
-// or at a checksum or decode failure (walCorrupt — real damage). Open
+// first frame that fails, and classifies how the log ended by what
+// follows the last intact frame: nothing, or only zero bytes — the
+// reserved fill, which no frame starts with (no tag is 0) — is a clean
+// end (walClean); a frame cut short by the end of the file, or one that
+// fails its check and is followed by zero bytes alone, is a crashed
+// append (walTorn — the expected shape of an interruption, costing at
+// most the one record in flight); any other failure — a non-zero byte
+// after a failed frame, a frame failing its check at the very end of
+// the file, or an intact frame that does not decode — is real damage
+// (walCorrupt). The writer keeps at least one zero byte after its last
+// frame, so a frame torn mid-copy is always followed by fill. Open
 // deletes replayed logs that ended clean or torn, but preserves a
 // corrupt log under a ".corrupt" suffix: the intact prefix is recovered
 // and served, and the damaged file is kept for inspection instead of
@@ -92,6 +109,7 @@ const (
 // happens after the DB mutex is released (see DB.write).
 type walWriter[K cmp.Ordered, V any] struct {
 	f    *os.File
+	app  *mmapio.Appender // appends frames to f; owned by the DB mutex
 	path string
 
 	// Append scratch, reused by every record (guarded by the DB mutex):
@@ -101,7 +119,7 @@ type walWriter[K cmp.Ordered, V any] struct {
 	rec   []byte
 
 	mu       sync.Mutex // guards fsync vs seal/close, never held during appends
-	sealed   bool       // seal ran: the file is closed
+	sealed   bool       // seal ran: the file is cut and closed
 	fsyncErr error      // first fsync failure on this log, latched forever:
 	// post-4.13 Linux reports a writeback error on only ONE fsync call
 	// per fd, so a later caller's fsync can return nil after an earlier
@@ -176,24 +194,31 @@ func checkWALHeader[K cmp.Ordered, V any](h []byte) error {
 // fsyncs the directory, so the file's existence survives a power
 // failure — without that, a crash could drop the directory entry and
 // with it every record the log had durably absorbed. The magic and a
-// raw log's header frame go out in one write.
+// raw log's header frame go out in one write, before the file is
+// mapped for appends, so a crash leaves the preamble whole or torn.
 func createWAL[K cmp.Ordered, V any](dir string, seq uint64) (*walWriter[K, V], error) {
 	path := walPath(dir, seq)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: creating WAL: %w", err)
 	}
-	if _, err := f.Write(walPreamble[K, V]()); err != nil {
+	fail := func(what string, err error) (*walWriter[K, V], error) {
 		f.Close()
 		os.Remove(path)
-		return nil, fmt.Errorf("store: initializing WAL: %w", err)
+		return nil, fmt.Errorf("store: %s: %w", what, err)
+	}
+	pre := walPreamble[K, V]()
+	if _, err := f.Write(pre); err != nil {
+		return fail("initializing WAL", err)
 	}
 	if err := blockio.SyncDir(dir); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, fmt.Errorf("store: syncing db directory after WAL create: %w", err)
+		return fail("syncing db directory after WAL create", err)
 	}
-	return &walWriter[K, V]{f: f, path: path}, nil
+	app, err := mmapio.NewAppender(f, int64(len(pre)))
+	if err != nil {
+		return fail("mapping WAL", err)
+	}
+	return &walWriter[K, V]{f: f, app: app, path: path}, nil
 }
 
 // rawRecord encodes one record of a raw log into the writer's reused
@@ -208,12 +233,13 @@ func (w *walWriter[K, V]) rawRecord(key K, mv mval[V]) (tag byte, payload []byte
 	return walTagRawPut, w.rec
 }
 
-// append logs one record, framing it in the writer's reused buffer. The
-// frame reaches the OS (one unbuffered write) before append returns;
-// making it reach the disk is syncAck's job. Caller holds the DB mutex.
+// append logs one record, framing it in the writer's reused buffer and
+// copying the frame into the log's mapping, which puts it in the OS page
+// cache before append returns; making it reach the disk is syncAck's
+// job. Caller holds the DB mutex.
 func (w *walWriter[K, V]) append(tag byte, payload []byte) error {
 	w.frame = blockio.AppendFrame(w.frame[:0], tag, payload)
-	if _, err := w.f.Write(w.frame); err != nil {
+	if err := w.app.Append(w.frame); err != nil {
 		return fmt.Errorf("store: appending to WAL: %w", err)
 	}
 	return nil
@@ -243,13 +269,15 @@ func (w *walWriter[K, V]) syncAck() error {
 	return nil
 }
 
-// seal fsyncs and closes the log at memtable freeze: the frozen table's
-// records are now durable regardless of the sync policy, and the file
-// waits for its flush-then-delete.
+// seal unmaps the log and cuts its reserved fill, then fsyncs and
+// closes it at memtable freeze: the frozen table's records are now
+// durable regardless of the sync policy, the file holds exactly its
+// frames, and it waits for its flush-then-delete.
 func (w *walWriter[K, V]) seal() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.sealed = true
+	cutErr := w.app.Finish()
 	if w.fsyncErr != nil {
 		// A prior fsync already failed; this fd's Sync may now lie (the
 		// kernel reports a writeback error once), so the log cannot be
@@ -265,23 +293,32 @@ func (w *walWriter[K, V]) seal() error {
 		w.f.Close()
 		return w.fsyncErr
 	}
-	// The data is durable from here; a close failure loses nothing.
+	// The data is durable from here; a failed cut leaves fill that
+	// replay reads as a clean end, and a close failure loses nothing.
+	if cutErr != nil {
+		w.f.Close()
+		return fmt.Errorf("store: cutting WAL at freeze: %w", cutErr)
+	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("store: closing WAL: %w", err)
 	}
 	return nil
 }
 
-// discard closes the handle and deletes the file — used for the empty
-// log of an active memtable at a clean Close. Only ever called on a log
-// with no records (no syncAck can be in flight: there is nothing to
-// ack).
+// discard unmaps the log, closes the handle and deletes the file — used
+// for the empty log of an active memtable at a clean Close. Only ever
+// called on a log with no records (no syncAck can be in flight: there
+// is nothing to ack).
 func (w *walWriter[K, V]) discard() error {
 	w.mu.Lock()
 	w.sealed = true
+	err := w.app.Unmap()
 	w.f.Close()
 	w.mu.Unlock()
-	return os.Remove(w.path)
+	if rerr := os.Remove(w.path); err == nil {
+		err = rerr
+	}
+	return err
 }
 
 // encodeGobRecord builds the payload of one v1 record. Key and value
@@ -355,53 +392,71 @@ func decodeRawRecord[K cmp.Ordered, V any](tag byte, payload []byte) (key K, mv 
 	return key, mv, nil
 }
 
-// frameEnd maps a blockio.Reader error to how the log ended.
-func frameEnd(err error) walEnd {
-	switch {
-	case err == io.EOF:
-		return walClean
-	case errors.Is(err, io.ErrUnexpectedEOF):
-		return walTorn // a crash-interrupted append: expected
+// tailEnd classifies how a log ends whose frame at off did not parse or
+// failed its check: by what the bytes from off on hold (see the file
+// comment).
+func tailEnd(data []byte, off int) walEnd {
+	rest := data[off:]
+	if allZero(rest) {
+		return walClean // nothing, or the reserved fill: no frame started here
 	}
-	return walCorrupt // checksum/length damage: preserve the file
+	if len(rest) < blockio.HeaderSize {
+		return walTorn // cut inside the frame header
+	}
+	n := binary.LittleEndian.Uint32(rest[1:5])
+	switch end := blockio.HeaderSize + int64(n); {
+	case n > blockio.MaxBlock:
+		return walCorrupt
+	case end > int64(len(rest)):
+		return walTorn // cut short by the end of the file
+	case end < int64(len(rest)) && allZero(rest[end:]):
+		return walTorn // copied in part, with only the fill after it
+	}
+	return walCorrupt
+}
+
+// allZero reports whether b holds nothing but zero bytes.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // replayWAL applies every intact record of one log file in append order,
-// returning the applied count and how the stream ended (see walEnd).
+// returning the applied count and how the log ended (see walEnd).
 // Replay never errors on damage — the intact prefix is exactly the
 // history worth recovering either way — but the caller uses the
 // classification to decide the file's fate: delete a clean or torn log,
 // preserve a corrupt one. Only a log the filesystem refuses to read, or
 // one whose intact header this DB[K, V] cannot replay, is an error.
 func replayWAL[K cmp.Ordered, V any](path string, apply func(key K, mv mval[V])) (n int, end walEnd, err error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, walCorrupt, fmt.Errorf("store: opening WAL: %w", err)
+		return 0, walCorrupt, fmt.Errorf("store: reading WAL: %w", err)
 	}
-	defer f.Close()
-	return readWAL(f, apply)
+	return readWAL(data, apply)
 }
 
-// readWAL is replayWAL over any byte stream.
-func readWAL[K cmp.Ordered, V any](r io.Reader, apply func(key K, mv mval[V])) (n int, end walEnd, err error) {
-	magic := make([]byte, len(walMagicGob))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, walTorn, nil // torn before the magic finished: an empty log
-		}
-		return 0, walCorrupt, fmt.Errorf("store: reading WAL magic: %w", err)
+// readWAL is replayWAL over a log's bytes.
+func readWAL[K cmp.Ordered, V any](data []byte, apply func(key K, mv mval[V])) (n int, end walEnd, err error) {
+	off := len(walMagicGob)
+	if len(data) < off {
+		return 0, walTorn, nil // torn before the magic finished: an empty log
 	}
-	br := blockio.NewReader(r)
 	decode := decodeGobRecord[K, V]
-	switch string(magic) {
+	switch string(data[:off]) {
 	case walMagicGob:
 	case walMagicRaw:
-		tag, hdr, err := br.Next()
+		tag, hdr, next, err := blockio.Frame(data, off, true)
 		switch {
-		case err == io.EOF:
-			return 0, walTorn, nil // the preamble's write was cut after the magic
 		case err != nil:
-			return 0, frameEnd(err), nil
+			if e := tailEnd(data, off); e != walClean {
+				return 0, e, nil
+			}
+			return 0, walTorn, nil // the preamble's write was cut after the magic
 		case tag != walTagHeader:
 			return 0, walCorrupt, nil
 		}
@@ -409,6 +464,7 @@ func readWAL[K cmp.Ordered, V any](r io.Reader, apply func(key K, mv mval[V])) (
 			return 0, walCorrupt, err
 		}
 		decode = decodeRawRecord[K, V]
+		off = next
 	default:
 		// The name matched the WAL pattern but the content does not:
 		// bit rot in the first bytes. Same policy as damage anywhere
@@ -418,9 +474,9 @@ func readWAL[K cmp.Ordered, V any](r io.Reader, apply func(key K, mv mval[V])) (
 		return 0, walCorrupt, nil
 	}
 	for {
-		tag, payload, err := br.Next()
+		tag, payload, next, err := blockio.Frame(data, off, true)
 		if err != nil {
-			return n, frameEnd(err), nil
+			return n, tailEnd(data, off), nil
 		}
 		key, mv, err := decode(tag, payload)
 		if err != nil {
@@ -428,5 +484,6 @@ func readWAL[K cmp.Ordered, V any](r io.Reader, apply func(key K, mv mval[V])) (
 		}
 		apply(key, mv)
 		n++
+		off = next
 	}
 }

@@ -208,50 +208,64 @@ func buildWALImage(raw bool, ops []walOp) walImage {
 }
 
 // expectWAL models replay of img damaged into data — a prefix of the
-// log, with the bit at byte p flipped when p >= 0 — from where the
-// damage sits alone: the records it applies (every frame wholly before
-// the first cut or flipped one) and how it ends. A stream ending at a
-// record boundary is clean; a cut frame, or a flipped length that now
-// runs past the end, is torn; any other flip is corrupt.
-func expectWAL(img walImage, data []byte, p int) (applied int, end walEnd) {
-	keep := len(data)
-	if keep < len(walMagicGob) {
+// log, then any run of zero fill, with at most one bit flipped
+// anywhere — from the damage alone. A frame is applied when its bytes
+// are exactly as written; the first that is not, or the end of the
+// frames, decides how the log ends, by what the bytes from there on
+// hold (expectTail). A raw log that ends before its header frame is
+// torn: the header went out with the magic.
+func expectWAL(img walImage, data []byte) (applied int, end walEnd) {
+	if len(data) < len(walMagicGob) {
 		return 0, walTorn
 	}
-	if p >= 0 && p < len(walMagicGob) {
+	if !bytes.Equal(data[:len(walMagicGob)], img.bytes[:len(walMagicGob)]) {
 		return 0, walCorrupt
 	}
 	recs := 0
 	for i, s := range img.starts {
-		if s == keep {
-			if i < img.recFirst {
-				return 0, walTorn // a raw log cut between its magic and header
-			}
-			return recs, walClean
-		}
 		e := len(img.bytes)
 		if i+1 < len(img.starts) {
 			e = img.starts[i+1]
 		}
-		if damaged := p >= s && p < e; !damaged && e <= keep {
+		if e <= len(data) && bytes.Equal(data[s:e], img.bytes[s:e]) {
 			if i >= img.recFirst {
 				recs++
 			}
 			continue
 		}
-		if keep-s < blockio.HeaderSize {
-			return recs, walTorn
+		end := expectTail(data[s:])
+		if i < img.recFirst && end == walClean {
+			end = walTorn
 		}
-		n := binary.LittleEndian.Uint32(data[s+1 : s+5])
-		if n > blockio.MaxBlock {
-			return recs, walCorrupt
-		}
-		if s+blockio.HeaderSize+int(n) > keep {
-			return recs, walTorn
-		}
-		return recs, walCorrupt
+		return recs, end
 	}
-	return recs, walClean
+	return recs, expectTail(data[len(img.bytes):])
+}
+
+// expectTail reads how a log ends from the bytes after its last applied
+// frame: none, or zeros alone, is clean; a frame cut short by the end of
+// the file, or followed by zeros alone, is torn; a frame whose length
+// is impossible, that ends at the very end of the file, or that
+// non-zero bytes follow is corrupt.
+func expectTail(rest []byte) walEnd {
+	if bytes.Count(rest, []byte{0}) == len(rest) {
+		return walClean
+	}
+	if len(rest) < blockio.HeaderSize {
+		return walTorn
+	}
+	n := binary.LittleEndian.Uint32(rest[1:5])
+	if n > blockio.MaxBlock {
+		return walCorrupt
+	}
+	e := blockio.HeaderSize + int(n)
+	switch {
+	case e > len(rest):
+		return walTorn
+	case e < len(rest) && bytes.Count(rest[e:], []byte{0}) == len(rest)-e:
+		return walTorn
+	}
+	return walCorrupt
 }
 
 // fuzzWALOps derives a history of n writes: Puts of key i*7919 mod 1009
@@ -269,41 +283,58 @@ func fuzzWALOps(n int) []walOp {
 	return ops
 }
 
-// FuzzWALReplay replays v1 (gob) and v2 (raw) logs cut to any length
-// and with any one bit flipped. Replay must never panic, must apply
-// exactly the records wholly before the damage, in order, and must
+// FuzzWALReplay replays v1 (gob) and v2 (raw) logs cut to any length,
+// then run into any length of zero fill — the reserved tail a crashed
+// writer leaves, which follows a whole magic only, as the preamble is
+// written before anything is reserved — and with any one bit flipped,
+// in the log or in the fill. Replay must never panic, must apply
+// exactly the records whose frames are as written, in order, and must
 // classify the end — clean, torn or corrupt — the way expectWAL reads
-// the damage's position.
+// the damage.
 func FuzzWALReplay(f *testing.F) {
-	f.Add(true, uint8(20), uint16(0), uint16(0), uint8(0))  // clean v2
-	f.Add(false, uint8(20), uint16(0), uint16(0), uint8(0)) // clean v1
-	f.Add(true, uint8(20), uint16(3), uint16(0), uint8(0))  // torn tail
-	f.Add(false, uint8(20), uint16(3), uint16(0), uint8(0))
-	f.Add(true, uint8(20), uint16(17), uint16(0), uint8(0))  // cut at a record boundary
-	f.Add(true, uint8(20), uint16(0), uint16(200), uint8(5)) // flip mid-log
-	f.Add(false, uint8(20), uint16(0), uint16(200), uint8(5))
-	f.Add(true, uint8(3), uint16(0), uint16(3), uint8(1))  // flip in the magic
-	f.Add(true, uint8(3), uint16(0), uint16(9), uint8(7))  // flip in the header's length
-	f.Add(true, uint8(3), uint16(0), uint16(17), uint8(2)) // flip in the header payload
-	f.Add(true, uint8(0), uint16(1), uint16(0), uint8(0))  // raw log cut inside its header
-	f.Add(true, uint8(20), uint16(30), uint16(400), uint8(3))
-	f.Fuzz(func(t *testing.T, raw bool, n uint8, cut, flip uint16, bit uint8) {
+	f.Add(true, uint8(20), uint16(0), uint16(0), uint8(0), uint16(0))  // clean v2
+	f.Add(false, uint8(20), uint16(0), uint16(0), uint8(0), uint16(0)) // clean v1
+	f.Add(true, uint8(20), uint16(3), uint16(0), uint8(0), uint16(0))  // torn tail
+	f.Add(false, uint8(20), uint16(3), uint16(0), uint8(0), uint16(0))
+	f.Add(true, uint8(20), uint16(17), uint16(0), uint8(0), uint16(0))  // cut at a record boundary
+	f.Add(true, uint8(20), uint16(0), uint16(200), uint8(5), uint16(0)) // flip mid-log
+	f.Add(false, uint8(20), uint16(0), uint16(200), uint8(5), uint16(0))
+	f.Add(true, uint8(3), uint16(0), uint16(3), uint8(1), uint16(0))  // flip in the magic
+	f.Add(true, uint8(3), uint16(0), uint16(9), uint8(7), uint16(0))  // flip in the header's length
+	f.Add(true, uint8(3), uint16(0), uint16(17), uint8(2), uint16(0)) // flip in the header payload
+	f.Add(true, uint8(0), uint16(1), uint16(0), uint8(0), uint16(0))  // raw log cut inside its header
+	f.Add(true, uint8(20), uint16(30), uint16(400), uint8(3), uint16(0))
+	f.Add(true, uint8(20), uint16(0), uint16(0), uint8(0), uint16(100))  // zero fill after a whole frame
+	f.Add(false, uint8(20), uint16(0), uint16(0), uint8(0), uint16(100)) // the same, v1
+	f.Add(true, uint8(20), uint16(3), uint16(0), uint8(0), uint16(100))  // a frame torn mid-copy, then fill
+	f.Add(false, uint8(20), uint16(3), uint16(0), uint8(0), uint16(100))
+	f.Add(true, uint8(20), uint16(17), uint16(0), uint8(0), uint16(100))   // fill from a record boundary
+	f.Add(true, uint8(20), uint16(0), uint16(500), uint8(0), uint16(100))  // non-zero byte past the logical end
+	f.Add(false, uint8(20), uint16(0), uint16(300), uint8(4), uint16(100)) // flip mid-log, then fill
+	f.Add(true, uint8(0), uint16(0), uint16(0), uint8(0), uint16(100))     // preamble only, then fill
+	f.Add(false, uint8(0), uint16(0), uint16(0), uint8(0), uint16(100))
+	f.Add(true, uint8(0), uint16(15), uint16(0), uint8(0), uint16(100)) // magic only, then fill
+	f.Add(true, uint8(1), uint16(0), uint16(23), uint8(4), uint16(16))  // length flipped to 0 over a zero payload
+	f.Fuzz(func(t *testing.T, raw bool, n uint8, cut, flip uint16, bit uint8, fill uint16) {
 		ops := fuzzWALOps(int(n))
 		img := buildWALImage(raw, ops)
 		data := bytes.Clone(img.bytes[:len(img.bytes)-int(cut)%(len(img.bytes)+1)])
+		if len(data) >= len(walMagicGob) {
+			data = append(data, make([]byte, fill)...)
+		}
 		p := -1
 		if flip != 0 && len(data) > 0 {
 			p = (int(flip) - 1) % len(data)
 			data[p] ^= 1 << (bit % 8)
 		}
 		var got []walOp
-		applied, end, err := readWAL(bytes.NewReader(data), func(k uint64, mv mval[uint64]) {
+		applied, end, err := readWAL(data, func(k uint64, mv mval[uint64]) {
 			got = append(got, walOp{key: k, val: mv.val, dead: mv.dead})
 		})
 		if err != nil {
 			t.Fatalf("replay errored on damage: %v", err)
 		}
-		wantN, wantEnd := expectWAL(img, data, p)
+		wantN, wantEnd := expectWAL(img, data)
 		if applied != len(got) || applied != wantN || end != wantEnd {
 			t.Fatalf("replay of %d/%d bytes (flip at %d) applied %d (%d reported), ended %d; want %d records, end %d",
 				len(data), len(img.bytes), p, len(got), applied, end, wantN, wantEnd)
@@ -390,9 +421,9 @@ func openAs[K cmp.Ordered, V any](dir string, cfg DBConfig) error {
 
 // TestDBDurablePutAllocs pins the raw log's append path at zero
 // allocations: a durable Put or Delete of fixed-width types encodes its
-// record into the log's reused buffers and hands the frame to one
-// write. The key is overwritten, so the memtable map never grows — map
-// growth is the memtable's cost, not the log's.
+// record into the log's reused buffers and copies the frame into the
+// log's mapping. The key is overwritten, so the memtable map never
+// grows — map growth is the memtable's cost, not the log's.
 func TestDBDurablePutAllocs(t *testing.T) {
 	db, err := Open[uint64, uint64](t.TempDir(), DBConfig{MemLimit: 1 << 20})
 	if err != nil {
