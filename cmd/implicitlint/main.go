@@ -9,9 +9,7 @@
 //	go build -o /tmp/implicitlint ./cmd/implicitlint
 //	go vet -vettool=/tmp/implicitlint ./...
 //
-// or standalone from the module root:
-//
-//	go run ./cmd/implicitlint ./...
+// scripts/lint.sh does both. go vet is the tool's only driver.
 //
 // The analyzers (see each package's doc for the invariant's history):
 //

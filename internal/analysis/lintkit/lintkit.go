@@ -23,14 +23,12 @@
 //     UNjustified allow comment is itself a finding, so suppressions
 //     cannot silently accumulate.
 //
-// Three drivers run analyzers:
+// Two drivers run analyzers:
 //
 //   - unitchecker.go speaks the `go vet -vettool=` protocol, which is how
-//     cmd/implicitlint runs in CI: go vet plans the build, hands each
+//     cmd/implicitlint runs: go vet plans the build, hands each
 //     package's files and export data to the tool via a JSON config, and
 //     relays line-anchored findings.
-//   - loader.go loads packages directly (go list + source importer) for
-//     standalone `implicitlint ./...` runs without go vet.
 //   - analysistest/ runs an analyzer over testdata fixture packages and
 //     checks findings against `// want "regexp"` comments.
 package lintkit
@@ -102,8 +100,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // RunAnalyzers applies each analyzer to one typechecked package and
 // returns every surviving finding in position order. It is the single
-// execution path shared by the unitchecker, the standalone loader, and
-// analysistest, so suppression semantics cannot drift between drivers.
+// execution path shared by the unitchecker and analysistest, so
+// suppression semantics cannot drift between drivers.
 // Besides the analyzers' own findings it reports malformed //lint:allow
 // comments (unknown analyzer name, missing justification): a suppression
 // that does not say what it suppresses and why is itself a defect.

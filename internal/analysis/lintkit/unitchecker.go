@@ -76,7 +76,6 @@ func Main(analyzers ...*Analyzer) {
 	flag.Var(versionFlag{}, "V", "print version and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [flags] unit.cfg   (via go vet -vettool=%s)\n", progname, progname)
-		fmt.Fprintf(os.Stderr, "       %s [flags] packages...\n", progname)
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -87,16 +86,10 @@ func Main(analyzers ...*Analyzer) {
 		os.Exit(0)
 	}
 	args := flag.Args()
-	if len(args) == 0 {
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
 		flag.Usage()
 	}
-	run := enabled()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnit(args[0], run)
-		return
-	}
-	// Not a vet config: standalone mode over package patterns.
-	os.Exit(RunStandalone(run, args))
+	runUnit(args[0], enabled())
 }
 
 // validate rejects duplicate or unnamed analyzers before any driver

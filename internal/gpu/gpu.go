@@ -24,7 +24,7 @@ package gpu
 
 import (
 	"implicitlayout/internal/core"
-	"implicitlayout/internal/vec"
+	"implicitlayout/internal/trace"
 	"implicitlayout/layout"
 )
 
@@ -96,19 +96,50 @@ func (d Device) TimeMS(c Cost) float64 {
 // sets — which is exactly the regime of a GPU L1/texture path.
 const tagSlots = 256
 
-type proc struct {
-	tags  [tagSlots]int64
-	txns  int64
-	instr int64
-	_     [6]int64
+// lines is one processor's line tags and its count of transactions. A
+// slot holds its line's index plus one, so the zero value is empty.
+type lines struct {
+	tags [tagSlots]int64
+	txns int64
+	_    [7]int64
 }
 
-// Vec is the cost-counting memory backend. Concurrent callers must use
-// distinct processor ids (CREW discipline).
-type Vec[T any] struct {
-	Data  []T
+// lineCaches is the trace.Cache of the GPU model: one direct-mapped
+// line-tag cache per processor, counting a memory transaction on every
+// tag miss.
+type lineCaches struct {
 	dev   Device
-	procs []proc
+	procs []lines
+}
+
+// Touch charges the line holding element i to processor p.
+func (c *lineCaches) Touch(p, i int) {
+	line := int64(i) * int64(c.dev.WordBytes) / int64(c.dev.LineBytes)
+	st := &c.procs[p]
+	if tag := &st.tags[uint64(line)%tagSlots]; *tag != line+1 {
+		*tag = line + 1
+		st.txns++
+	}
+}
+
+// TouchPair charges the lines of both blocks, interleaved (streaming,
+// so coalesced).
+func (c *lineCaches) TouchPair(p, i, j, n int) {
+	wpl := c.dev.LineBytes / c.dev.WordBytes
+	for e := 0; e < n; e += wpl {
+		c.Touch(p, i+e)
+		c.Touch(p, j+e)
+	}
+	c.Touch(p, i+n-1)
+	c.Touch(p, j+n-1)
+}
+
+// Vec is the cost-counting memory backend: a trace.Vec whose accesses
+// are charged to the line caches. Concurrent callers must use distinct
+// processor ids (CREW discipline).
+type Vec[T any] struct {
+	*trace.Vec[T]
+	lines *lineCaches
 }
 
 // NewVec wraps data for p executor processors on device d.
@@ -116,102 +147,27 @@ func NewVec[T any](data []T, p int, d Device) *Vec[T] {
 	if p < 1 {
 		p = 1
 	}
-	v := &Vec[T]{Data: data, dev: d, procs: make([]proc, p)}
-	v.Reset()
-	return v
+	c := &lineCaches{dev: d, procs: make([]lines, p)}
+	return &Vec[T]{Vec: trace.NewCached(data, p, c), lines: c}
 }
-
-func (v *Vec[T]) lineOf(i int) int64 {
-	return int64(i) * int64(v.dev.WordBytes) / int64(v.dev.LineBytes)
-}
-
-func (v *Vec[T]) touch(p int, i int) {
-	line := v.lineOf(i)
-	st := &v.procs[p]
-	slot := int(uint64(line) % tagSlots)
-	if st.tags[slot] != line {
-		st.tags[slot] = line
-		st.txns++
-	}
-}
-
-// Len returns the number of elements.
-func (v *Vec[T]) Len() int { return len(v.Data) }
-
-// Get returns element i, charging one access.
-func (v *Vec[T]) Get(p, i int) T {
-	v.touch(p, i)
-	v.procs[p].instr += 2
-	return v.Data[i]
-}
-
-// Set stores x at i, charging one access.
-func (v *Vec[T]) Set(p, i int, x T) {
-	v.touch(p, i)
-	v.procs[p].instr += 2
-	v.Data[i] = x
-}
-
-// Swap exchanges elements i and j.
-func (v *Vec[T]) Swap(p, i, j int) {
-	v.touch(p, i)
-	v.touch(p, j)
-	v.procs[p].instr += 6
-	v.Data[i], v.Data[j] = v.Data[j], v.Data[i]
-}
-
-// SwapRange exchanges blocks [i, i+n) and [j, j+n), charging the touched
-// lines of both (streaming, so coalesced).
-func (v *Vec[T]) SwapRange(p, i, j, n int) {
-	wpl := v.dev.LineBytes / v.dev.WordBytes
-	for e := 0; e < n; e += wpl {
-		v.touch(p, i+e)
-		v.touch(p, j+e)
-	}
-	v.touch(p, i+n-1)
-	v.touch(p, j+n-1)
-	v.procs[p].instr += int64(2 * n)
-	a, b := v.Data[i:i+n], v.Data[j:j+n]
-	for k := range a {
-		a[k], b[k] = b[k], a[k]
-	}
-}
-
-// SwapUnits exchanges n unit pairs of c elements at strides di and dj,
-// charging each unit pair as its own Swap or SwapRange.
-func (v *Vec[T]) SwapUnits(p, i, di, j, dj, c, n int) {
-	vec.SwapUnitsLoop(v, p, i, di, j, dj, c, n)
-}
-
-// ApplyCycles declines: the kernel runs the paper's swap-based steps,
-// which are what this model charges.
-func (v *Vec[T]) ApplyCycles(int, int, *vec.Cycles) bool { return false }
-
-// BeginRound is informational here; launch counts come from Launches.
-func (v *Vec[T]) BeginRound(string, int) {}
-
-// AddInstr charges n model instructions to processor p.
-func (v *Vec[T]) AddInstr(p, n int) { v.procs[p].instr += int64(n) }
 
 // Cost returns the accumulated memory and instruction cost (no launches).
+// Each element access costs 2 instructions, a swap 6 and a block swap 2
+// per element pair, on top of those charged through AddInstr.
 func (v *Vec[T]) Cost() Cost {
 	var c Cost
-	for i := range v.procs {
-		c.Txns += v.procs[i].txns
-		c.Instr += v.procs[i].instr
+	for i := range v.lines.procs {
+		c.Txns += v.lines.procs[i].txns
 	}
+	t := v.Counts()
+	c.Instr = 2*t.Gets + 2*t.Sets + 6*t.Swaps + 2*t.Ranged + t.Instr
 	return c
 }
 
 // Reset clears counters and invalidates all line caches.
 func (v *Vec[T]) Reset() {
-	for i := range v.procs {
-		v.procs[i].txns = 0
-		v.procs[i].instr = 0
-		for s := range v.procs[i].tags {
-			v.procs[i].tags[s] = -1
-		}
-	}
+	v.Vec.Reset()
+	clear(v.lines.procs)
 }
 
 // vebKernelCutoff is the subtree level count below which the recursive

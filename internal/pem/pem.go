@@ -10,11 +10,7 @@
 // against those bounds.
 package pem
 
-import (
-	"sync/atomic"
-
-	"implicitlayout/internal/vec"
-)
+import "implicitlayout/internal/trace"
 
 // Config sizes the simulated memory hierarchy, in words (elements).
 type Config struct {
@@ -29,8 +25,10 @@ type Config struct {
 func DefaultConfig() Config { return Config{M: 1 << 15, B: 8} }
 
 // lruCache is a fully associative LRU set of block indices with intrusive
-// doubly-linked order, preallocated to its capacity.
+// doubly-linked order, preallocated to its capacity. It is one
+// processor's cache, and counts that processor's block transfers.
 type lruCache struct {
+	ios   int64 // misses: block transfers
 	cap   int
 	slots map[int]int // block -> node index
 	block []int
@@ -42,7 +40,7 @@ type lruCache struct {
 }
 
 func newLRU(capacity int) *lruCache {
-	c := &lruCache{
+	return &lruCache{
 		cap:   capacity,
 		slots: make(map[int]int, capacity),
 		block: make([]int, capacity),
@@ -51,16 +49,16 @@ func newLRU(capacity int) *lruCache {
 		head:  -1,
 		tail:  -1,
 	}
-	return c
 }
 
-// touch probes the cache for block b and returns true on hit, inserting
-// and possibly evicting on miss.
-func (c *lruCache) touch(b int) bool {
+// touch probes the cache for block b; a miss counts one block transfer
+// and inserts b, evicting the least recent block when the cache is full.
+func (c *lruCache) touch(b int) {
 	if n, ok := c.slots[b]; ok {
 		c.moveToFront(n)
-		return true
+		return
 	}
+	c.ios++
 	var n int
 	if c.used < c.cap {
 		n = c.used
@@ -73,7 +71,6 @@ func (c *lruCache) touch(b int) bool {
 	c.block[n] = b
 	c.slots[b] = n
 	c.attachFront(n)
-	return false
 }
 
 func (c *lruCache) moveToFront(n int) {
@@ -111,19 +108,42 @@ func (c *lruCache) attachFront(n int) {
 	}
 }
 
-type procState struct {
-	cache *lruCache
-	ios   int64
-	_     [7]int64
+// caches is the trace.Cache of the PEM model: one LRU of M/B blocks per
+// processor, counting a block transfer on every miss.
+type caches struct {
+	cfg   Config
+	procs []*lruCache
 }
 
-// Vec is the PEM-counting memory backend. Concurrent use requires the
-// CREW discipline: concurrent calls must use distinct processor ids.
+func (c *caches) reset() {
+	for i := range c.procs {
+		c.procs[i] = newLRU(c.cfg.M / c.cfg.B)
+	}
+}
+
+// Touch charges the block holding element i to processor p.
+func (c *caches) Touch(p, i int) { c.touchBlocks(p, i, 1) }
+
+// TouchPair charges the blocks of range i, then those of range j.
+func (c *caches) TouchPair(p, i, j, n int) {
+	c.touchBlocks(p, i, n)
+	c.touchBlocks(p, j, n)
+}
+
+// touchBlocks charges every block of [i, i+n) to processor p, in order.
+func (c *caches) touchBlocks(p, i, n int) {
+	lru := c.procs[p]
+	for b := i / c.cfg.B; b <= (i+n-1)/c.cfg.B; b++ {
+		lru.touch(b)
+	}
+}
+
+// Vec is the PEM-counting memory backend: a trace.Vec whose accesses are
+// charged to the simulated caches. Concurrent use requires the CREW
+// discipline: concurrent calls must use distinct processor ids.
 type Vec[T any] struct {
-	Data   []T
-	cfg    Config
-	procs  []procState
-	rounds atomic.Int64
+	*trace.Vec[T]
+	caches *caches
 }
 
 // New wraps data in a PEM simulation with p processors and the given
@@ -135,88 +155,17 @@ func New[T any](data []T, p int, cfg Config) *Vec[T] {
 	if cfg.B < 1 || cfg.M < 2*cfg.B {
 		panic("pem: need B >= 1 and M >= 2B")
 	}
-	v := &Vec[T]{Data: data, cfg: cfg, procs: make([]procState, p)}
-	for i := range v.procs {
-		v.procs[i].cache = newLRU(cfg.M / cfg.B)
-	}
-	return v
+	c := &caches{cfg: cfg, procs: make([]*lruCache, p)}
+	c.reset()
+	return &Vec[T]{Vec: trace.NewCached(data, p, c), caches: c}
 }
-
-func (v *Vec[T]) access(p, i int) {
-	st := &v.procs[p]
-	if !st.cache.touch(i / v.cfg.B) {
-		st.ios++
-	}
-}
-
-func (v *Vec[T]) accessRange(p, i, n int) {
-	first := i / v.cfg.B
-	last := (i + n - 1) / v.cfg.B
-	st := &v.procs[p]
-	for b := first; b <= last; b++ {
-		if !st.cache.touch(b) {
-			st.ios++
-		}
-	}
-}
-
-// Len returns the number of elements.
-func (v *Vec[T]) Len() int { return len(v.Data) }
-
-// Get returns the element at i, charging its block access to processor p.
-func (v *Vec[T]) Get(p, i int) T {
-	v.access(p, i)
-	return v.Data[i]
-}
-
-// Set stores x at i, charging its block access to processor p.
-func (v *Vec[T]) Set(p, i int, x T) {
-	v.access(p, i)
-	v.Data[i] = x
-}
-
-// Swap exchanges elements i and j, charging both block accesses.
-func (v *Vec[T]) Swap(p, i, j int) {
-	v.access(p, i)
-	v.access(p, j)
-	v.Data[i], v.Data[j] = v.Data[j], v.Data[i]
-}
-
-// SwapRange exchanges the blocks [i, i+n) and [j, j+n), charging the
-// touched cache blocks of both ranges.
-func (v *Vec[T]) SwapRange(p, i, j, n int) {
-	v.accessRange(p, i, n)
-	v.accessRange(p, j, n)
-	a, b := v.Data[i:i+n], v.Data[j:j+n]
-	for k := range a {
-		a[k], b[k] = b[k], a[k]
-	}
-}
-
-// SwapUnits exchanges n unit pairs of c elements at strides di and dj,
-// charging each unit pair as its own Swap or SwapRange.
-func (v *Vec[T]) SwapUnits(p, i, di, j, dj, c, n int) {
-	vec.SwapUnitsLoop(v, p, i, di, j, dj, c, n)
-}
-
-// ApplyCycles declines: the kernel runs the paper's swap-based steps,
-// which are what this model charges.
-func (v *Vec[T]) ApplyCycles(int, int, *vec.Cycles) bool { return false }
-
-// BeginRound counts primitive rounds (informational).
-func (v *Vec[T]) BeginRound(string, int) { v.rounds.Add(1) }
-
-// AddInstr is ignored: the PEM model counts only block transfers.
-func (v *Vec[T]) AddInstr(int, int) {}
 
 // MaxIO returns Q(N, P): the largest number of block transfers performed
 // by any one processor.
 func (v *Vec[T]) MaxIO() int64 {
 	var m int64
-	for i := range v.procs {
-		if v.procs[i].ios > m {
-			m = v.procs[i].ios
-		}
+	for _, c := range v.caches.procs {
+		m = max(m, c.ios)
 	}
 	return m
 }
@@ -224,20 +173,17 @@ func (v *Vec[T]) MaxIO() int64 {
 // TotalIO returns the total number of block transfers across processors.
 func (v *Vec[T]) TotalIO() int64 {
 	var t int64
-	for i := range v.procs {
-		t += v.procs[i].ios
+	for _, c := range v.caches.procs {
+		t += c.ios
 	}
 	return t
 }
 
 // Config returns the simulated hierarchy parameters.
-func (v *Vec[T]) Config() Config { return v.cfg }
+func (v *Vec[T]) Config() Config { return v.caches.cfg }
 
-// Reset clears the I/O counters and empties every cache.
+// Reset clears the counters and empties every cache.
 func (v *Vec[T]) Reset() {
-	for i := range v.procs {
-		v.procs[i].ios = 0
-		v.procs[i].cache = newLRU(v.cfg.M / v.cfg.B)
-	}
-	v.rounds.Store(0)
+	v.Vec.Reset()
+	v.caches.reset()
 }

@@ -1,9 +1,13 @@
-package trace
+package trace_test
 
 import (
 	"reflect"
-	"slices"
 	"testing"
+
+	"implicitlayout/internal/gpu"
+	"implicitlayout/internal/pem"
+	"implicitlayout/internal/trace"
+	"implicitlayout/internal/vec"
 )
 
 func seqData(n int) []int {
@@ -14,9 +18,9 @@ func seqData(n int) []int {
 	return s
 }
 
-// TestSwapUnitsChargesLoop: SwapUnits moves the data and charges every
-// per-processor counter (swaps, ranged elements, reads, writes and instructions) exactly as the Swap/SwapRange loop it
-// stands for, on the patterns the kernels use.
+// TestSwapUnitsChargesLoop: on every model, SwapUnits moves the data and
+// charges the operation counts and the cache state exactly as the
+// Swap/SwapRange loop it stands for, on the patterns the kernels use.
 func TestSwapUnitsChargesLoop(t *testing.T) {
 	shapes := []struct{ i, di, j, dj, c, n int }{
 		{0, 1, 599, -1, 1, 300},                // Reverse
@@ -28,22 +32,36 @@ func TestSwapUnitsChargesLoop(t *testing.T) {
 		{299, -1, 300, 1, 1, 300},              // first run walks down
 		{0, 1, 10, 1, 1, 0},                    // n = 0
 	}
-	got, want := New(seqData(600), 2), New(seqData(600), 2)
-	for k, s := range shapes {
-		p := k % 2
-		got.SwapUnits(p, s.i, s.di, s.j, s.dj, s.c, s.n)
-		for u := 0; u < s.n; u++ {
-			if s.c == 1 {
-				want.Swap(p, s.i+u*s.di, s.j+u*s.dj)
-			} else {
-				want.SwapRange(p, s.i+u*s.di, s.j+u*s.dj, s.c)
+	models := []struct {
+		name string
+		make func() vec.Vec[int]
+	}{
+		{"trace", func() vec.Vec[int] { return trace.New(seqData(600), 2) }},
+		{"pem", func() vec.Vec[int] { return pem.New(seqData(600), 2, pem.Config{M: 64, B: 8}) }},
+		{"gpu", func() vec.Vec[int] { return gpu.NewVec(seqData(600), 2, gpu.TeslaK40()) }},
+	}
+	for _, m := range models {
+		t.Run(m.name, func(t *testing.T) {
+			got, want := m.make(), m.make()
+			for k, s := range shapes {
+				p := k % 2
+				got.SwapUnits(p, s.i, s.di, s.j, s.dj, s.c, s.n)
+				for u := 0; u < s.n; u++ {
+					if s.c == 1 {
+						want.Swap(p, s.i+u*s.di, s.j+u*s.dj)
+					} else {
+						want.SwapRange(p, s.i+u*s.di, s.j+u*s.dj, s.c)
+					}
+				}
+				// Deep equality covers the data, the per-processor
+				// counters and the cache the counters charge.
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("shape %d %+v: state differs from the loop", k, s)
+				}
 			}
-		}
-		if !slices.Equal(got.Data, want.Data) {
-			t.Fatalf("shape %d %+v: data differs from the loop", k, s)
-		}
-		if !reflect.DeepEqual(got.pc, want.pc) {
-			t.Fatalf("shape %d %+v: counters differ from the loop", k, s)
-		}
+			if reflect.DeepEqual(got, m.make()) {
+				t.Fatal("the shapes moved and charged nothing")
+			}
+		})
 	}
 }

@@ -4,12 +4,15 @@
 //
 //   - Slice and Zip: one bare slice, or a key slice and a value slice
 //     moved as pairs, used by the public perm API;
-//   - pem.Vec: the parallel-external-memory simulator, which counts block
-//     transfers per processor (validates the I/O column of Table 1.1);
-//   - gpu.Vec: the SIMT cost model, which charges memory transactions,
-//     instructions and kernel launches (reproduces the GPU figures);
-//   - trace.Vec: the operation counter behind the work column of
-//     Table 1.1.
+//   - trace.Vec: the one model backend. It counts operations per
+//     processor (the work column of Table 1.1) and charges every access
+//     to an optional cache model: pem.Vec adds the parallel-external-
+//     memory simulator's LRU caches, which count block transfers (the
+//     I/O column of Table 1.1), and gpu.Vec the SIMT cost model's line
+//     caches, which count memory transactions (the GPU figures).
+//
+// The reference SwapUnits, the loop of Swap and SwapRange calls it
+// stands for, is trace.Vec's; the slice backends run it as a direct loop.
 //
 // Every mutation is expressed as a swap (or a block swap), which makes the
 // in-place property of the algorithms structurally evident: no backend
@@ -120,29 +123,6 @@ func swapUnits[T any](s []T, i, di, j, dj, c, n int) {
 		a, b := s[i:i+c], s[j:j+c]
 		for k := range a {
 			a[k], b[k] = b[k], a[k]
-		}
-		i += di
-		j += dj
-	}
-}
-
-// UnitSwapper is the part of a backend that SwapUnitsLoop runs on.
-type UnitSwapper interface {
-	Swap(p, i, j int)
-	SwapRange(p, i, j, n int)
-}
-
-// SwapUnitsLoop is SwapUnits as the loop it stands for: Swap for c == 1,
-// SwapRange(…, c) for c > 1, one unit pair at a time. The cost-model
-// backends implement SwapUnits with it, so a run of units charges exactly
-// what the per-unit calls would (the GPU model charges Swap and a
-// one-element SwapRange differently).
-func SwapUnitsLoop(v UnitSwapper, p, i, di, j, dj, c, n int) {
-	for ; n > 0; n-- {
-		if c == 1 {
-			v.Swap(p, i, j)
-		} else {
-			v.SwapRange(p, i, j, c)
 		}
 		i += di
 		j += dj

@@ -202,7 +202,7 @@ func Open[K cmp.Ordered, V any](dir string, cfg DBConfig) (*DB[K, V], error) {
 	db := &DB[K, V]{
 		cfg:    cfg,
 		runCfg: runCfg,
-		active: newMemtable[K, V](0),
+		active: newMemtable[K, V](),
 	}
 	db.state.Store(&dbstate[K, V]{})
 	if dir != "" {
@@ -336,7 +336,7 @@ func (db *DB[K, V]) openDir(dir string) error {
 	// deleted, a corrupt log keeps its intact-prefix recovery but is
 	// preserved under a ".corrupt" suffix instead of being destroyed.
 	slices.Sort(walSeqs)
-	rec := newMemtable[K, V](0)
+	rec := newMemtable[K, V]()
 	ends := make(map[uint64]walEnd, len(walSeqs))
 	for _, seq := range walSeqs {
 		_, end, err := replayWAL(walPath(dir, seq), rec.put)
@@ -466,11 +466,10 @@ func (db *DB[K, V]) write(key K, mv mval[V]) error {
 }
 
 // freezeLocked moves the active memtable into the snapshot's frozen list
-// and installs a fresh one, its map sized to the length the outgoing
-// table reached. In durable mode the outgoing table's log is sealed
-// (cut at its last frame, fsynced and closed) and travels with it until
-// the flush that makes it redundant; rotate selects whether a new log
-// is created for the fresh table (Close passes false — no further
+// and installs a fresh one. In durable mode the outgoing table's log is
+// sealed (cut at its last frame, fsynced and closed) and travels with it
+// until the flush that makes it redundant; rotate selects whether a new
+// log is created for the fresh table (Close passes false — no further
 // writes are coming). Caller holds db.mu.
 //
 // A durable freeze deliberately pays two fsyncs under the lock (the
@@ -504,11 +503,7 @@ func (db *DB[K, V]) freezeLocked(rotate bool) {
 		runs:   st.runs,
 	}
 	db.state.Store(ns)
-	hint := 0 // Close: no writes follow
-	if rotate {
-		hint = db.active.len()
-	}
-	db.active = newMemtable[K, V](hint)
+	db.active = newMemtable[K, V]()
 	if rotate && db.dir != "" {
 		w, err := createWAL[K, V](db.dir, db.nextSeq.Add(1)-1)
 		if err != nil {

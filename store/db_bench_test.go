@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"implicitlayout/layout"
@@ -119,6 +120,69 @@ func BenchmarkDBPut(b *testing.B) {
 			b.StopTimer()
 			if err := db.Close(); err != nil {
 				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkDBRange times a 64-record DB.Range on a DB that holds one run
+// of 2^20 uniform uint64 records, with the active memtable at 0, 1 and
+// MemLimit/2 records: what a short ordered read pays for the table beside
+// the run. MemLimit is the run's size, so the last of its Puts freezes
+// the table that becomes the run and the active table is the one that
+// replaced it, as in a DB that has been taking writes.
+func BenchmarkDBRange(b *testing.B) {
+	const n, width = 1 << 20, 64
+	r := rand.New(rand.NewPCG(7, 8))
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = r.Uint64()
+	}
+	cfg := store.DBConfig{MemLimit: n}
+	db, err := store.Open[uint64, uint64](b.TempDir(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	for _, k := range keys {
+		if err := db.Put(k, k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if runs := db.Stats().Runs(); runs != 1 {
+		b.Fatalf("%d runs, want one", runs)
+	}
+	slices.Sort(keys)
+	starts := make([]int, 1<<10)
+	for i := range starts {
+		starts[i] = r.IntN(n - width)
+	}
+	active := 0
+	for _, fill := range []int{0, 1, cfg.MemLimit / 2} {
+		b.Run(fmt.Sprintf("active=%d", fill), func(b *testing.B) {
+			for ; active < fill; active++ {
+				if err := db.Put(r.Uint64(), 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if got := db.Stats().MemRecords; got != fill {
+				b.Fatalf("active table holds %d records, want %d", got, fill)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				s := starts[i&(len(starts)-1)]
+				got := 0
+				db.Range(keys[s], keys[s+width-1], func(uint64, uint64) bool {
+					got++
+					return true
+				})
+				if got < width {
+					b.Fatalf("Range returned %d records, want ≥ %d", got, width)
+				}
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -527,5 +528,47 @@ func TestDBGetAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("DB.Get (odd=%d): %v allocs, want 0", odd, allocs)
 		}
+	}
+}
+
+// TestRangeAllocatesForMatches: a short Range over a large active
+// memtable allocates for the records it returns, not for the table. A
+// copy sized to the whole table would cost 2^14 × 24 B = 384 KiB a call.
+func TestRangeAllocatesForMatches(t *testing.T) {
+	db, err := Open[uint64, uint64]("", DBConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const n, matches, calls = 1 << 14, 64, 100
+	for k := uint64(0); k < n; k++ {
+		if err := db.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := db.Stats(); st.MemRecords != n {
+		t.Fatalf("records left the active table: %+v", st)
+	}
+	rangeOnce := func() {
+		got := 0
+		db.Range(n/2, n/2+matches-1, func(k, v uint64) bool {
+			got++
+			return true
+		})
+		if got != matches {
+			t.Fatalf("Range returned %d records, want %d", got, matches)
+		}
+	}
+	rangeOnce()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		rangeOnce()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("%d B per Range of %d records", perCall, matches)
+	if perCall > 16<<10 {
+		t.Fatalf("a Range of %d records over an active table of %d allocates %d B a call, want ≤ 16 KiB", matches, n, perCall)
 	}
 }

@@ -44,11 +44,11 @@ type memtable[K cmp.Ordered, V any] struct {
 	wal *walWriter[K, V]
 }
 
-// newMemtable returns an empty table whose map is sized for hint
-// records: a table that replaces a frozen one is sized to the length
-// that one reached, so it fills without growing its map.
-func newMemtable[K cmp.Ordered, V any](hint int) *memtable[K, V] {
-	return &memtable[K, V]{m: make(map[K]mval[V], hint)}
+// newMemtable returns an empty table. Its map grows with its writes: a
+// presized map would cost every ordered read of a nearly empty table an
+// iteration of the whole capacity.
+func newMemtable[K cmp.Ordered, V any]() *memtable[K, V] {
+	return &memtable[K, V]{m: make(map[K]mval[V])}
 }
 
 // put inserts or overwrites key with the given payload.
@@ -69,10 +69,14 @@ func (m *memtable[K, V]) len() int { return len(m.m) }
 // when all is set) and their payloads, index for index. Range readers
 // collect the active memtable under the DB's read lock — one O(len)
 // scan, no ordering work — and sort the copy outside it, so a long scan
-// never holds up writers.
-func (m *memtable[K, V]) collect(lo, hi K, all bool) ([]K, []mval[V]) {
-	keys := make([]K, 0, len(m.m))
-	vals := make([]mval[V], 0, len(m.m))
+// never holds up writers. The copies are presized only when they take
+// every record; an interval's copies grow with its matches, so a short
+// Range over a full table allocates for what it returns.
+func (m *memtable[K, V]) collect(lo, hi K, all bool) (keys []K, vals []mval[V]) {
+	if all {
+		keys = make([]K, 0, len(m.m))
+		vals = make([]mval[V], 0, len(m.m))
+	}
 	for k, mv := range m.m {
 		if all || (k >= lo && k <= hi) {
 			keys = append(keys, k)
